@@ -8,8 +8,7 @@ hardest and easiest instances by pointwise score.
 import numpy as np
 
 from pvireduce import (Hyperparams, compute_pvi, generate_synthetic,
-                       hardest_k, pvi_histogram, summarize, to_null_view,
-                       train)
+                       hardest_k, pvi_histogram, summarize, train_scorers)
 from pvireduce.corpus import synthetic_difficulty_tags
 
 
@@ -18,8 +17,7 @@ def main():
     ds = generate_synthetic(2000, 3, (0.5, 0.3, 0.2), seed=1)
     print(f"corpus: {len(ds)} instances, class counts {ds.class_counts().tolist()}")
 
-    g_cond = train(ds, hp)
-    g_null = train(to_null_view(ds), hp)
+    g_cond, g_null = train_scorers(ds, hp)
     records = compute_pvi(g_cond, g_null, ds)
 
     s = summarize(records)

@@ -25,6 +25,7 @@ from .family import (
     predict_dist,
     save_model,
     train,
+    train_null,
 )
 from .pvi import (
     InfoSummary,
@@ -34,6 +35,7 @@ from .pvi import (
     pvi_histogram,
     rank_by_difficulty,
     summarize,
+    train_scorers,
 )
 from .reduction import (
     SweepPoint,

@@ -16,21 +16,22 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 import time
 from dataclasses import replace as dc_replace
 
 from . import __version__
 from .corpus import (DataError, NoiseSpec, generate_synthetic, inject_noise,
-                     load_dataset, make_imbalanced, serialize, to_null_view)
+                     load_dataset, make_imbalanced, serialize)
 from .curriculum import (progressive_train, write_stage_csv,
                          write_stage_summary_csv)
-from .family import Hyperparams, save_model, train
-from .pvi import compute_pvi, summarize, write_records_csv, write_records_jsonl
-from .reduction import static_sweep, write_sweep_csv
+from .family import Hyperparams, feature_matrix, save_model
+from .pvi import (compute_pvi, summarize, train_scorers, write_records_csv,
+                  write_records_jsonl)
+from .reduction import read_sweep_csv, static_sweep, write_sweep_csv
 from .report import (RuntimeLog, bucket_proportions, emit_accuracy_plot,
                      emit_runtime_plot, length_stats, write_bucket_csv,
                      write_length_stats_csv)
+from .tables import atomic_write_text
 
 
 class UsageError(Exception):
@@ -40,33 +41,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-def atomic_write_text(path, text: str) -> None:
-    """Write via a temp file in the target directory, then rename."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _capture(write_fn) -> str:
-    """Run a path-taking writer into a string for atomic emission."""
-    import io
-    fd, tmp = tempfile.mkstemp(text=True)
-    os.close(fd)
-    try:
-        write_fn(tmp)
-        with open(tmp, encoding="utf-8") as fh:
-            return fh.read()
-    finally:
-        os.unlink(tmp)
 
 
 def sha256_file(path) -> str:
@@ -170,13 +144,13 @@ def _parse_ratios(raw: str):
 
 def cmd_gen(args, config):
     out = args.out
-    ds = generate_synthetic(args.n, args.classes, tuple(args.mix), args.seed or 1)
-    text = _capture(lambda p: serialize(ds, p, args.format))
-    atomic_write_text(out, text)
+    seed = 1 if args.seed is None else args.seed
+    ds = generate_synthetic(args.n, args.classes, tuple(args.mix), seed)
+    serialize(ds, out, args.format)
     out_dir = os.path.dirname(os.path.abspath(out)) or "."
     write_manifest(out_dir, "gen",
                    {"n": args.n, "classes": args.classes, "mix": list(args.mix),
-                    "seed": args.seed or 1, "format": args.format, "out": out},
+                    "seed": seed, "format": args.format, "out": out},
                    {"out": out}, not args.no_timing)
     return 0
 
@@ -185,15 +159,14 @@ def cmd_pvi(args, config):
     hp = resolve_hyperparams(config, args)
     train_ds = _load(args.train, args.format)
     score_ds = _load(args.on, args.format) if args.on else train_ds
-    g_cond = train(train_ds, hp)
-    g_null = train(to_null_view(train_ds), hp)
-    records = compute_pvi(g_cond, g_null, score_ds)
+    X_train = feature_matrix(train_ds, hp)
+    g_cond, g_null = train_scorers(train_ds, hp, features=X_train)
+    records = compute_pvi(g_cond, g_null, score_ds,
+                          features=None if args.on else X_train)
     info = summarize(records)
     os.makedirs(args.out_dir, exist_ok=True)
-    atomic_write_text(os.path.join(args.out_dir, "pvi.csv"),
-                      _capture(lambda p: write_records_csv(records, p)))
-    atomic_write_text(os.path.join(args.out_dir, "pvi.jsonl"),
-                      _capture(lambda p: write_records_jsonl(records, p)))
+    write_records_csv(records, os.path.join(args.out_dir, "pvi.csv"))
+    write_records_jsonl(records, os.path.join(args.out_dir, "pvi.jsonl"))
     atomic_write_text(os.path.join(args.out_dir, "summary.json"), json.dumps({
         "h_v_y": info.h_v_y, "h_v_y_given_x": info.h_v_y_given_x,
         "i_v": info.i_v, "n": info.n}, indent=2) + "\n")
@@ -223,10 +196,8 @@ def cmd_sweep(args, config):
                           timing=not args.no_timing, runtime_log=log,
                           jobs=args.jobs)
     os.makedirs(args.out_dir, exist_ok=True)
-    atomic_write_text(os.path.join(args.out_dir, "sweep.csv"),
-                      _capture(lambda p: write_sweep_csv(points, p)))
-    atomic_write_text(os.path.join(args.out_dir, "runtime.csv"),
-                      _capture(log.write_csv))
+    write_sweep_csv(points, os.path.join(args.out_dir, "sweep.csv"))
+    log.write_csv(os.path.join(args.out_dir, "runtime.csv"))
     write_manifest(args.out_dir, "sweep",
                    {"train": args.train, "test": args.test, "format": args.format,
                     "ratios": ratios, "strategy": args.strategy,
@@ -253,11 +224,9 @@ def cmd_curriculum(args, config):
                                      warm_start=args.warm_start,
                                      timing=not args.no_timing, jobs=args.jobs)
     os.makedirs(args.out_dir, exist_ok=True)
-    atomic_write_text(os.path.join(args.out_dir, "stages.csv"),
-                      _capture(lambda p: write_stage_csv(reports, p)))
+    write_stage_csv(reports, os.path.join(args.out_dir, "stages.csv"))
     if args.seeds > 1:
-        atomic_write_text(os.path.join(args.out_dir, "stages_summary.csv"),
-                          _capture(lambda p: write_stage_summary_csv(reports, p)))
+        write_stage_summary_csv(reports, os.path.join(args.out_dir, "stages_summary.csv"))
     write_manifest(args.out_dir, "curriculum",
                    {"train": args.train, "test": args.test, "format": args.format,
                     "ratios": ratios, "ordering": args.ordering,
@@ -273,10 +242,8 @@ def cmd_stats(args, config):
     stats = length_stats(ds, args.unit)
     buckets = bucket_proportions(ds, unit=args.unit)
     os.makedirs(args.out_dir, exist_ok=True)
-    atomic_write_text(os.path.join(args.out_dir, "stats.csv"),
-                      _capture(lambda p: write_length_stats_csv(stats, p)))
-    atomic_write_text(os.path.join(args.out_dir, "buckets.csv"),
-                      _capture(lambda p: write_bucket_csv(buckets, p)))
+    write_length_stats_csv(stats, os.path.join(args.out_dir, "stats.csv"))
+    write_bucket_csv(buckets, os.path.join(args.out_dir, "buckets.csv"))
     write_manifest(args.out_dir, "stats",
                    {"data": args.data, "format": args.format, "unit": args.unit},
                    {"data": args.data}, not args.no_timing)
@@ -290,7 +257,6 @@ def cmd_report(args, config):
     if args.sweep_csv:
         if not os.path.exists(args.sweep_csv):
             raise DataError(f"file not found: {args.sweep_csv}")
-        from .reduction import read_sweep_csv
         points = read_sweep_csv(args.sweep_csv)
         atomic_write_text(os.path.join(args.out_dir, "accuracy.svg"),
                           emit_accuracy_plot(points))

@@ -9,9 +9,11 @@ from __future__ import annotations
 import json
 import math
 import unicodedata
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
+
+from .tables import atomic_write_text
 
 DEFAULT_LABELS = ("entailment", "neutral", "contradiction")
 
@@ -89,7 +91,11 @@ class NoiseSpec:
 # ---------------------------------------------------------------------------
 # loading / serialization
 
-def _label_index(raw: str, label_names, lineno: int) -> int:
+def _label_index(raw, label_names, lineno: int) -> int:
+    if isinstance(raw, int) and not isinstance(raw, bool):
+        if 0 <= raw < len(label_names):
+            return raw
+        raise DataError(f"line {lineno}: label {raw} out of range for {len(label_names)} classes")
     try:
         return label_names.index(raw)
     except ValueError:
@@ -118,9 +124,15 @@ def load_dataset(path, fmt: str = "jsonl", num_classes: int = 3,
                     rec = json.loads(text)
                 except json.JSONDecodeError as exc:
                     raise DataError(f"line {lineno + 1}: invalid JSON ({exc.msg})")
+                if not isinstance(rec, dict):
+                    raise DataError(f"line {lineno + 1}: expected a JSON object")
                 for key in ("premise", "hypothesis", "label"):
                     if key not in rec:
                         raise DataError(f"line {lineno + 1}: missing field {key!r}")
+                for key in ("premise", "hypothesis"):
+                    if not isinstance(rec[key], str):
+                        raise DataError(f"line {lineno + 1}: field {key!r} must be a string, "
+                                        f"got {rec[key]!r}")
                 premise, hypothesis, raw_label = rec["premise"], rec["hypothesis"], rec["label"]
             else:
                 parts = text.split("\t")
@@ -128,23 +140,33 @@ def load_dataset(path, fmt: str = "jsonl", num_classes: int = 3,
                     raise DataError(f"line {lineno + 1}: expected 3 tab-separated columns, got {len(parts)}")
                 premise, hypothesis, raw_label = parts
             label = _label_index(raw_label, label_names, lineno + 1)
-            instances.append(LabeledInstance(lineno, str(premise), str(hypothesis), label))
+            instances.append(LabeledInstance(lineno, premise, hypothesis, label))
     return Dataset(tuple(instances), num_classes, "original", tuple(label_names))
 
 
 def serialize(dataset: Dataset, path, fmt: str = "jsonl") -> None:
-    """Write a dataset back out; inverse of load_dataset on valid data."""
+    """Write a dataset back out; inverse of load_dataset on valid data.
+
+    TSV has no escaping, so a text holding a tab, LF or CR is refused and
+    no file is written.
+    """
     if fmt not in ("jsonl", "tsv"):
         raise ValueError(f"unsupported format {fmt!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        for inst in dataset:
-            name = dataset.label_names[inst.label]
-            if fmt == "jsonl":
-                fh.write(json.dumps(
-                    {"premise": inst.premise, "hypothesis": inst.hypothesis, "label": name},
-                    ensure_ascii=False) + "\n")
-            else:
-                fh.write(f"{inst.premise}\t{inst.hypothesis}\t{name}\n")
+    lines = []
+    for inst in dataset:
+        name = dataset.label_names[inst.label]
+        if fmt == "jsonl":
+            lines.append(json.dumps(
+                {"premise": inst.premise, "hypothesis": inst.hypothesis, "label": name},
+                ensure_ascii=False))
+            continue
+        for key, text in (("premise", inst.premise), ("hypothesis", inst.hypothesis),
+                          ("label", name)):
+            if any(ch in text for ch in "\t\n\r"):
+                raise DataError(f"original_index {inst.original_index}: field {key!r} "
+                                f"holds a tab or line break; TSV cannot encode it")
+        lines.append(f"{inst.premise}\t{inst.hypothesis}\t{name}")
+    atomic_write_text(path, "".join(line + "\n" for line in lines))
 
 
 # ---------------------------------------------------------------------------

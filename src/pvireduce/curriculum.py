@@ -7,15 +7,15 @@ first within every epoch.
 
 from __future__ import annotations
 
-import csv
 import statistics
 import time
 from dataclasses import dataclass, replace as dc_replace
 
-from .corpus import Dataset, to_null_view
+from .corpus import Dataset
 from .family import Hyperparams, evaluate, feature_matrix, train
-from .pvi import compute_pvi, rank_by_difficulty
-from .reduction import _null_features, retained_count
+from .pvi import compute_pvi, rank_by_difficulty, train_scorers
+from .reduction import select_subset
+from .tables import f17, read_csv, write_csv
 
 ORDERINGS = ("easy_first", "hard_first", "original")
 
@@ -49,23 +49,14 @@ def curriculum_order(train_ds: Dataset, records, ordering: str) -> Dataset:
 
 
 def stage_subset(train_ds: Dataset, records, r: float, ordering: str) -> Dataset:
-    """The hardest floor(m(1-r)) instances, arranged per `ordering`.
+    """The hardest floor(m(1-r)) instances (select_subset), arranged per `ordering`.
 
-    Membership is always the hardest fraction (suffix of the descending-score
-    list), so subsets at larger r nest inside those at smaller r.
+    Subsets at larger r nest inside those at smaller r.
     """
-    m = len(train_ds)
-    n_keep = retained_count(m, r)
-    descending = rank_by_difficulty(records, "descending_pvi")
-    keep = set(descending[m - n_keep:])
-    kept_records = [rec for rec in records if rec.original_index in keep]
-    kept = dc_replace(train_ds,
-                      instances=tuple(inst for inst in train_ds
-                                      if inst.original_index in keep))
-    if ordering == "original":
-        ordered = tuple(sorted(kept.instances, key=lambda inst: inst.original_index))
-        return dc_replace(kept, instances=ordered)
-    return curriculum_order(kept, kept_records, ordering)
+    kept = select_subset(train_ds, records, r)
+    keep = {inst.original_index for inst in kept}
+    return curriculum_order(kept, [rec for rec in records if rec.original_index in keep],
+                            ordering)
 
 
 def progressive_train(train_ds: Dataset, test_ds: Dataset, hp: Hyperparams,
@@ -88,9 +79,7 @@ def progressive_train(train_ds: Dataset, test_ds: Dataset, hp: Hyperparams,
     X_test = feature_matrix(test_ds, hp)
     clock = time.perf_counter if timing else (lambda: 0.0)
 
-    g_cond = train(train_ds, hp, features=X_train)
-    g_null = train(to_null_view(train_ds),
-                   hp, features=_null_features(len(train_ds), hp))
+    g_cond, g_null = train_scorers(train_ds, hp, features=X_train)
     records = compute_pvi(g_cond, g_null, train_ds, features=X_train)
     pos_by_index = {inst.original_index: pos for pos, inst in enumerate(train_ds)}
     stage_hp = dc_replace(hp, preserve_order=(ordering != "original"))
@@ -101,10 +90,7 @@ def progressive_train(train_ds: Dataset, test_ds: Dataset, hp: Hyperparams,
         subset = stage_subset(train_ds, records, float(r), ordering)
         X_subset = X_train[[pos_by_index[inst.original_index] for inst in subset]]
         t0 = clock()
-        if warm_start and prev_model[0] is not None:
-            model = _continue_training(prev_model[0], subset, stage_hp, X_subset)
-        else:
-            model = train(subset, stage_hp, features=X_subset)
+        model = train(subset, stage_hp, features=X_subset, init=prev_model[0])
         seconds = clock() - t0
         if warm_start:
             prev_model[0] = model
@@ -121,29 +107,6 @@ def progressive_train(train_ds: Dataset, test_ds: Dataset, hp: Hyperparams,
     return [run_stage(r) for r in ratios]
 
 
-def _continue_training(model, subset, hp, features):
-    import numpy as np
-    from .family import Model, loss_and_grad
-    W = model.weights.copy()
-    b = model.bias.copy()
-    y = subset.labels()
-    m = len(subset)
-    rng = np.random.default_rng(hp.seed)
-    losses = []
-    for _ in range(hp.epochs):
-        order = np.arange(m) if hp.preserve_order else rng.permutation(m)
-        total = 0.0
-        for start in range(0, m, hp.batch_size):
-            idx = order[start:start + hp.batch_size]
-            loss, gw, gb = loss_and_grad(W, b, features[idx], y[idx], hp.l2)
-            W -= hp.learning_rate * gw
-            b -= hp.learning_rate * gb
-            total += loss * len(idx)
-        losses.append(total / m)
-    return Model(W, b, subset.num_classes, hp, subset.provenance_tag,
-                 model.epoch_losses + tuple(losses))
-
-
 # ---------------------------------------------------------------------------
 # export
 
@@ -155,30 +118,18 @@ _SUMMARY_HEADER = ["ordering", "r", "subset_size", "n_seeds",
                    "recall_mean", "recall_std", "f1_mean", "f1_std"]
 
 
-def _f17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_stage_csv(reports, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_HEADER)
-        for s in reports:
-            writer.writerow([s.ordering, _f17(s.r), s.subset_size,
-                             _f17(s.accuracy), _f17(s.precision_micro),
-                             _f17(s.recall_micro), _f17(s.f1_micro),
-                             _f17(s.train_seconds), s.seed])
+    write_csv(path, _CSV_HEADER,
+              ([s.ordering, f17(s.r), s.subset_size, f17(s.accuracy),
+                f17(s.precision_micro), f17(s.recall_micro), f17(s.f1_micro),
+                f17(s.train_seconds), s.seed] for s in reports))
 
 
 def read_stage_csv(path) -> list[StageReport]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != _CSV_HEADER:
-            raise ValueError(f"unexpected header {header}")
-        return [StageReport(float(r), ordering, int(size), float(acc),
-                            float(prec), float(rec), float(f1), float(secs), int(seed))
-                for ordering, r, size, acc, prec, rec, f1, secs, seed in reader]
+    return [StageReport(float(r), ordering, int(size), float(acc),
+                        float(prec), float(rec), float(f1), float(secs), int(seed))
+            for ordering, r, size, acc, prec, rec, f1, secs, seed
+            in read_csv(path, _CSV_HEADER)]
 
 
 def write_stage_summary_csv(reports, path) -> None:
@@ -186,14 +137,13 @@ def write_stage_summary_csv(reports, path) -> None:
     groups: dict[tuple, list[StageReport]] = {}
     for s in reports:
         groups.setdefault((s.ordering, s.r, s.subset_size), []).append(s)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_SUMMARY_HEADER)
-        for (ordering, r, size), group in sorted(groups.items()):
-            row = [ordering, _f17(r), size, len(group)]
-            for metric in ("accuracy", "precision_micro", "recall_micro", "f1_micro"):
-                values = [getattr(s, metric) for s in group]
-                mean = statistics.fmean(values)
-                std = statistics.stdev(values) if len(values) > 1 else 0.0
-                row += [_f17(mean), _f17(std)]
-            writer.writerow(row)
+    rows = []
+    for (ordering, r, size), group in sorted(groups.items()):
+        row = [ordering, f17(r), size, len(group)]
+        for metric in ("accuracy", "precision_micro", "recall_micro", "f1_micro"):
+            values = [getattr(s, metric) for s in group]
+            mean = statistics.fmean(values)
+            std = statistics.stdev(values) if len(values) > 1 else 0.0
+            row += [f17(mean), f17(std)]
+        rows.append(row)
+    write_csv(path, _SUMMARY_HEADER, rows)

@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import json
 import math
-import time
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import Dataset
+from .corpus import Dataset, to_null_view
+from .tables import atomic_write_text, f17
 
 _FIELD_SALTS = {"premise": b"p\x00", "hypothesis": b"h\x00"}
 
@@ -136,12 +136,15 @@ def loss_and_grad(weights: np.ndarray, bias: np.ndarray, X: sp.csr_matrix,
     return loss, grad_w, grad_b
 
 
-def train(dataset: Dataset, hp: Hyperparams, features: sp.csr_matrix | None = None) -> Model:
+def train(dataset: Dataset, hp: Hyperparams, features: sp.csr_matrix | None = None,
+          init: Model | None = None) -> Model:
     """Mini-batch gradient descent on mean cross-entropy.
 
-    Batches are drawn from a fresh seeded shuffle each epoch, unless
-    hp.preserve_order is set, in which case the dataset's given order is
-    consumed as-is (curriculum training relies on this).
+    Each epoch consumes the dataset in the order training_order() gives:
+    a fresh seeded shuffle, or the dataset's own order when
+    hp.preserve_order is set (curriculum training relies on this). With
+    `init`, training continues from that model's parameters and its epoch
+    losses are kept in front of the new ones.
     """
     m = len(dataset)
     if m == 0:
@@ -149,15 +152,13 @@ def train(dataset: Dataset, hp: Hyperparams, features: sp.csr_matrix | None = No
     X = feature_matrix(dataset, hp) if features is None else features
     y = dataset.labels()
     C = dataset.num_classes
-    W = np.zeros((C, hp.dim))
-    b = np.zeros(C)
-    rng = np.random.default_rng(hp.seed)
-    epoch_losses = []
-    batches_per_epoch = (m + hp.batch_size - 1) // hp.batch_size
-    total_steps = hp.epochs * batches_per_epoch
+    if init is None:
+        W, b, epoch_losses = np.zeros((C, hp.dim)), np.zeros(C), []
+    else:
+        W, b, epoch_losses = init.weights.copy(), init.bias.copy(), list(init.epoch_losses)
+    total_steps = hp.epochs * ((m + hp.batch_size - 1) // hp.batch_size)
     step = 0
-    for _ in range(hp.epochs):
-        order = np.arange(m) if hp.preserve_order else rng.permutation(m)
+    for order in training_order(m, hp):
         total = 0.0
         for start in range(0, m, hp.batch_size):
             idx = order[start:start + hp.batch_size]
@@ -172,6 +173,12 @@ def train(dataset: Dataset, hp: Hyperparams, features: sp.csr_matrix | None = No
             step += 1
         epoch_losses.append(total / m)
     return Model(W, b, C, hp, dataset.provenance_tag, tuple(epoch_losses))
+
+
+def train_null(dataset: Dataset, hp: Hyperparams) -> Model:
+    """The null model: train() on the empty-text view, all-zero features."""
+    return train(to_null_view(dataset), hp,
+                 features=sp.csr_matrix((len(dataset), hp.dim)))
 
 
 def training_order(m: int, hp: Hyperparams):
@@ -252,10 +259,6 @@ def evaluate(model: Model, dataset: Dataset, features: sp.csr_matrix | None = No
 _FORMAT_VERSION = 1
 
 
-def _f17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def save_model(model: Model, path) -> None:
     """Versioned JSON dump; floats at 17 significant digits round-trip exactly."""
     hp = model.hyperparams
@@ -265,15 +268,14 @@ def save_model(model: Model, path) -> None:
         "hash_bits": hp.hash_bits,
         "ngram_orders": list(hp.ngram_orders),
         "num_classes": model.num_classes,
-        "prob_floor": _f17(hp.prob_floor),
+        "prob_floor": f17(hp.prob_floor),
         "trained_on": model.trained_on,
-        "bias": [_f17(v) for v in model.bias],
-        "weights": [[int(c), int(j), _f17(model.weights[c, j])]
+        "bias": [f17(v) for v in model.bias],
+        "weights": [[int(c), int(j), f17(model.weights[c, j])]
                     for c, j in zip(*nz)],
-        "epoch_losses": [_f17(v) for v in model.epoch_losses],
+        "epoch_losses": [f17(v) for v in model.epoch_losses],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+    atomic_write_text(path, json.dumps(payload))
 
 
 def load_model(path) -> Model:

@@ -7,7 +7,6 @@ negative = hard. Aggregates give the dataset-level information quantities.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -15,7 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Dataset
-from .family import Model, feature_matrix, predict_dist_matrix
+from .family import (Hyperparams, Model, feature_matrix, predict_dist_matrix,
+                     train, train_null)
+from .tables import atomic_write_text, f17, read_csv, write_csv
 
 
 @dataclass(frozen=True)
@@ -32,6 +33,12 @@ class InfoSummary:
     h_v_y_given_x: float
     i_v: float
     n: int
+
+
+def train_scorers(dataset: Dataset, hp: Hyperparams,
+                  features=None) -> tuple[Model, Model]:
+    """The conditional and the null scoring model, both trained on `dataset`."""
+    return train(dataset, hp, features=features), train_null(dataset, hp)
 
 
 def compute_pvi(g_cond: Model, g_null: Model, dataset: Dataset,
@@ -104,35 +111,21 @@ def pvi_histogram(records, num_bins: int, value_range: tuple[float, float]):
 _CSV_HEADER = ["original_index", "null_log2prob", "cond_log2prob", "pvi"]
 
 
-def _f17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_records_csv(records, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_HEADER)
-        for r in records:
-            writer.writerow([r.original_index, _f17(r.null_log2prob),
-                             _f17(r.cond_log2prob), _f17(r.pvi)])
+    write_csv(path, _CSV_HEADER,
+              ([r.original_index, f17(r.null_log2prob), f17(r.cond_log2prob), f17(r.pvi)]
+               for r in records))
 
 
 def read_records_csv(path) -> tuple[PviRecord, ...]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != _CSV_HEADER:
-            raise ValueError(f"unexpected header {header}")
-        return tuple(PviRecord(int(a), float(b), float(c), float(d))
-                     for a, b, c, d in reader)
+    return tuple(PviRecord(int(a), float(b), float(c), float(d))
+                 for a, b, c, d in read_csv(path, _CSV_HEADER))
 
 
 def write_records_jsonl(records, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in records:
-            fh.write(json.dumps({
-                "original_index": r.original_index,
-                "null_log2prob": float(_f17(r.null_log2prob)),
-                "cond_log2prob": float(_f17(r.cond_log2prob)),
-                "pvi": float(_f17(r.pvi)),
-            }) + "\n")
+    atomic_write_text(path, "".join(json.dumps({
+        "original_index": r.original_index,
+        "null_log2prob": float(r.null_log2prob),
+        "cond_log2prob": float(r.cond_log2prob),
+        "pvi": float(r.pvi),
+    }) + "\n" for r in records))

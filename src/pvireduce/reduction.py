@@ -6,17 +6,17 @@ test accuracy of both the classifier and the null (label-prior) model.
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 from dataclasses import dataclass, replace as dc_replace
 from fractions import Fraction
 
-import scipy.sparse as sp
+import numpy as np
 
-from .corpus import Dataset, to_null_view
-from .family import Hyperparams, evaluate, feature_matrix, train
-from .pvi import compute_pvi, rank_by_difficulty
+from .corpus import Dataset
+from .family import Hyperparams, evaluate, feature_matrix, train, train_null
+from .pvi import compute_pvi, rank_by_difficulty, train_scorers
+from .tables import f17, read_csv, write_csv
 
 STRATEGIES = ("pvi", "pvi_balanced", "random")
 
@@ -34,14 +34,6 @@ class SweepPoint:
     seed: int
 
 
-from functools import lru_cache
-
-
-@lru_cache(maxsize=1024)
-def _keep_fraction(r: float) -> Fraction:
-    return 1 - Fraction(repr(float(r)))
-
-
 def retained_count(m: int, r: float) -> int:
     """floor(m * (1 - r)), evaluated exactly for decimal-grid ratios.
 
@@ -50,7 +42,7 @@ def retained_count(m: int, r: float) -> int:
     """
     if not 0.0 <= r < 1.0:
         raise ValueError(f"reduction ratio must be in [0,1), got {r}")
-    return int(math.floor(m * _keep_fraction(r)))
+    return int(math.floor(m * (1 - Fraction(repr(float(r))))))
 
 
 def _pvi_order(dataset: Dataset, records):
@@ -60,6 +52,12 @@ def _pvi_order(dataset: Dataset, records):
     return by_index
 
 
+def _subset(train_ds: Dataset, keep) -> Dataset:
+    kept = sorted((inst for inst in train_ds if inst.original_index in keep),
+                  key=lambda inst: inst.original_index)
+    return dc_replace(train_ds, instances=tuple(kept), provenance_tag="subset")
+
+
 def select_subset(train_ds: Dataset, records, r: float) -> Dataset:
     """Keep the hardest floor(m(1-r)) instances, reordered by original index.
 
@@ -67,10 +65,9 @@ def select_subset(train_ds: Dataset, records, r: float) -> Dataset:
     dropping the leading easiest r*m entries, and restoring file order.
     """
     _pvi_order(train_ds, records)
-    keep = set(rank_by_difficulty(records, "descending_pvi")[len(train_ds) - retained_count(len(train_ds), r):])
-    kept = sorted((inst for inst in train_ds if inst.original_index in keep),
-                  key=lambda inst: inst.original_index)
-    return dc_replace(train_ds, instances=tuple(kept), provenance_tag="subset")
+    m = len(train_ds)
+    ranked = rank_by_difficulty(records, "descending_pvi")
+    return _subset(train_ds, set(ranked[m - retained_count(m, r):]))
 
 
 def balanced_select(train_ds: Dataset, records, r: float) -> Dataset:
@@ -85,25 +82,15 @@ def balanced_select(train_ds: Dataset, records, r: float) -> Dataset:
         n_keep = retained_count(len(class_insts), r)
         ranked = rank_by_difficulty(class_records, "descending_pvi")
         keep.update(ranked[len(class_insts) - n_keep:])
-    kept = sorted((inst for inst in train_ds if inst.original_index in keep),
-                  key=lambda inst: inst.original_index)
-    return dc_replace(train_ds, instances=tuple(kept), provenance_tag="subset")
+    return _subset(train_ds, keep)
 
 
 def random_select(train_ds: Dataset, r: float, seed: int) -> Dataset:
     """Seeded uniform subset of floor(m(1-r)) instances, in original order."""
-    import numpy as np
     m = len(train_ds)
-    n_keep = retained_count(m, r)
     rng = np.random.default_rng(seed)
-    positions = sorted(rng.choice(m, size=n_keep, replace=False).tolist())
-    kept = tuple(train_ds.instances[p] for p in positions)
-    kept = tuple(sorted(kept, key=lambda inst: inst.original_index))
-    return dc_replace(train_ds, instances=kept, provenance_tag="subset")
-
-
-def _null_features(n: int, hp: Hyperparams) -> sp.csr_matrix:
-    return sp.csr_matrix((n, hp.dim))
+    positions = rng.choice(m, size=retained_count(m, r), replace=False).tolist()
+    return _subset(train_ds, {train_ds.instances[p].original_index for p in positions})
 
 
 def static_sweep(train_ds: Dataset, test_ds: Dataset, ratios, hp: Hyperparams,
@@ -130,9 +117,7 @@ def static_sweep(train_ds: Dataset, test_ds: Dataset, ratios, hp: Hyperparams,
 
     clock = time.perf_counter if timing else (lambda: 0.0)
     t0 = clock()
-    g_cond = train(train_ds, hp, features=X_train)
-    g_null = train(to_null_view(train_ds), hp,
-                   features=_null_features(len(train_ds), hp))
+    g_cond, g_null = train_scorers(train_ds, hp, features=X_train)
     records = compute_pvi(g_cond, g_null, train_ds, features=X_train)
     if runtime_log is not None:
         runtime_log.record(variant, 0.0, "pvi_compute", clock() - t0)
@@ -154,8 +139,7 @@ def static_sweep(train_ds: Dataset, test_ds: Dataset, ratios, hp: Hyperparams,
         cm = train(subset, point_hp, features=X_subset)
         cm_seconds = clock() - t_cm
         t_eim = clock()
-        eim = train(to_null_view(subset), point_hp,
-                    features=_null_features(len(subset), hp))
+        eim = train_null(subset, point_hp)
         eim_seconds = clock() - t_eim
         t_eval = clock()
         cm_acc = evaluate(cm, test_ds, features=X_test).accuracy
@@ -183,27 +167,14 @@ _CSV_HEADER = ["variant", "strategy", "r", "subset_size", "cm_accuracy",
                "eim_accuracy", "train_seconds", "seed"]
 
 
-def _f17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_sweep_csv(points, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_HEADER)
-        for p in points:
-            writer.writerow([p.variant, p.strategy, _f17(p.r), p.subset_size,
-                             _f17(p.cm_accuracy), _f17(p.eim_accuracy),
-                             _f17(p.train_seconds), p.seed])
+    write_csv(path, _CSV_HEADER,
+              ([p.variant, p.strategy, f17(p.r), p.subset_size, f17(p.cm_accuracy),
+                f17(p.eim_accuracy), f17(p.train_seconds), p.seed] for p in points))
 
 
 def read_sweep_csv(path) -> list[SweepPoint]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != _CSV_HEADER:
-            raise ValueError(f"unexpected header {header}")
-        return [SweepPoint(float(r), int(size), float(cm), float(eim),
-                           float(secs), variant, strategy,
-                           strategy == "pvi_balanced", int(seed))
-                for variant, strategy, r, size, cm, eim, secs, seed in reader]
+    return [SweepPoint(float(r), int(size), float(cm), float(eim), float(secs),
+                       variant, strategy, strategy == "pvi_balanced", int(seed))
+            for variant, strategy, r, size, cm, eim, secs, seed
+            in read_csv(path, _CSV_HEADER)]

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-import csv
 import threading
 from dataclasses import dataclass
+
+from .tables import f17, read_csv, write_csv
 
 UNITS = ("chars", "tokens")
 
@@ -95,27 +96,18 @@ def bucket_proportions(dataset, edges=DEFAULT_BUCKET_EDGES,
 # ---------------------------------------------------------------------------
 # stats CSV
 
-def _f17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_length_stats_csv(stats: LengthStats, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label", "min", "max", "median", "mean"])
-        for label in sorted(stats.rows):
-            row = stats.rows[label]
-            writer.writerow([label, _f17(row["min"]), _f17(row["max"]),
-                             _f17(row["median"]), _f17(row["mean"])])
+    keys = ("min", "max", "median", "mean")
+    write_csv(path, ["label", *keys],
+              ([label] + [f17(stats.rows[label][k]) for k in keys]
+               for label in sorted(stats.rows)))
 
 
 def write_bucket_csv(buckets: BucketProportions, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label", "edge_label", "proportion"])
-        for label in sorted(buckets.rows):
-            for edge_label, prop in zip(buckets.labels, buckets.rows[label]):
-                writer.writerow([label, edge_label, _f17(prop)])
+    write_csv(path, ["label", "edge_label", "proportion"],
+              ([label, edge_label, f17(prop)]
+               for label in sorted(buckets.rows)
+               for edge_label, prop in zip(buckets.labels, buckets.rows[label])))
 
 
 # ---------------------------------------------------------------------------
@@ -157,22 +149,15 @@ class RuntimeLog:
             return tuple(self._records)
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_RUNTIME_HEADER)
-            for rec in self.records:
-                writer.writerow([rec.variant, _f17(rec.r), rec.phase, _f17(rec.seconds)])
+        write_csv(path, _RUNTIME_HEADER,
+                  ([rec.variant, f17(rec.r), rec.phase, f17(rec.seconds)]
+                   for rec in self.records))
 
     @classmethod
     def read_csv(cls, path) -> "RuntimeLog":
         log = cls()
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if header != _RUNTIME_HEADER:
-                raise ValueError(f"unexpected header {header}")
-            for variant, r, phase, seconds in reader:
-                log.record(variant, float(r), phase, float(seconds))
+        for variant, r, phase, seconds in read_csv(path, _RUNTIME_HEADER):
+            log.record(variant, float(r), phase, float(seconds))
         return log
 
 

@@ -143,3 +143,26 @@ def test_console_script_installed():
                            "--n", "0"], capture_output=True, text=True)
     # n=0 is a data error (empty dataset), proving the module entry point runs
     assert proc.returncode in (1, 2)
+
+
+def test_gen_seed_zero_is_used(tmp_path):
+    texts = {}
+    for seed in ("0", "1"):
+        out = tmp_path / seed / "d.jsonl"
+        out.parent.mkdir()
+        assert main(["gen", "--n", "30", "--seed", seed, "--out", str(out),
+                     "--no-timing"]) == 0
+        texts[seed] = out.read_text()
+    assert texts["0"] != texts["1"]
+    manifest = json.loads((tmp_path / "0" / "manifest.json").read_text())
+    assert manifest["config"]["seed"] == 0
+
+
+@pytest.mark.parametrize("content", ["", "not,the,header\n"])
+@pytest.mark.parametrize("flag", ["--sweep-csv", "--runtime-csv"])
+def test_report_malformed_csv_is_data_error(tmp_path, capsys, content, flag):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(content)
+    assert main(["report", flag, str(bad), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and str(bad) in err

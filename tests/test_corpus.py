@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -199,3 +200,54 @@ def test_difficulty_tags_match_mix():
     assert tags.count("easy") == 500
     assert tags.count("medium") == 300
     assert tags.count("hard") == 200
+
+
+def test_load_jsonl_integer_labels(tmp_path):
+    path = tmp_path / "d.jsonl"
+    _write_jsonl(path, [
+        {"premise": "a", "hypothesis": "b", "label": 2},
+        {"premise": "c", "hypothesis": "d", "label": "neutral"},
+        {"premise": "e", "hypothesis": "f", "label": 0},
+    ])
+    assert [i.label for i in load_dataset(path, "jsonl", 3)] == [2, 1, 0]
+
+
+@pytest.mark.parametrize("label", [3, -1, True, False, 1.0])
+def test_load_jsonl_rejects_bad_label_values(tmp_path, label):
+    path = tmp_path / "d.jsonl"
+    _write_jsonl(path, [{"premise": "a", "hypothesis": "b", "label": "neutral"},
+                        {"premise": "c", "hypothesis": "d", "label": label}])
+    with pytest.raises(DataError, match="line 2"):
+        load_dataset(path, "jsonl", 3)
+
+
+@pytest.mark.parametrize("field", ["premise", "hypothesis"])
+@pytest.mark.parametrize("value", [None, 5, ["a"]])
+def test_load_jsonl_rejects_non_string_text(tmp_path, field, value):
+    row = {"premise": "a", "hypothesis": "b", "label": "neutral", field: value}
+    path = tmp_path / "d.jsonl"
+    _write_jsonl(path, [row])
+    with pytest.raises(DataError, match=f"line 1: field '{field}'"):
+        load_dataset(path, "jsonl", 3)
+
+
+def test_load_jsonl_rejects_non_object_line(tmp_path):
+    path = tmp_path / "d.jsonl"
+    path.write_text("5\n", encoding="utf-8")
+    with pytest.raises(DataError, match="line 1"):
+        load_dataset(path, "jsonl", 3)
+
+
+@pytest.mark.parametrize("field", ["premise", "hypothesis"])
+@pytest.mark.parametrize("char", ["\t", "\n", "\r"])
+def test_serialize_tsv_refuses_unencodable_text(tmp_path, field, char):
+    insts = [LabeledInstance(0, "fine", "fine", 0),
+             LabeledInstance(7, "fine", "fine", 1)]
+    insts[1] = replace(insts[1], **{field: f"a{char}b"})
+    path = tmp_path / "d.tsv"
+    with pytest.raises(DataError, match=f"original_index 7: field '{field}'"):
+        serialize(Dataset(tuple(insts), 3), path, "tsv")
+    assert list(tmp_path.iterdir()) == []
+    serialize(Dataset(tuple(insts), 3), tmp_path / "d.jsonl", "jsonl")
+    assert load_dataset(tmp_path / "d.jsonl", "jsonl", 3).instances[1] == \
+        replace(insts[1], original_index=1)

@@ -130,3 +130,14 @@ def test_stage_summary_csv(tmp_path):
     assert row[3] == "2"  # n_seeds
     assert float(row[4]) == pytest.approx(0.7)  # accuracy mean
     assert float(row[5]) == pytest.approx(np.std([0.6, 0.8], ddof=1))
+
+
+def test_progressive_warm_start_follows_lr_schedule(small_train, small_test):
+    # the second stage continues the first; its learning rate must decay
+    # under "linear" and stay fixed under "constant", so the stages differ
+    reports = {sched: progressive_train(small_train, small_test,
+                                        Hyperparams(epochs=2, lr_schedule=sched),
+                                        ratios=[0.0, 0.3], ordering="easy_first",
+                                        warm_start=True, timing=False)
+               for sched in ("linear", "constant")}
+    assert reports["linear"][1] != reports["constant"][1]

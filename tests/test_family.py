@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from pvireduce import (Hyperparams, constant_predictor, evaluate, featurize,
                        generate_synthetic, load_model, log2_prob, predict_dist,
                        save_model, to_null_view, train)
 from pvireduce.family import (Model, feature_matrix, loss_and_grad,
-                              predict_dist_matrix)
+                              predict_dist_matrix, train_null)
 
 
 def _random_texts(rng, n):
@@ -209,3 +210,31 @@ def test_predict_dist_matrix_agrees_with_scalar(small_train, fast_hp):
     for row, inst in zip(batch[:10], small_train.instances[:10]):
         np.testing.assert_allclose(row, predict_dist(model, inst.premise, inst.hypothesis),
                                    atol=1e-12)
+
+
+def test_train_init_none_is_bit_identical(small_train, fast_hp):
+    plain = train(small_train, fast_hp)
+    explicit = train(small_train, fast_hp, init=None)
+    assert np.array_equal(plain.weights, explicit.weights)
+    assert np.array_equal(plain.bias, explicit.bias)
+    assert plain.epoch_losses == explicit.epoch_losses
+
+
+def test_train_init_continues_and_follows_lr_schedule(small_train):
+    first = train(small_train, Hyperparams(epochs=2))
+    subset = replace(small_train, instances=small_train.instances[:200])
+    linear = train(subset, Hyperparams(epochs=2), init=first)
+    constant = train(subset, Hyperparams(epochs=2, lr_schedule="constant"), init=first)
+    assert linear.epoch_losses[:2] == first.epoch_losses
+    assert len(linear.epoch_losses) == 4
+    assert not np.array_equal(linear.weights, constant.weights)
+    # init itself is left untouched
+    assert np.array_equal(first.weights, train(small_train, Hyperparams(epochs=2)).weights)
+
+
+def test_train_null_matches_training_on_null_view(small_train, fast_hp):
+    null = train_null(small_train, fast_hp)
+    assert not null.weights.any()
+    assert null.trained_on == "null-view"
+    reference = train(to_null_view(small_train), fast_hp)
+    assert np.array_equal(null.bias, reference.bias)
