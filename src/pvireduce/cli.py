@@ -17,7 +17,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace as dc_replace
+from dataclasses import fields, replace as dc_replace
 
 from . import __version__
 from .corpus import (DataError, NoiseSpec, generate_synthetic, inject_noise,
@@ -54,51 +54,32 @@ def sha256_file(path) -> str:
 # ---------------------------------------------------------------------------
 # config resolution
 
-HP_KEYS = {
-    "hash_bits": int, "learning_rate": float, "epochs": int, "batch_size": int,
-    "l2": float, "seed": int, "prob_floor": float, "lr_schedule": str,
-}
-
-
 def load_config_file(path) -> dict:
-    """key = value sections -> flat {section.key: raw string} mapping."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    """The [hyperparams] section as {key: raw string}; no `%` interpolation."""
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: {exc}") from None
     if not read:
         raise DataError(f"config file not found: {path}")
-    flat = {}
-    for section in parser.sections():
-        for key, value in parser.items(section):
-            flat[f"{section}.{key}"] = value
-    return flat
+    sections = parser.sections() + ([parser.default_section] if parser.defaults() else [])
+    for section in sections:
+        if section != "hyperparams":
+            raise DataError(f"{path}: unknown section [{section}]; "
+                            "expected only [hyperparams]")
+    return dict(parser["hyperparams"]) if parser.has_section("hyperparams") else {}
 
 
 def resolve_hyperparams(config: dict, args) -> Hyperparams:
-    hp = Hyperparams()
-    overrides = {}
-    for key, cast in HP_KEYS.items():
-        cfg_key = f"hyperparams.{key}"
-        if cfg_key in config:
-            overrides[key] = cast(config[cfg_key])
-    if "hyperparams.ngram_orders" in config:
-        overrides["ngram_orders"] = tuple(
-            int(v) for v in config["hyperparams.ngram_orders"].split(","))
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "epochs", None) is not None:
-        overrides["epochs"] = args.epochs
-    if getattr(args, "learning_rate", None) is not None:
-        overrides["learning_rate"] = args.learning_rate
-    return dc_replace(hp, **overrides)
-
-
-def hp_as_dict(hp: Hyperparams) -> dict:
-    return {
-        "hash_bits": hp.hash_bits, "ngram_orders": list(hp.ngram_orders),
-        "learning_rate": hp.learning_rate, "epochs": hp.epochs,
-        "batch_size": hp.batch_size, "l2": hp.l2, "seed": hp.seed,
-        "prob_floor": hp.prob_floor, "lr_schedule": hp.lr_schedule,
-    }
+    """Config values, overridden by each flag named after a field (e.g. --seed)."""
+    names = {f.name for f in fields(Hyperparams)}
+    flags = {key: value for key, value in vars(args).items()
+             if key in names and value is not None}
+    try:
+        return Hyperparams.from_dict({**config, **flags})
+    except ValueError as exc:
+        raise DataError(f"{args.config}: {exc}" if config else str(exc)) from None
 
 
 def write_manifest(out_dir, command: str, resolved: dict, inputs: dict,
@@ -178,7 +159,7 @@ def cmd_pvi(args, config):
         inputs["on"] = args.on
     write_manifest(args.out_dir, "pvi",
                    {"train": args.train, "on": args.on, "format": args.format,
-                    "hyperparams": hp_as_dict(hp)},
+                    "hyperparams": hp.as_dict()},
                    inputs, not args.no_timing)
     return 0
 
@@ -204,7 +185,7 @@ def cmd_sweep(args, config):
                     "variant": args.variant, "noise_ratio": args.noise_ratio,
                     "keep_fractions": list(args.keep_fractions),
                     "derived_seeds": args.derived_seeds, "jobs": args.jobs,
-                    "timing": not args.no_timing, "hyperparams": hp_as_dict(hp)},
+                    "timing": not args.no_timing, "hyperparams": hp.as_dict()},
                    {"train": args.train, "test": args.test}, not args.no_timing)
     return 0
 
@@ -232,7 +213,7 @@ def cmd_curriculum(args, config):
                     "ratios": ratios, "ordering": args.ordering,
                     "variant": args.variant, "seeds": args.seeds,
                     "warm_start": args.warm_start, "jobs": args.jobs,
-                    "timing": not args.no_timing, "hyperparams": hp_as_dict(hp)},
+                    "timing": not args.no_timing, "hyperparams": hp.as_dict()},
                    {"train": args.train, "test": args.test}, not args.no_timing)
     return 0
 
@@ -280,7 +261,7 @@ def cmd_report(args, config):
 # argument wiring
 
 def _add_common(parser):
-    parser.add_argument("--config", help="INI config file (key = value sections)")
+    parser.add_argument("--config", help="INI file with a [hyperparams] section")
     parser.add_argument("--seed", type=int, help="base random seed")
     parser.add_argument("--out-dir", default=".", help="output directory")
     parser.add_argument("--jobs", type=int, default=1)
@@ -360,6 +341,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.jobs < 1:
+            raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
         config = load_config_file(args.config) if args.config else {}
         return args.func(args, config)
     except UsageError as exc:

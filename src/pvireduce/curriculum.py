@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace as dc_replace
 from .corpus import Dataset
 from .family import Hyperparams, evaluate, feature_matrix, train
 from .pvi import compute_pvi, rank_by_difficulty, train_scorers
-from .reduction import select_subset
+from .reduction import _map, select_subset
 from .tables import f17, read_csv, write_csv
 
 ORDERINGS = ("easy_first", "hard_first", "original")
@@ -68,7 +68,7 @@ def progressive_train(train_ds: Dataset, test_ds: Dataset, hp: Hyperparams,
     easy_first / hard_first stages train with order-preserving batches (no
     shuffle); the `original` ordering is the conventional shuffled baseline.
     warm_start continues each stage from the previous stage's parameters
-    instead of reinitializing (off by default, and incompatible with jobs>1).
+    instead of reinitializing (off by default; its stages run one at a time).
     """
     if ordering not in ORDERINGS:
         raise ValueError(f"unknown ordering {ordering!r}")
@@ -99,12 +99,7 @@ def progressive_train(train_ds: Dataset, test_ds: Dataset, hp: Hyperparams,
                            report.precision_micro, report.recall_micro,
                            report.f1_micro, seconds, hp.seed)
 
-    if jobs > 1 and not warm_start:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(run_stage, r) for r in ratios]
-            return [f.result() for f in futures]
-    return [run_stage(r) for r in ratios]
+    return _map(run_stage, 1 if warm_start else jobs, ratios)
 
 
 # ---------------------------------------------------------------------------

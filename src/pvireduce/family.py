@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.sparse as sp
@@ -23,6 +23,7 @@ _FIELD_SALTS = {"premise": b"p\x00", "hypothesis": b"h\x00"}
 
 @dataclass(frozen=True)
 class Hyperparams:
+    """How a family member is trained: the one schema for configs, flags and files."""
     hash_bits: int = 16
     ngram_orders: tuple[int, ...] = (1, 2, 3)
     learning_rate: float = 0.05
@@ -35,18 +36,65 @@ class Hyperparams:
     lr_schedule: str = "linear"  # "linear" decay to 0 over all steps, or "constant"
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        # CRC32 gives 32 bits, so a wider mask only adds columns nothing touches
+        if not 1 <= self.hash_bits <= 32:
+            raise ValueError(f"hash_bits must be in [1, 32], got {self.hash_bits!r}")
+        if not self.ngram_orders or min(self.ngram_orders) < 1:
+            raise ValueError("ngram_orders must be a non-empty list of orders >= 1, "
+                             f"got {self.ngram_orders!r}")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
         if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+            raise ValueError(f"epochs must be >= 1, got {self.epochs!r}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size!r}")
+        if not 0.0 <= self.l2 < math.inf:
+            raise ValueError(f"l2 must be finite and >= 0, got {self.l2!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if not 0.0 < self.prob_floor < 1.0:
-            raise ValueError("prob_floor must be in (0,1)")
+            raise ValueError(f"prob_floor must be in (0,1), got {self.prob_floor!r}")
         if self.lr_schedule not in ("linear", "constant"):
             raise ValueError(f"unknown lr_schedule {self.lr_schedule!r}")
 
     @property
     def dim(self) -> int:
         return 1 << self.hash_bits
+
+    def as_dict(self) -> dict:
+        """Every field but preserve_order, which progressive_train sets per call."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "preserve_order"}
+
+    @classmethod
+    def from_dict(cls, values) -> "Hyperparams":
+        """Inverse of as_dict, from INI strings, flag or JSON values ("1,2" or a list
+        for ngram_orders); an unknown key or uncastable value raises ValueError."""
+        kinds = {name: type(value) for name, value in cls().as_dict().items()}
+        cast = {}
+        for key, value in values.items():
+            if key not in kinds:
+                raise ValueError(f"unknown hyperparameter {key!r}")
+            try:
+                if kinds[key] is tuple:
+                    items = value.split(",") if isinstance(value, str) else value
+                    cast[key] = tuple(_cast(int, item) for item in items)
+                else:
+                    cast[key] = _cast(kinds[key], value)
+            except (TypeError, ValueError):
+                kind = "list of ints" if kinds[key] is tuple else kinds[key].__name__
+                raise ValueError(f"hyperparameter {key} = {value!r} "
+                                 f"cannot be read as {kind}") from None
+        return cls(**cast)
+
+
+def _cast(kind, value):
+    """Parse a string as `kind`; take another value only if it is one (or an int for float)."""
+    if isinstance(value, str):
+        return value if kind is str else kind(value)
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise TypeError(f"{value!r} is not a {kind.__name__}")
+    return kind(value)
 
 
 @dataclass(frozen=True)
@@ -256,19 +304,18 @@ def evaluate(model: Model, dataset: Dataset, features: sp.csr_matrix | None = No
 # ---------------------------------------------------------------------------
 # serialization
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
+# format 1 stored only these fields, at the top level; the rest load as defaults
+_FORMAT_1_KEYS = ("hash_bits", "ngram_orders", "prob_floor")
 
 
 def save_model(model: Model, path) -> None:
     """Versioned JSON dump; floats at 17 significant digits round-trip exactly."""
-    hp = model.hyperparams
     nz = np.nonzero(model.weights)
     payload = {
         "format_version": _FORMAT_VERSION,
-        "hash_bits": hp.hash_bits,
-        "ngram_orders": list(hp.ngram_orders),
+        "hyperparams": model.hyperparams.as_dict(),
         "num_classes": model.num_classes,
-        "prob_floor": f17(hp.prob_floor),
         "trained_on": model.trained_on,
         "bias": [f17(v) for v in model.bias],
         "weights": [[int(c), int(j), f17(model.weights[c, j])]
@@ -279,13 +326,16 @@ def save_model(model: Model, path) -> None:
 
 
 def load_model(path) -> Model:
+    """Read a save_model file, format 2 or the older format 1."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    if payload.get("format_version") != _FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version {payload.get('format_version')}")
-    hp = Hyperparams(hash_bits=payload["hash_bits"],
-                     ngram_orders=tuple(payload["ngram_orders"]),
-                     prob_floor=float(payload["prob_floor"]))
+    version = payload.get("format_version")
+    if version == _FORMAT_VERSION:
+        hp = Hyperparams.from_dict(payload["hyperparams"])
+    elif version == 1:
+        hp = Hyperparams.from_dict({key: payload[key] for key in _FORMAT_1_KEYS})
+    else:
+        raise ValueError(f"unsupported model format version {version}")
     C = payload["num_classes"]
     W = np.zeros((C, hp.dim))
     for c, j, v in payload["weights"]:

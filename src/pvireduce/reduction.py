@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace as dc_replace
 from fractions import Fraction
 
@@ -145,19 +146,27 @@ def static_sweep(train_ds: Dataset, test_ds: Dataset, ratios, hp: Hyperparams,
         cm_acc = evaluate(cm, test_ds, features=X_test).accuracy
         eim_acc = evaluate(eim, test_ds, features=X_test).accuracy
         eval_seconds = clock() - t_eval
-        if runtime_log is not None:
-            runtime_log.record(variant, r, "train_cm", cm_seconds)
-            runtime_log.record(variant, r, "train_eim", eim_seconds)
-            runtime_log.record(variant, r, "evaluate", eval_seconds)
-        return SweepPoint(r, len(subset), cm_acc, eim_acc, cm_seconds,
-                          variant, strategy, strategy == "pvi_balanced", seed)
+        point = SweepPoint(r, len(subset), cm_acc, eim_acc, cm_seconds,
+                           variant, strategy, strategy == "pvi_balanced", seed)
+        return point, {"train_cm": cm_seconds, "train_eim": eim_seconds,
+                       "evaluate": eval_seconds}
 
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(run_point, i, r) for i, r in enumerate(ratios)]
-            return [f.result() for f in futures]
-    return [run_point(i, r) for i, r in enumerate(ratios)]
+    results = _map(run_point, jobs, range(len(ratios)), ratios)
+    if runtime_log is not None:
+        for point, seconds in results:
+            for phase, value in seconds.items():
+                runtime_log.record(variant, point.r, phase, value)
+    return [point for point, _ in results]
+
+
+def _map(fn, jobs: int, *iterables) -> list:
+    """list(map(fn, *iterables)) on up to `jobs` threads, results in input order."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if jobs == 1:
+        return list(map(fn, *iterables))
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, *iterables))
 
 
 # ---------------------------------------------------------------------------

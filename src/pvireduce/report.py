@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from .tables import f17, read_csv, write_csv
@@ -131,7 +130,6 @@ class RuntimeLog:
 
     def __init__(self):
         self._records: list[RuntimeRecord] = []
-        self._lock = threading.Lock()
 
     def record(self, variant: str, r: float, phase: str, seconds: float) -> RuntimeRecord:
         if seconds < 0:
@@ -139,14 +137,12 @@ class RuntimeLog:
         if phase not in PHASES:
             raise ValueError(f"unknown phase {phase!r}")
         rec = RuntimeRecord(variant, float(r), phase, float(seconds))
-        with self._lock:
-            self._records.append(rec)
+        self._records.append(rec)
         return rec
 
     @property
     def records(self) -> tuple[RuntimeRecord, ...]:
-        with self._lock:
-            return tuple(self._records)
+        return tuple(self._records)
 
     def write_csv(self, path) -> None:
         write_csv(path, _RUNTIME_HEADER,

@@ -166,3 +166,62 @@ def test_report_malformed_csv_is_data_error(tmp_path, capsys, content, flag):
     assert main(["report", flag, str(bad), "--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "data error" in err and str(bad) in err
+
+
+@pytest.mark.parametrize("content, named", [
+    ("epochs = 3\n", "no section headers"),
+    ("[hyperparams]\nlearning_rate = 5%\n", "learning_rate"),
+    ("[hyperparams]\nbatchsize = 8\n", "batchsize"),
+    ("[hyperparam]\nepochs = 2\n", "[hyperparam]"),
+    ("[DEFAULT]\nepochs = 2\n", "[DEFAULT]"),
+])
+def test_malformed_config_is_data_error(tmp_path, capsys, corpora, content, named):
+    train, _ = corpora
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(content)
+    out = tmp_path / "out"
+    assert _run(["pvi", "--train", train, "--out-dir", out, "--config", cfg,
+                 "--no-timing"]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and str(cfg) in err and named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("batch_size", "0"), ("batch_size", "-4"), ("hash_bits", "-1"),
+    ("hash_bits", "33"), ("ngram_orders", "0"), ("epochs", "two"),
+])
+def test_out_of_range_hyperparams_are_data_errors(tmp_path, capsys, corpora, key, value):
+    train, _ = corpora
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[hyperparams]\n{key} = {value}\n")
+    out = tmp_path / "out"
+    assert _run(["pvi", "--train", train, "--out-dir", out, "--config", cfg,
+                 "--no-timing"]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_is_usage_error(tmp_path, capsys, corpora, jobs):
+    train, test = corpora
+    out = tmp_path / "out"
+    assert _run(["sweep", "--train", train, "--test", test, "--out-dir", out,
+                 "--jobs", jobs]) == 1
+    assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "curriculum"])
+def test_jobs_do_not_change_output_bytes(tmp_path, corpora, command):
+    train, test = corpora
+    outputs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / jobs
+        assert _run([command, "--train", train, "--test", test, "--out-dir", out,
+                     "--ratios", "0,0.1,0.2,0.3", "--epochs", "2", "--jobs", jobs,
+                     "--no-timing"]) == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())
+                        if p.name != "manifest.json"})
+    assert outputs[0] == outputs[1]

@@ -1,8 +1,12 @@
+import json
 import math
-from dataclasses import replace
+import tempfile
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pvireduce import (Hyperparams, constant_predictor, evaluate, featurize,
                        generate_synthetic, load_model, log2_prob, predict_dist,
@@ -201,6 +205,7 @@ def test_model_serialization_roundtrip(tmp_path, small_train, fast_hp):
     assert np.array_equal(back.bias, model.bias)
     assert back.num_classes == model.num_classes
     assert back.hyperparams.hash_bits == model.hyperparams.hash_bits
+    assert back.hyperparams == model.hyperparams
 
 
 def test_predict_dist_matrix_agrees_with_scalar(small_train, fast_hp):
@@ -238,3 +243,101 @@ def test_train_null_matches_training_on_null_view(small_train, fast_hp):
     assert null.trained_on == "null-view"
     reference = train(to_null_view(small_train), fast_hp)
     assert np.array_equal(null.bias, reference.bias)
+
+
+_HYPERPARAMS = st.builds(
+    Hyperparams,
+    hash_bits=st.integers(1, 6),
+    ngram_orders=st.lists(st.integers(1, 5), min_size=1, max_size=4).map(tuple),
+    learning_rate=st.floats(1e-6, 10.0),
+    epochs=st.integers(1, 100),
+    batch_size=st.integers(1, 4096),
+    l2=st.floats(0.0, 10.0),
+    seed=st.integers(0, 2**63),
+    prob_floor=st.floats(1e-300, 0.5),
+    lr_schedule=st.sampled_from(["linear", "constant"]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hp=_HYPERPARAMS, classes=st.integers(2, 4), data_seed=st.integers(0, 2**32 - 1))
+def test_model_file_roundtrip_property(hp, classes, data_seed):
+    rng = np.random.default_rng(data_seed)
+    weights = rng.normal(size=(classes, hp.dim)) * (rng.random((classes, hp.dim)) < 0.5)
+    model = Model(weights, rng.normal(size=classes), classes, hp, "prop",
+                  tuple(rng.random(3)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        save_model(model, path)
+        back = load_model(path)
+    assert back.hyperparams == hp
+    assert np.array_equal(back.weights, model.weights)
+    assert np.array_equal(back.bias, model.bias)
+    assert back.epoch_losses == model.epoch_losses
+    assert (back.num_classes, back.trained_on) == (classes, "prop")
+
+
+def test_load_model_reads_format_1(tmp_path):
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps({
+        "format_version": 1, "hash_bits": 4, "ngram_orders": [1, 2],
+        "num_classes": 2, "prob_floor": "1.0000000000000001e-05",
+        "trained_on": "old", "bias": ["0.5", "-0.5"],
+        "weights": [[0, 3, "1.25"], [1, 15, "-2"]], "epoch_losses": ["0.75"]}))
+    model = load_model(path)
+    assert model.hyperparams == Hyperparams(hash_bits=4, ngram_orders=(1, 2),
+                                            prob_floor=1e-05)
+    expected = np.zeros((2, 16))
+    expected[0, 3], expected[1, 15] = 1.25, -2.0
+    assert np.array_equal(model.weights, expected)
+    assert model.bias.tolist() == [0.5, -0.5]
+    assert (model.trained_on, model.epoch_losses) == ("old", (0.75,))
+
+
+@pytest.mark.parametrize("version", [0, 3, "2", None])
+def test_load_model_refuses_unknown_format(tmp_path, version):
+    path = tmp_path / "model.json"
+    save_model(constant_predictor([0.25, 0.75], Hyperparams(hash_bits=4)), path)
+    payload = json.loads(path.read_text())
+    payload["format_version"] = version
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="unsupported model format version"):
+        load_model(path)
+
+
+def test_hyperparams_dict_roundtrip():
+    hp = Hyperparams(hash_bits=8, ngram_orders=(2, 4), seed=0, lr_schedule="constant")
+    values = hp.as_dict()
+    assert set(values) == {f.name for f in fields(Hyperparams)} - {"preserve_order"}
+    assert Hyperparams.from_dict(values) == hp
+    assert Hyperparams.from_dict(json.loads(json.dumps(values))) == hp
+    ini = {key: ",".join(map(str, v)) if isinstance(v, tuple) else str(v)
+           for key, v in values.items()}
+    assert Hyperparams.from_dict(ini) == hp
+
+
+@pytest.mark.parametrize("values, key", [
+    ({"batchsize": "8"}, "batchsize"),
+    ({"preserve_order": True}, "preserve_order"),
+    ({"epochs": "two"}, "epochs"),
+    ({"epochs": 2.5}, "epochs"),
+    ({"epochs": True}, "epochs"),
+    ({"learning_rate": "fast"}, "learning_rate"),
+    ({"lr_schedule": 1}, "lr_schedule"),
+    ({"ngram_orders": "1,x"}, "ngram_orders"),
+    ({"ngram_orders": 3}, "ngram_orders"),
+    ({"batch_size": 0}, "batch_size"),
+    ({"batch_size": -4}, "batch_size"),
+    ({"hash_bits": -1}, "hash_bits"),
+    ({"hash_bits": 33}, "hash_bits"),
+    ({"ngram_orders": []}, "ngram_orders"),
+    ({"ngram_orders": "0,1"}, "ngram_orders"),
+    ({"learning_rate": "nan"}, "learning_rate"),
+    ({"l2": -1.0}, "l2"),
+    ({"seed": -1}, "seed"),
+    ({"prob_floor": 1}, "prob_floor"),
+    ({"lr_schedule": "cosine"}, "lr_schedule"),
+])
+def test_hyperparams_from_dict_refuses_and_names_key(values, key):
+    with pytest.raises(ValueError, match=key):
+        Hyperparams.from_dict(values)
