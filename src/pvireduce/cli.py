@@ -113,6 +113,15 @@ def _apply_variant(ds, variant, seed, noise_ratio, keep_fractions):
     raise UsageError(f"unknown variant {variant!r}")
 
 
+def _float_list(raw: str) -> list[float]:
+    """An argparse type: comma-separated numbers, e.g. "0.5,0.3,0.2"."""
+    try:
+        return [float(v) for v in raw.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float list value: {raw!r} "
+                                         "(expected comma-separated numbers)") from None
+
+
 def _parse_ratios(raw: str):
     try:
         return [float(v) for v in raw.split(",") if v != ""]
@@ -276,8 +285,7 @@ def _add_variant_flags(parser):
     parser.add_argument("--variant", choices=["original", "imbalanced", "noisy"],
                         default="original")
     parser.add_argument("--noise-ratio", type=float, default=0.1)
-    parser.add_argument("--keep-fractions", type=lambda s: [float(v) for v in s.split(",")],
-                        default=[1.0, 0.6, 0.3])
+    parser.add_argument("--keep-fractions", type=_float_list, default=[1.0, 0.6, 0.3])
 
 
 def build_parser() -> _Parser:
@@ -287,8 +295,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gen", help="generate a synthetic corpus")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--classes", type=int, default=3)
-    p.add_argument("--mix", type=lambda s: [float(v) for v in s.split(",")],
-                   default=[0.5, 0.3, 0.2])
+    p.add_argument("--mix", type=_float_list, default=[0.5, 0.3, 0.2])
     p.add_argument("--out", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_gen)
@@ -343,6 +350,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.jobs < 1:
             raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
+        if getattr(args, "seeds", 1) < 1:
+            raise UsageError(f"--seeds must be >= 1, got {args.seeds}")
         config = load_config_file(args.config) if args.config else {}
         return args.func(args, config)
     except UsageError as exc:

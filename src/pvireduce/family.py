@@ -2,7 +2,9 @@
 
 Deterministic end to end: feature hashing uses CRC32 with fixed field salts,
 training is plain mini-batch gradient descent with a seeded shuffle, and the
-whole pipeline runs in float64 on a single thread.
+whole pipeline runs in float64 on a single thread. A training step updates
+only the weight columns its batch touches and keeps L2 decay as a lazy
+global scale on the weights; loss_and_grad is the dense step it matches.
 """
 
 from __future__ import annotations
@@ -168,31 +170,51 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def loss_and_grad(weights: np.ndarray, bias: np.ndarray, X: sp.csr_matrix,
-                  y: np.ndarray, l2: float = 0.0):
-    """Mean cross-entropy (plus optional L2 on weights) and its gradient."""
-    n = X.shape[0]
-    probs = _softmax(X @ weights.T + bias)
+def _cross_entropy(logits: np.ndarray, y: np.ndarray):
+    """Mean cross-entropy of softmax(logits) against y, and its gradient in the logits."""
+    n = logits.shape[0]
+    probs = _softmax(logits)
     p_true = probs[np.arange(n), y]
     loss = -np.mean(np.log(np.clip(p_true, 1e-300, None)))
-    loss += 0.5 * l2 * float(np.sum(weights * weights))
-    delta = probs.copy()
+    delta = probs
     delta[np.arange(n), y] -= 1.0
     delta /= n
+    return loss, delta
+
+
+def loss_and_grad(weights: np.ndarray, bias: np.ndarray, X: sp.csr_matrix,
+                  y: np.ndarray, l2: float = 0.0):
+    """Mean cross-entropy (plus optional L2 on weights) and its gradient.
+
+    The dense reference for the step train() takes: train() gives the same
+    result while touching only the columns a batch uses.
+    """
+    loss, delta = _cross_entropy(X @ weights.T + bias, y)
+    loss += 0.5 * l2 * float(np.sum(weights * weights))
     grad_w = np.asarray(X.T @ delta).T + l2 * weights
-    grad_b = delta.sum(axis=0)
-    return loss, grad_w, grad_b
+    return loss, grad_w, delta.sum(axis=0)
+
+
+# train() folds the lazy L2 scale into the weights once it falls this low
+_MIN_SCALE = 1e-3
 
 
 def train(dataset: Dataset, hp: Hyperparams, features: sp.csr_matrix | None = None,
           init: Model | None = None) -> Model:
-    """Mini-batch gradient descent on mean cross-entropy.
+    """Mini-batch gradient descent on mean cross-entropy plus 0.5*l2*|W|^2.
 
     Each epoch consumes the dataset in the order training_order() gives:
     a fresh seeded shuffle, or the dataset's own order when
     hp.preserve_order is set (curriculum training relies on this). With
     `init`, training continues from that model's parameters and its epoch
     losses are kept in front of the new ones.
+
+    A step reads and writes only the weight columns its batch touches. L2
+    decay is a lazy global scale, W = scale * V (Bottou 2012): each step
+    multiplies `scale` by (1 - lr*l2), and |V|^2 is kept up to date so the
+    epoch loss keeps its L2 term. With l2 = 0 every step equals
+    loss_and_grad's dense step bit for bit; with l2 > 0 it equals it up to
+    rounding.
     """
     m = len(dataset)
     if m == 0:
@@ -201,26 +223,43 @@ def train(dataset: Dataset, hp: Hyperparams, features: sp.csr_matrix | None = No
     y = dataset.labels()
     C = dataset.num_classes
     if init is None:
-        W, b, epoch_losses = np.zeros((C, hp.dim)), np.zeros(C), []
+        V, b, epoch_losses = np.zeros((C, hp.dim)), np.zeros(C), []
     else:
-        W, b, epoch_losses = init.weights.copy(), init.bias.copy(), list(init.epoch_losses)
+        V, b, epoch_losses = init.weights.copy(), init.bias.copy(), list(init.epoch_losses)
+    scale, sq_norm = 1.0, float(np.sum(V * V))
     total_steps = hp.epochs * ((m + hp.batch_size - 1) // hp.batch_size)
     step = 0
     for order in training_order(m, hp):
+        # rows in this epoch's order, so that each batch is a contiguous slice
+        Xe, ye = X[order], y[order]
         total = 0.0
         for start in range(0, m, hp.batch_size):
-            idx = order[start:start + hp.batch_size]
-            loss, gw, gb = loss_and_grad(W, b, X[idx], y[idx], hp.l2)
+            stop = min(start + hp.batch_size, m)
+            lo, hi = Xe.indptr[start], Xe.indptr[stop]
+            # the batch's rows, with columns renumbered to the distinct ones it touches
+            cols, local = np.unique(Xe.indices[lo:hi], return_inverse=True)
+            Xb = sp.csr_matrix((Xe.data[lo:hi], local, Xe.indptr[start:stop + 1] - lo),
+                               shape=(stop - start, len(cols)))
+            Vb = V[:, cols]
+            loss, delta = _cross_entropy(Xb @ (scale * Vb).T + b, ye[start:stop])
+            loss += 0.5 * hp.l2 * (scale * scale * sq_norm)
             if hp.lr_schedule == "linear":
                 lr = hp.learning_rate * (1.0 - step / total_steps)
             else:
                 lr = hp.learning_rate
-            W -= lr * gw
-            b -= lr * gb
-            total += loss * len(idx)
+            scale *= 1.0 - lr * hp.l2
+            if scale <= _MIN_SCALE:
+                V *= scale
+                Vb = V[:, cols]
+                scale, sq_norm = 1.0, float(np.sum(V * V))
+            Vb_new = Vb - (lr / scale) * np.asarray(Xb.T @ delta).T
+            V[:, cols] = Vb_new
+            sq_norm += float(np.sum(Vb_new * Vb_new) - np.sum(Vb * Vb))
+            b -= lr * delta.sum(axis=0)
+            total += loss * (stop - start)
             step += 1
         epoch_losses.append(total / m)
-    return Model(W, b, C, hp, dataset.provenance_tag, tuple(epoch_losses))
+    return Model(scale * V, b, C, hp, dataset.provenance_tag, tuple(epoch_losses))
 
 
 def train_null(dataset: Dataset, hp: Hyperparams) -> Model:

@@ -225,3 +225,24 @@ def test_jobs_do_not_change_output_bytes(tmp_path, corpora, command):
         outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())
                         if p.name != "manifest.json"})
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_seeds_below_one_is_usage_error(tmp_path, capsys, corpora, seeds):
+    train, test = corpora
+    out = tmp_path / "out"
+    assert _run(["curriculum", "--train", train, "--test", test, "--out-dir", out,
+                 "--seeds", seeds]) == 1
+    assert "--seeds" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["gen", "--n", "10", "--out", "x.jsonl", "--mix", "0.5,x"],
+    ["sweep", "--train", "a", "--test", "b", "--keep-fractions", "x"],
+])
+def test_float_list_flags_name_the_expected_type(capsys, args):
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "usage error: argument --" in err
+    assert f"invalid float list value: {args[-1]!r}" in err

@@ -1,8 +1,11 @@
 import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pvireduce import (Dataset, Hyperparams, LabeledInstance, NoiseSpec,
                        evaluate, filter_invalid, generate_synthetic,
@@ -251,3 +254,24 @@ def test_serialize_tsv_refuses_unencodable_text(tmp_path, field, char):
     serialize(Dataset(tuple(insts), 3), tmp_path / "d.jsonl", "jsonl")
     assert load_dataset(tmp_path / "d.jsonl", "jsonl", 3).instances[1] == \
         replace(insts[1], original_index=1)
+
+
+# TSV refuses a tab, LF or CR in a text; valid Unicode has no lone surrogates
+_TSV_TEXT = st.text(st.characters(codec="utf-8", exclude_characters="\t\n\r"))
+_PAIRS = {
+    "jsonl": st.tuples(st.text(), st.text(), st.integers(0, 2)),
+    "tsv": st.tuples(_TSV_TEXT, _TSV_TEXT, st.integers(0, 2)),
+}
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "tsv"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_load_dataset_inverts_serialize(fmt, data):
+    rows = data.draw(st.lists(_PAIRS[fmt], max_size=8), label="rows")
+    ds = Dataset(tuple(LabeledInstance(i, *row) for i, row in enumerate(rows)), 3)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"d.{fmt}"
+        serialize(ds, path, fmt)
+        back = load_dataset(path, fmt, 3)
+    assert back == ds

@@ -6,13 +6,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from pvireduce import (Hyperparams, constant_predictor, evaluate, featurize,
                        generate_synthetic, load_model, log2_prob, predict_dist,
                        save_model, to_null_view, train)
 from pvireduce.family import (Model, feature_matrix, loss_and_grad,
-                              predict_dist_matrix, train_null)
+                              predict_dist_matrix, train_null, training_order)
 
 
 def _random_texts(rng, n):
@@ -243,6 +244,71 @@ def test_train_null_matches_training_on_null_view(small_train, fast_hp):
     assert null.trained_on == "null-view"
     reference = train(to_null_view(small_train), fast_hp)
     assert np.array_equal(null.bias, reference.bias)
+
+
+def _dense_train(dataset, hp, features=None, init=None):
+    """Reference for train(): the dense step over every column,
+    loss_and_grad followed by W -= lr * grad_w."""
+    X = feature_matrix(dataset, hp) if features is None else features
+    y, m, C = dataset.labels(), len(dataset), dataset.num_classes
+    if init is None:
+        W, b, losses = np.zeros((C, hp.dim)), np.zeros(C), []
+    else:
+        W, b, losses = init.weights.copy(), init.bias.copy(), list(init.epoch_losses)
+    total_steps = hp.epochs * ((m + hp.batch_size - 1) // hp.batch_size)
+    step = 0
+    for order in training_order(m, hp):
+        total = 0.0
+        for start in range(0, m, hp.batch_size):
+            idx = order[start:start + hp.batch_size]
+            loss, gw, gb = loss_and_grad(W, b, X[idx], y[idx], hp.l2)
+            lr = hp.learning_rate
+            if hp.lr_schedule == "linear":
+                lr *= 1.0 - step / total_steps
+            W -= lr * gw
+            b -= lr * gb
+            total += loss * len(idx)
+            step += 1
+        losses.append(total / m)
+    return Model(W, b, C, hp, dataset.provenance_tag, tuple(losses))
+
+
+def _assert_matches(model, reference, atol):
+    for got, want in ((model.weights, reference.weights), (model.bias, reference.bias),
+                      (model.epoch_losses, reference.epoch_losses)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("kwargs, atol", [
+    # without L2 the sparse step does the dense step's float operations
+    ({"l2": 0.0}, 0.0),
+    ({"l2": 0.0, "lr_schedule": "constant", "hash_bits": 8, "batch_size": 7}, 0.0),
+    # the lazy L2 scale rounds differently from the dense decay
+    ({"l2": 1e-6}, 1e-9),
+    ({"l2": 1e-3}, 1e-9),
+    ({"l2": 1e-2, "hash_bits": 8, "batch_size": 7}, 1e-9),
+    # 1 - lr*l2 is exactly 0, then negative: the scale is folded into the weights
+    ({"learning_rate": 2.0, "l2": 0.5, "lr_schedule": "constant"}, 1e-9),
+    ({"learning_rate": 1.5, "l2": 1.0}, 1e-9),
+])
+def test_train_matches_dense_reference(small_train, kwargs, atol):
+    hp = Hyperparams(**kwargs)
+    _assert_matches(train(small_train, hp), _dense_train(small_train, hp), atol)
+
+
+def test_train_null_matches_dense_reference(small_train, hp):
+    null = train_null(small_train, hp)
+    assert not null.weights.any()
+    zeros = sp.csr_matrix((len(small_train), hp.dim))
+    _assert_matches(null, _dense_train(to_null_view(small_train), hp, features=zeros), 0.0)
+
+
+@pytest.mark.parametrize("l2, atol", [(0.0, 0.0), (1e-3, 1e-9)])
+def test_train_init_matches_dense_reference(small_train, l2, atol):
+    first = train(small_train, Hyperparams(epochs=2, l2=1e-3))
+    hp = Hyperparams(epochs=2, l2=l2)
+    _assert_matches(train(small_train, hp, init=first),
+                    _dense_train(small_train, hp, init=first), atol)
 
 
 _HYPERPARAMS = st.builds(
