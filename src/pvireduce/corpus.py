@@ -102,6 +102,30 @@ def _label_index(raw, label_names, lineno: int) -> int:
         raise DataError(f"line {lineno}: unknown label {raw!r} (expected one of {list(label_names)})")
 
 
+def _check_no_surrogates(rec: dict, lineno: int) -> None:
+    """DataError naming the line and field if a text holds a lone surrogate,
+    which is not valid Unicode and cannot be encoded as UTF-8."""
+    for key in ("premise", "hypothesis"):
+        try:
+            rec[key].encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise DataError(f"line {lineno}: field {key!r} holds a lone surrogate "
+                            f"{rec[key][exc.start]!r}, which is not valid Unicode text") from None
+
+
+def _undecodable_line(path, exc: UnicodeDecodeError) -> str:
+    """Message naming the first line of `path` that is not valid UTF-8."""
+    with open(path, "rb") as fh:
+        # bytes.splitlines splits at LF, CR and CRLF, as text-mode reading does
+        for lineno, raw in enumerate(fh.read().splitlines(), 1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as line_exc:
+                return (f"line {lineno}: invalid UTF-8 byte {raw[line_exc.start]:#04x} "
+                        f"({line_exc.reason})")
+    return str(exc)
+
+
 def load_dataset(path, fmt: str = "jsonl", num_classes: int = 3,
                  label_names=DEFAULT_LABELS) -> Dataset:
     """Read a JSONL or TSV dataset; original_index is the 0-based file position.
@@ -114,33 +138,40 @@ def load_dataset(path, fmt: str = "jsonl", num_classes: int = 3,
     if len(label_names) != num_classes:
         raise ValueError("label_names length must equal num_classes")
     instances = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh):
-            text = line.rstrip("\n")
-            if text == "" and fmt == "jsonl":
-                raise DataError(f"line {lineno + 1}: empty line")
-            if fmt == "jsonl":
-                try:
-                    rec = json.loads(text)
-                except json.JSONDecodeError as exc:
-                    raise DataError(f"line {lineno + 1}: invalid JSON ({exc.msg})")
-                if not isinstance(rec, dict):
-                    raise DataError(f"line {lineno + 1}: expected a JSON object")
-                for key in ("premise", "hypothesis", "label"):
-                    if key not in rec:
-                        raise DataError(f"line {lineno + 1}: missing field {key!r}")
-                for key in ("premise", "hypothesis"):
-                    if not isinstance(rec[key], str):
-                        raise DataError(f"line {lineno + 1}: field {key!r} must be a string, "
-                                        f"got {rec[key]!r}")
-                premise, hypothesis, raw_label = rec["premise"], rec["hypothesis"], rec["label"]
-            else:
-                parts = text.split("\t")
-                if len(parts) != 3:
-                    raise DataError(f"line {lineno + 1}: expected 3 tab-separated columns, got {len(parts)}")
-                premise, hypothesis, raw_label = parts
-            label = _label_index(raw_label, label_names, lineno + 1)
-            instances.append(LabeledInstance(lineno, premise, hypothesis, label))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh):
+                text = line.rstrip("\n")
+                if text == "" and fmt == "jsonl":
+                    raise DataError(f"line {lineno + 1}: empty line")
+                if fmt == "jsonl":
+                    try:
+                        rec = json.loads(text)
+                    except json.JSONDecodeError as exc:
+                        raise DataError(f"line {lineno + 1}: invalid JSON ({exc.msg})")
+                    if not isinstance(rec, dict):
+                        raise DataError(f"line {lineno + 1}: expected a JSON object")
+                    for key in ("premise", "hypothesis", "label"):
+                        if key not in rec:
+                            raise DataError(f"line {lineno + 1}: missing field {key!r}")
+                    for key in ("premise", "hypothesis"):
+                        if not isinstance(rec[key], str):
+                            raise DataError(f"line {lineno + 1}: field {key!r} must be a string, "
+                                            f"got {rec[key]!r}")
+                    # a lone surrogate can only come from a JSON \u escape
+                    if "\\u" in text:
+                        _check_no_surrogates(rec, lineno + 1)
+                    premise, hypothesis, raw_label = rec["premise"], rec["hypothesis"], rec["label"]
+                else:
+                    parts = text.split("\t")
+                    if len(parts) != 3:
+                        raise DataError(f"line {lineno + 1}: expected 3 tab-separated columns, "
+                                        f"got {len(parts)}")
+                    premise, hypothesis, raw_label = parts
+                label = _label_index(raw_label, label_names, lineno + 1)
+                instances.append(LabeledInstance(lineno, premise, hypothesis, label))
+    except UnicodeDecodeError as exc:
+        raise DataError(_undecodable_line(path, exc)) from None
     return Dataset(tuple(instances), num_classes, "original", tuple(label_names))
 
 

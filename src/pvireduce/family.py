@@ -2,7 +2,9 @@
 
 Deterministic end to end: feature hashing uses CRC32 with fixed field salts,
 training is plain mini-batch gradient descent with a seeded shuffle, and the
-whole pipeline runs in float64 on a single thread. A training step updates
+whole pipeline runs in float64 on a single thread. Featurization hashes each
+distinct n-gram once per call, in numpy over chunks of rows, and gives the
+same features as hashing every n-gram occurrence. A training step updates
 only the weight columns its batch touches and keeps L2 decay as a lazy
 global scale on the weights; loss_and_grad is the dense step it matches.
 """
@@ -12,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import zlib
+from collections import Counter
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -121,44 +124,93 @@ class EvalReport:
 # ---------------------------------------------------------------------------
 # featurization
 
-def _hash_bucket(salt: bytes, gram: str, mask: int) -> int:
-    return zlib.crc32(salt + gram.encode("utf-8")) & mask
+# rows featurized together; bounds the size of one chunk's temporary arrays
+_CHUNK_ROWS = 2048
+# every code point is below this, so (gram id, next code point) packs into one int64
+_CODE_POINTS = 0x110000
 
 
 def featurize(premise: str, hypothesis: str, hash_bits: int = 16,
               ngram_orders=(1, 2, 3)) -> dict[int, float]:
     """Sparse count vector of hashed character n-grams of both fields.
 
-    Premise and hypothesis n-grams are salted differently so the same
-    substring lands in different buckets per field. Empty texts yield the
-    empty vector.
+    Each n-gram of each listed order (a repeated order counts again) adds
+    1.0 to bucket crc32(salt + utf-8 bytes) & (2**hash_bits - 1). Premise
+    and hypothesis n-grams are salted differently so the same substring
+    lands in different buckets per field. Empty texts yield the empty vector.
     """
-    mask = (1 << hash_bits) - 1
-    out: dict[int, float] = {}
-    for text, salt in ((premise, _FIELD_SALTS["premise"]),
-                       (hypothesis, _FIELD_SALTS["hypothesis"])):
-        for order in ngram_orders:
-            for i in range(len(text) - order + 1):
-                bucket = _hash_bucket(salt, text[i:i + order], mask)
-                out[bucket] = out.get(bucket, 0.0) + 1.0
-    return out
+    _, indices, data = _hashed_counts([premise], [hypothesis], hash_bits, ngram_orders)
+    return dict(zip(indices.tolist(), data.tolist()))
 
 
 def feature_matrix(dataset: Dataset, hp: Hyperparams) -> sp.csr_matrix:
     """CSR matrix of featurize() applied to every instance, in dataset order."""
-    indptr = [0]
-    indices: list[int] = []
-    data: list[float] = []
-    for inst in dataset:
-        vec = featurize(inst.premise, inst.hypothesis, hp.hash_bits, hp.ngram_orders)
-        for bucket in sorted(vec):
-            indices.append(bucket)
-            data.append(vec[bucket])
-        indptr.append(len(indices))
-    return sp.csr_matrix(
-        (np.array(data, dtype=np.float64), np.array(indices, dtype=np.int64),
-         np.array(indptr, dtype=np.int64)),
-        shape=(len(dataset), hp.dim))
+    indptr, indices, data = _hashed_counts(
+        [inst.premise for inst in dataset], [inst.hypothesis for inst in dataset],
+        hp.hash_bits, hp.ngram_orders)
+    return sp.csr_matrix((data, indices, indptr), shape=(len(dataset), hp.dim))
+
+
+def _hashed_counts(premises, hypotheses, hash_bits: int, ngram_orders):
+    """CSR arrays (indptr, indices, data) of featurize() over the rows, in numpy.
+
+    Rows go in chunks of _CHUNK_ROWS; each distinct n-gram is hashed once per
+    call. Within a row the buckets ascend, and each count is an exact sum of 1.0s.
+    """
+    if not ngram_orders or min(ngram_orders) < 1:
+        raise ValueError("ngram_orders must be a non-empty list of orders >= 1, "
+                         f"got {tuple(ngram_orders)!r}")
+    repeats = Counter(ngram_orders)
+    mask = (1 << hash_bits) - 1
+    # per field: its texts, its salt, and its gram -> bucket map, kept across chunks
+    per_field = [(premises, _FIELD_SALTS["premise"], {}),
+                 (hypotheses, _FIELD_SALTS["hypothesis"], {})]
+    indptr, indices, data = [np.zeros(1, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
+    for lo in range(0, len(premises), _CHUNK_ROWS):
+        n = min(len(premises) - lo, _CHUNK_ROWS)
+        # one key per n-gram occurrence: (row in chunk) << hash_bits | bucket
+        keys = []
+        for texts, salt, buckets in per_field:
+            keys += _gram_keys(texts[lo:lo + n], salt, buckets, mask, hash_bits, repeats)
+        keys, counts = np.unique(np.concatenate(keys), return_counts=True)
+        indptr.append(indptr[-1][-1] + np.cumsum(np.bincount(keys >> hash_bits, minlength=n)))
+        indices.append(keys & mask)
+        data.append(counts.astype(np.float64))
+    return np.concatenate(indptr), np.concatenate(indices), np.concatenate(data)
+
+
+def _gram_keys(texts, salt: bytes, buckets: dict, mask: int, hash_bits: int, repeats):
+    """Per listed order, an array of (row << hash_bits | bucket), one per n-gram.
+
+    Grams are numbered order by order: the id of the k-gram at i is the rank of
+    (id of the (k-1)-gram at i, code point at i+k-1), so one np.unique per order
+    numbers them and equal ids spell equal grams. `buckets` maps each gram
+    already hashed to its bucket.
+    """
+    lengths = np.fromiter(map(len, texts), np.int64, len(texts))
+    joined = "".join(texts)
+    codes = np.frombuffer(joined.encode("utf-32-le"), np.uint32).astype(np.int64)
+    rows = np.repeat(np.arange(len(texts), dtype=np.int64) << hash_bits, lengths)
+    # characters from each position to the end of its text, so no gram spans two texts
+    remaining = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(codes))
+    ids = np.zeros(len(codes), np.int64)
+    pos = np.arange(len(codes))
+    keys = []
+    for k in range(1, max(repeats) + 1):
+        pos = pos[remaining[pos] >= k]
+        distinct, ids_k = np.unique(ids[pos] * _CODE_POINTS + codes[pos + k - 1],
+                                    return_inverse=True)
+        ids[pos] = ids_k
+        if k in repeats:
+            # one position per distinct gram: any occurrence spells the same gram
+            where = np.empty(len(distinct), np.int64)
+            where[ids_k] = pos
+            grams = [joined[i:i + k] for i in where.tolist()]
+            buckets.update((gram, zlib.crc32(salt + gram.encode("utf-8")) & mask)
+                           for gram in grams if gram not in buckets)
+            gram_bucket = np.array([buckets[gram] for gram in grams], np.int64)
+            keys += [rows[pos] | gram_bucket[ids_k]] * repeats[k]
+    return keys
 
 
 # ---------------------------------------------------------------------------

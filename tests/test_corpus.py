@@ -242,6 +242,34 @@ def test_load_jsonl_rejects_non_object_line(tmp_path):
 
 
 @pytest.mark.parametrize("field", ["premise", "hypothesis"])
+@pytest.mark.parametrize("escape", ["\\ud800", "\\udfff", "\\ude00\\ud83d"])
+def test_load_jsonl_rejects_lone_surrogate(tmp_path, field, escape):
+    # escaped BMP characters and surrogate pairs are valid text
+    valid = '{"premise": "caf\\u00e9 \\ud83d\\ude00", "hypothesis": "b", "label": 0}\n'
+    texts = {"premise": '"a"', "hypothesis": '"b"', field: '"x' + escape + 'y"'}
+    path = tmp_path / "d.jsonl"
+    path.write_text(valid, encoding="utf-8")
+    assert load_dataset(path, "jsonl", 3).instances[0].premise == "caf\u00e9 \U0001F600"
+    path.write_text(valid + '{"premise": ' + texts["premise"] + ', "hypothesis": '
+                    + texts["hypothesis"] + ', "label": 1}\n', encoding="utf-8")
+    with pytest.raises(DataError, match=f"line 2: field '{field}' holds a lone surrogate"):
+        load_dataset(path, "jsonl", 3)
+
+
+@pytest.mark.parametrize("fmt, good, bad", [
+    ("jsonl", b'{"premise": "a", "hypothesis": "b", "label": 0}',
+     b'{"premise": "a\xffb", "hypothesis": "b", "label": 0}'),
+    ("tsv", b"a\tb\tneutral", b"a\tb\xc3\tneutral"),
+], ids=["jsonl", "tsv"])
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+def test_load_invalid_utf8_names_line(tmp_path, fmt, good, bad, newline):
+    path = tmp_path / f"d.{fmt}"
+    path.write_bytes(newline.join([good, good, bad, good]) + newline)
+    with pytest.raises(DataError, match=r"line 3: invalid UTF-8 byte 0x(ff|c3)"):
+        load_dataset(path, fmt, 3)
+
+
+@pytest.mark.parametrize("field", ["premise", "hypothesis"])
 @pytest.mark.parametrize("char", ["\t", "\n", "\r"])
 def test_serialize_tsv_refuses_unencodable_text(tmp_path, field, char):
     insts = [LabeledInstance(0, "fine", "fine", 0),

@@ -1,17 +1,20 @@
 import json
 import math
 import tempfile
+import zlib
 from dataclasses import fields, replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from pvireduce import (Hyperparams, constant_predictor, evaluate, featurize,
-                       generate_synthetic, load_model, log2_prob, predict_dist,
-                       save_model, to_null_view, train)
+from pvireduce import (Dataset, Hyperparams, LabeledInstance, constant_predictor,
+                       evaluate, featurize, generate_synthetic, load_model, log2_prob,
+                       predict_dist, save_model, to_null_view, train)
+from pvireduce import family
 from pvireduce.family import (Model, feature_matrix, loss_and_grad,
                               predict_dist_matrix, train_null, training_order)
 
@@ -38,6 +41,71 @@ def test_featurize_counting():
 
 def test_featurize_field_salts_differ():
     assert featurize("ab", "") != featurize("", "ab")
+
+
+def _reference_feature_matrix(dataset, hp):
+    """Reference for feature_matrix(): the per-gram loop, one CRC32 and one
+    count update per n-gram occurrence."""
+    mask = hp.dim - 1
+    indptr, indices, data = [0], [], []
+    for inst in dataset:
+        counts = {}
+        for text, salt in ((inst.premise, b"p\x00"), (inst.hypothesis, b"h\x00")):
+            for order in hp.ngram_orders:
+                for i in range(len(text) - order + 1):
+                    bucket = zlib.crc32(salt + text[i:i + order].encode("utf-8")) & mask
+                    counts[bucket] = counts.get(bucket, 0.0) + 1.0
+        for bucket in sorted(counts):
+            indices.append(bucket)
+            data.append(counts[bucket])
+        indptr.append(len(indices))
+    return sp.csr_matrix(
+        (np.array(data, dtype=np.float64), np.array(indices, dtype=np.int64),
+         np.array(indptr, dtype=np.int64)),
+        shape=(len(dataset), hp.dim))
+
+
+def _assert_same_csr(got, want):
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+_TEXT = st.text(st.characters(codec="utf-8"), max_size=10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.tuples(_TEXT, _TEXT), max_size=8),
+       hash_bits=st.one_of(st.integers(1, 20), st.just(32)),
+       orders=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+       chunk_rows=st.integers(1, 4))
+@example(rows=[("a\U0001F600b\U0001F600", ""), ("", ""), ("\U0001F600", "\u00e9\U0001F600")],
+         hash_bits=32, orders=[3, 1, 1], chunk_rows=2)
+def test_feature_matrix_matches_reference(rows, hash_bits, orders, chunk_rows):
+    # arbitrary valid Unicode, repeated and unsorted orders, orders longer than
+    # the texts, and chunks small enough that rows cross chunk boundaries
+    ds = Dataset(tuple(LabeledInstance(i, p, h, 0) for i, (p, h) in enumerate(rows)), 3)
+    hp = Hyperparams(hash_bits=hash_bits, ngram_orders=tuple(orders))
+    want = _reference_feature_matrix(ds, hp)
+    with mock.patch.object(family, "_CHUNK_ROWS", chunk_rows):
+        _assert_same_csr(feature_matrix(ds, hp), want)
+    for (premise, hypothesis), row in zip(rows, want):
+        assert featurize(premise, hypothesis, hash_bits, tuple(orders)) == \
+            dict(zip(row.indices.tolist(), row.data.tolist()))
+
+
+@pytest.mark.parametrize("orders", [(), (0,), (2, -1)])
+def test_featurize_refuses_orders_below_one(orders):
+    with pytest.raises(ValueError, match="ngram_orders"):
+        featurize("ab", "cd", ngram_orders=orders)
+
+
+def test_feature_matrix_matches_reference_across_chunks():
+    ds = generate_synthetic(family._CHUNK_ROWS + 300, 3, (0.5, 0.3, 0.2), seed=21)
+    for hp in (Hyperparams(), Hyperparams(hash_bits=32, ngram_orders=(2, 1, 2))):
+        _assert_same_csr(feature_matrix(ds, hp), _reference_feature_matrix(ds, hp))
 
 
 def test_train_null_view_is_input_independent(fast_hp):
