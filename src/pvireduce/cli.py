@@ -100,7 +100,10 @@ def write_manifest(out_dir, command: str, resolved: dict, inputs: dict,
 def _load(path, fmt, num_classes=3):
     if not os.path.exists(path):
         raise DataError(f"file not found: {path}")
-    return load_dataset(path, fmt, num_classes)
+    ds = load_dataset(path, fmt, num_classes)
+    if not ds:
+        raise DataError(f"{path}: the file holds no instances")
+    return ds
 
 
 def _apply_variant(ds, variant, seed, noise_ratio, keep_fractions):
@@ -183,8 +186,7 @@ def cmd_sweep(args, config):
     log = RuntimeLog()
     points = static_sweep(train_ds, test_ds, ratios, hp, strategy=args.strategy,
                           variant=args.variant, derived_seeds=args.derived_seeds,
-                          timing=not args.no_timing, runtime_log=log,
-                          jobs=args.jobs)
+                          timing=not args.no_timing, runtime_log=log)
     os.makedirs(args.out_dir, exist_ok=True)
     write_sweep_csv(points, os.path.join(args.out_dir, "sweep.csv"))
     log.write_csv(os.path.join(args.out_dir, "runtime.csv"))
@@ -212,7 +214,7 @@ def cmd_curriculum(args, config):
         reports += progressive_train(train_ds, test_ds, seed_hp, ratios,
                                      ordering=args.ordering,
                                      warm_start=args.warm_start,
-                                     timing=not args.no_timing, jobs=args.jobs)
+                                     timing=not args.no_timing)
     os.makedirs(args.out_dir, exist_ok=True)
     write_stage_csv(reports, os.path.join(args.out_dir, "stages.csv"))
     if args.seeds > 1:
@@ -241,28 +243,23 @@ def cmd_stats(args, config):
 
 
 def cmd_report(args, config):
-    os.makedirs(args.out_dir, exist_ok=True)
-    resolved = {}
-    inputs = {}
-    if args.sweep_csv:
-        if not os.path.exists(args.sweep_csv):
-            raise DataError(f"file not found: {args.sweep_csv}")
-        points = read_sweep_csv(args.sweep_csv)
-        atomic_write_text(os.path.join(args.out_dir, "accuracy.svg"),
-                          emit_accuracy_plot(points))
-        resolved["sweep_csv"] = args.sweep_csv
-        inputs["sweep_csv"] = args.sweep_csv
-    if args.runtime_csv:
-        if not os.path.exists(args.runtime_csv):
-            raise DataError(f"file not found: {args.runtime_csv}")
-        log = RuntimeLog.read_csv(args.runtime_csv)
-        atomic_write_text(os.path.join(args.out_dir, "runtime.svg"),
-                          emit_runtime_plot(log.records))
-        resolved["runtime_csv"] = args.runtime_csv
-        inputs["runtime_csv"] = args.runtime_csv
-    if not resolved:
+    inputs = {name: path for name, path in (("sweep_csv", args.sweep_csv),
+                                            ("runtime_csv", args.runtime_csv)) if path}
+    if not inputs:
         raise UsageError("report requires --sweep-csv and/or --runtime-csv")
-    write_manifest(args.out_dir, "report", resolved, inputs, not args.no_timing)
+    for path in inputs.values():
+        if not os.path.exists(path):
+            raise DataError(f"file not found: {path}")
+    plots = {}
+    if args.sweep_csv:
+        plots["accuracy.svg"] = emit_accuracy_plot(read_sweep_csv(args.sweep_csv))
+    if args.runtime_csv:
+        plots["runtime.svg"] = emit_runtime_plot(
+            RuntimeLog.read_csv(args.runtime_csv).records)
+    os.makedirs(args.out_dir, exist_ok=True)
+    for name, svg in plots.items():
+        atomic_write_text(os.path.join(args.out_dir, name), svg)
+    write_manifest(args.out_dir, "report", inputs, inputs, not args.no_timing)
     return 0
 
 
@@ -273,7 +270,8 @@ def _add_common(parser):
     parser.add_argument("--config", help="INI file with a [hyperparams] section")
     parser.add_argument("--seed", type=int, help="base random seed")
     parser.add_argument("--out-dir", default=".", help="output directory")
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="accepted for compatibility (N >= 1); runs are sequential")
     parser.add_argument("--format", choices=["jsonl", "tsv"], default="jsonl")
     parser.add_argument("--epochs", type=int)
     parser.add_argument("--learning-rate", type=float, dest="learning_rate")

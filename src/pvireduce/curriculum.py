@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace as dc_replace
 from .corpus import Dataset
 from .family import Hyperparams, evaluate, feature_matrix, train
 from .pvi import compute_pvi, rank_by_difficulty, train_scorers
-from .reduction import _map, select_subset
+from .reduction import select_subset
 from .tables import f17, read_csv, write_csv
 
 ORDERINGS = ("easy_first", "hard_first", "original")
@@ -61,14 +61,13 @@ def stage_subset(train_ds: Dataset, records, r: float, ordering: str) -> Dataset
 
 def progressive_train(train_ds: Dataset, test_ds: Dataset, hp: Hyperparams,
                       ratios=(0.0, 0.1, 0.2, 0.3), ordering: str = "easy_first",
-                      warm_start: bool = False, timing: bool = True,
-                      jobs: int = 1) -> list[StageReport]:
+                      warm_start: bool = False, timing: bool = True) -> list[StageReport]:
     """One fresh model per stage, trained on the ordered hardest subset.
 
     easy_first / hard_first stages train with order-preserving batches (no
     shuffle); the `original` ordering is the conventional shuffled baseline.
     warm_start continues each stage from the previous stage's parameters
-    instead of reinitializing (off by default; its stages run one at a time).
+    instead of reinitializing (off by default). Stages run in `ratios` order.
     """
     if ordering not in ORDERINGS:
         raise ValueError(f"unknown ordering {ordering!r}")
@@ -84,22 +83,23 @@ def progressive_train(train_ds: Dataset, test_ds: Dataset, hp: Hyperparams,
     pos_by_index = {inst.original_index: pos for pos, inst in enumerate(train_ds)}
     stage_hp = dc_replace(hp, preserve_order=(ordering != "original"))
 
-    prev_model = [None]
-
-    def run_stage(r):
-        subset = stage_subset(train_ds, records, float(r), ordering)
+    model = None
+    reports = []
+    for r in map(float, ratios):
+        subset = stage_subset(train_ds, records, r, ordering)
+        if not subset:
+            raise ValueError(f"reduction ratio {r} keeps 0 of {len(train_ds)} "
+                             "training instances")
         X_subset = X_train[[pos_by_index[inst.original_index] for inst in subset]]
         t0 = clock()
-        model = train(subset, stage_hp, features=X_subset, init=prev_model[0])
+        model = train(subset, stage_hp, features=X_subset,
+                      init=model if warm_start else None)
         seconds = clock() - t0
-        if warm_start:
-            prev_model[0] = model
         report = evaluate(model, test_ds, features=X_test)
-        return StageReport(float(r), ordering, len(subset), report.accuracy,
-                           report.precision_micro, report.recall_micro,
-                           report.f1_micro, seconds, hp.seed)
-
-    return _map(run_stage, 1 if warm_start else jobs, ratios)
+        reports.append(StageReport(r, ordering, len(subset), report.accuracy,
+                                   report.precision_micro, report.recall_micro,
+                                   report.f1_micro, seconds, hp.seed))
+    return reports
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace as dc_replace
 from fractions import Fraction
 
@@ -97,7 +96,7 @@ def random_select(train_ds: Dataset, r: float, seed: int) -> Dataset:
 def static_sweep(train_ds: Dataset, test_ds: Dataset, ratios, hp: Hyperparams,
                  strategy: str = "pvi", variant: str | None = None,
                  derived_seeds: bool = False, timing: bool = True,
-                 runtime_log=None, jobs: int = 1) -> list[SweepPoint]:
+                 runtime_log=None) -> list[SweepPoint]:
     """Retrain at each reduction ratio and evaluate on the held-out set.
 
     The conditional and null scoring models are trained once on the full
@@ -125,7 +124,8 @@ def static_sweep(train_ds: Dataset, test_ds: Dataset, ratios, hp: Hyperparams,
 
     pos_by_index = {inst.original_index: pos for pos, inst in enumerate(train_ds)}
 
-    def run_point(i, r):
+    points = []
+    for i, r in enumerate(ratios):
         seed = hp.seed + i if derived_seeds else hp.seed
         point_hp = dc_replace(hp, seed=seed)
         if strategy == "pvi":
@@ -134,8 +134,10 @@ def static_sweep(train_ds: Dataset, test_ds: Dataset, ratios, hp: Hyperparams,
             subset = balanced_select(train_ds, records, r)
         else:
             subset = random_select(train_ds, r, seed)
-        rows = [pos_by_index[inst.original_index] for inst in subset]
-        X_subset = X_train[rows]
+        if not subset:
+            raise ValueError(f"reduction ratio {r} keeps 0 of {len(train_ds)} "
+                             "training instances")
+        X_subset = X_train[[pos_by_index[inst.original_index] for inst in subset]]
         t_cm = clock()
         cm = train(subset, point_hp, features=X_subset)
         cm_seconds = clock() - t_cm
@@ -146,27 +148,13 @@ def static_sweep(train_ds: Dataset, test_ds: Dataset, ratios, hp: Hyperparams,
         cm_acc = evaluate(cm, test_ds, features=X_test).accuracy
         eim_acc = evaluate(eim, test_ds, features=X_test).accuracy
         eval_seconds = clock() - t_eval
-        point = SweepPoint(r, len(subset), cm_acc, eim_acc, cm_seconds,
-                           variant, strategy, strategy == "pvi_balanced", seed)
-        return point, {"train_cm": cm_seconds, "train_eim": eim_seconds,
-                       "evaluate": eval_seconds}
-
-    results = _map(run_point, jobs, range(len(ratios)), ratios)
-    if runtime_log is not None:
-        for point, seconds in results:
-            for phase, value in seconds.items():
-                runtime_log.record(variant, point.r, phase, value)
-    return [point for point, _ in results]
-
-
-def _map(fn, jobs: int, *iterables) -> list:
-    """list(map(fn, *iterables)) on up to `jobs` threads, results in input order."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if jobs == 1:
-        return list(map(fn, *iterables))
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, *iterables))
+        if runtime_log is not None:
+            runtime_log.record(variant, r, "train_cm", cm_seconds)
+            runtime_log.record(variant, r, "train_eim", eim_seconds)
+            runtime_log.record(variant, r, "evaluate", eval_seconds)
+        points.append(SweepPoint(r, len(subset), cm_acc, eim_acc, cm_seconds,
+                                 variant, strategy, strategy == "pvi_balanced", seed))
+    return points
 
 
 # ---------------------------------------------------------------------------

@@ -246,3 +246,85 @@ def test_float_list_flags_name_the_expected_type(capsys, args):
     err = capsys.readouterr().err
     assert "usage error: argument --" in err
     assert f"invalid float list value: {args[-1]!r}" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["pvi", "--train", "{empty}"],
+    ["pvi", "--train", "{train}", "--on", "{empty}"],
+    ["stats", "--data", "{empty}"],
+    ["sweep", "--train", "{empty}", "--test", "{test}"],
+    ["sweep", "--train", "{train}", "--test", "{empty}"],
+    ["curriculum", "--train", "{empty}", "--test", "{test}"],
+    ["curriculum", "--train", "{train}", "--test", "{empty}"],
+], ids=lambda args: " ".join(args))
+def test_empty_input_file_is_named(tmp_path, capsys, corpora, args):
+    train, test = corpora
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    out = tmp_path / "out"
+    argv = [a.format(empty=empty, train=train, test=test) for a in args]
+    assert _run(argv + ["--out-dir", out, "--epochs", "1", "--no-timing"]) == 2
+    assert f"data error: {empty}: the file holds no instances" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def forty_rows(tmp_path_factory):
+    path = tmp_path_factory.mktemp("forty") / "train.jsonl"
+    assert main(["gen", "--n", "40", "--seed", "3", "--out", str(path),
+                 "--no-timing"]) == 0
+    return path
+
+
+@pytest.mark.parametrize("command, ratio, extra", [
+    ("sweep", "0.99", ["--strategy", "pvi"]),
+    ("sweep", "0.96", ["--strategy", "pvi_balanced"]),
+    ("sweep", "0.99", ["--strategy", "random"]),
+    ("curriculum", "0.99", []),
+])
+def test_ratio_keeping_no_rows_is_named(tmp_path, capsys, corpora, forty_rows,
+                                        command, ratio, extra):
+    _, test = corpora
+    out = tmp_path / "out"
+    assert _run([command, "--train", forty_rows, "--test", test, "--out-dir", out,
+                 "--ratios", f"0,{ratio}", "--epochs", "1", "--no-timing",
+                 *extra]) == 2
+    err = capsys.readouterr().err
+    assert f"data error: reduction ratio {ratio} keeps 0 of 40 training instances" in err
+    assert not out.exists()
+
+
+def test_failed_report_writes_nothing(tmp_path, capsys, corpora):
+    train, test = corpora
+    sweep_dir = tmp_path / "sweep"
+    assert _run(["sweep", "--train", train, "--test", test, "--out-dir", sweep_dir,
+                 "--ratios", "0", "--epochs", "1", "--no-timing"]) == 0
+    missing = tmp_path / "missing.csv"
+    out = tmp_path / "out"
+    for inputs in (["--sweep-csv", missing],
+                   ["--sweep-csv", sweep_dir / "sweep.csv", "--runtime-csv", missing]):
+        assert _run(["report", *inputs, "--out-dir", out, "--no-timing"]) == 2
+        assert f"file not found: {missing}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+# perfbench/workloads.py appends these to every command it runs
+BENCHMARK_FLAGS = ["--no-timing", "--jobs", "1"]
+
+
+def test_benchmark_flags_are_accepted_by_every_command(tmp_path, corpora):
+    train, test = corpora
+    commands = [
+        ["pvi", "--train", train, "--on", test, "--epochs", "1",
+         "--out-dir", tmp_path / "pvi"],
+        ["stats", "--data", test, "--unit", "tokens", "--out-dir", tmp_path / "stats"],
+        ["sweep", "--train", train, "--test", test, "--ratios", "0,0.3",
+         "--epochs", "1", "--out-dir", tmp_path / "sweep"],
+        ["report", "--sweep-csv", tmp_path / "sweep" / "sweep.csv",
+         "--runtime-csv", tmp_path / "sweep" / "runtime.csv",
+         "--out-dir", tmp_path / "report"],
+        ["curriculum", "--train", train, "--test", test, "--epochs", "1",
+         "--out-dir", tmp_path / "curriculum"],
+    ]
+    for argv in commands:
+        assert _run(argv + BENCHMARK_FLAGS) == 0, argv[0]

@@ -1,3 +1,5 @@
+from dataclasses import replace as dc_replace
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from pvireduce import (Hyperparams, curriculum_order, evaluate,
 from pvireduce.curriculum import (StageReport, read_stage_csv, stage_subset,
                                   write_stage_csv, write_stage_summary_csv)
 from pvireduce.family import training_order
-from pvireduce.pvi import PviRecord
+from pvireduce.pvi import PviRecord, compute_pvi, train_scorers
 
 
 def _records_for(ds, pvis):
@@ -141,3 +143,24 @@ def test_progressive_warm_start_follows_lr_schedule(small_train, small_test):
                                         warm_start=True, timing=False)
                for sched in ("linear", "constant")}
     assert reports["linear"][1] != reports["constant"][1]
+
+
+@pytest.mark.parametrize("ordering", ["easy_first", "original"])
+def test_progressive_warm_start_is_an_exact_continuation(small_train, small_test,
+                                                         ordering):
+    hp = Hyperparams(epochs=2)
+    ratios = [0.0, 0.2, 0.4]
+    reports = progressive_train(small_train, small_test, hp, ratios, ordering=ordering,
+                                warm_start=True, timing=False)
+    g_cond, g_null = train_scorers(small_train, hp)
+    records = compute_pvi(g_cond, g_null, small_train)
+    stage_hp = dc_replace(hp, preserve_order=(ordering != "original"))
+    model, expected = None, []
+    for r in ratios:
+        subset = stage_subset(small_train, records, r, ordering)
+        model = train(subset, stage_hp, init=model)
+        report = evaluate(model, small_test)
+        expected.append(StageReport(r, ordering, len(subset), report.accuracy,
+                                    report.precision_micro, report.recall_micro,
+                                    report.f1_micro, 0.0, hp.seed))
+    assert reports == expected
