@@ -1,9 +1,15 @@
 """Command-line entry point wiring the library into reproducible experiments.
 
-Subcommands: gen, pvi, sweep, curriculum, stats, report. Every run writes a
-JSON manifest (fully-resolved config + input hashes) next to its outputs;
-rerunning from the same manifest reproduces the data outputs byte-for-byte
-(timing fields are the one exception, and can be disabled with --no-timing).
+Subcommands: gen, pvi, sweep, curriculum, stats, report. Each takes only the
+flags it reads: --config, --seed, --epochs and --learning-rate belong to the
+training commands (pvi, sweep, curriculum; gen has its own --seed), --format
+to all but report, --out-dir to all but gen, and --jobs and --no-timing to
+all six. Every run writes a JSON manifest next to its outputs: its `config`
+holds every flag given (for the training commands, `hyperparams` stands in
+for --config and the flags named after a hyperparameter), and its
+`input_hashes` the SHA-256 of each input. Rerunning from the manifest
+reproduces the data outputs byte-for-byte (timing fields are the one
+exception, and can be disabled with --no-timing).
 
 Exit codes: 0 success, 1 usage error, 2 data error.
 """
@@ -22,16 +28,18 @@ from dataclasses import fields, replace as dc_replace
 from . import __version__
 from .corpus import (DataError, NoiseSpec, generate_synthetic, inject_noise,
                      load_dataset, make_imbalanced, serialize)
-from .curriculum import (progressive_train, write_stage_csv,
+from .curriculum import (ORDERINGS, progressive_train, write_stage_csv,
                          write_stage_summary_csv)
 from .family import Hyperparams, feature_matrix, save_model
 from .pvi import (compute_pvi, summarize, train_scorers, write_records_csv,
                   write_records_jsonl)
-from .reduction import read_sweep_csv, static_sweep, write_sweep_csv
-from .report import (RuntimeLog, bucket_proportions, emit_accuracy_plot,
+from .reduction import STRATEGIES, read_sweep_csv, static_sweep, write_sweep_csv
+from .report import (UNITS, RuntimeLog, bucket_proportions, emit_accuracy_plot,
                      emit_runtime_plot, length_stats, write_bucket_csv,
                      write_length_stats_csv)
 from .tables import atomic_write_text
+
+_HYPERPARAM_NAMES = {f.name for f in fields(Hyperparams)}
 
 
 class UsageError(Exception):
@@ -71,49 +79,61 @@ def load_config_file(path) -> dict:
     return dict(parser["hyperparams"]) if parser.has_section("hyperparams") else {}
 
 
-def resolve_hyperparams(config: dict, args) -> Hyperparams:
-    """Config values, overridden by each flag named after a field (e.g. --seed)."""
-    names = {f.name for f in fields(Hyperparams)}
+def resolve_hyperparams(args) -> Hyperparams:
+    """The --config file's values, overridden by each flag named after a field."""
+    config = load_config_file(args.config) if args.config else {}
     flags = {key: value for key, value in vars(args).items()
-             if key in names and value is not None}
+             if key in _HYPERPARAM_NAMES and value is not None}
     try:
         return Hyperparams.from_dict({**config, **flags})
     except ValueError as exc:
         raise DataError(f"{args.config}: {exc}" if config else str(exc)) from None
 
 
-def write_manifest(out_dir, command: str, resolved: dict, inputs: dict,
-                   timing: bool) -> None:
+def write_manifest(out_dir, args, inputs: dict, hp: Hyperparams | None = None) -> None:
+    """`config` is every parsed flag but the output directory; with `hp`, its
+    `hyperparams` replace --config and the flags named after its fields."""
+    skip = {"func", "command", "out_dir"}
+    if hp is not None:
+        skip |= {"config"} | _HYPERPARAM_NAMES
+    config = {key: value for key, value in vars(args).items() if key not in skip}
+    if hp is not None:
+        config["hyperparams"] = hp.as_dict()
     manifest = {
         "tool": "pvireduce",
         "version": __version__,
-        "command": command,
-        "config": resolved,
+        "command": args.command,
+        "config": config,
         "input_hashes": {name: sha256_file(path) for name, path in inputs.items()},
     }
-    if timing:
+    if not args.no_timing:
         manifest["wall_clock_utc"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     atomic_write_text(os.path.join(out_dir, "manifest.json"),
                       json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _load(path, fmt, num_classes=3):
+def _load(path, fmt):
     if not os.path.exists(path):
         raise DataError(f"file not found: {path}")
-    ds = load_dataset(path, fmt, num_classes)
+    try:
+        ds = load_dataset(path, fmt)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
     if not ds:
         raise DataError(f"{path}: the file holds no instances")
     return ds
 
 
-def _apply_variant(ds, variant, seed, noise_ratio, keep_fractions):
-    if variant == "original":
-        return ds
-    if variant == "noisy":
-        return inject_noise(ds, NoiseSpec(noise_ratio, seed))
-    if variant == "imbalanced":
-        return make_imbalanced(ds, keep_fractions, seed)
-    raise UsageError(f"unknown variant {variant!r}")
+def _load_experiment(args):
+    """Hyperparameters, the training set with --variant applied, and the test set."""
+    hp = resolve_hyperparams(args)
+    train_ds = _load(args.train, args.format)
+    test_ds = _load(args.test, args.format)
+    if args.variant == "noisy":
+        train_ds = inject_noise(train_ds, NoiseSpec(args.noise_ratio, hp.seed))
+    elif args.variant == "imbalanced":
+        train_ds = make_imbalanced(train_ds, tuple(args.keep_fractions), hp.seed)
+    return hp, train_ds, test_ds
 
 
 def _float_list(raw: str) -> list[float]:
@@ -125,31 +145,29 @@ def _float_list(raw: str) -> list[float]:
                                          "(expected comma-separated numbers)") from None
 
 
-def _parse_ratios(raw: str):
+def _count(raw: str) -> int:
+    """An argparse type: an integer >= 1."""
     try:
-        return [float(v) for v in raw.split(",") if v != ""]
+        value = int(raw)
     except ValueError:
-        raise UsageError(f"invalid ratio list {raw!r}")
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {raw!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_gen(args, config):
-    out = args.out
-    seed = 1 if args.seed is None else args.seed
-    ds = generate_synthetic(args.n, args.classes, tuple(args.mix), seed)
-    serialize(ds, out, args.format)
-    out_dir = os.path.dirname(os.path.abspath(out)) or "."
-    write_manifest(out_dir, "gen",
-                   {"n": args.n, "classes": args.classes, "mix": list(args.mix),
-                    "seed": seed, "format": args.format, "out": out},
-                   {"out": out}, not args.no_timing)
+def cmd_gen(args):
+    ds = generate_synthetic(args.n, args.classes, tuple(args.mix), args.seed)
+    serialize(ds, args.out, args.format)
+    write_manifest(os.path.dirname(os.path.abspath(args.out)), args, {"out": args.out})
     return 0
 
 
-def cmd_pvi(args, config):
-    hp = resolve_hyperparams(config, args)
+def cmd_pvi(args):
+    hp = resolve_hyperparams(args)
     train_ds = _load(args.train, args.format)
     score_ds = _load(args.on, args.format) if args.on else train_ds
     X_train = feature_matrix(train_ds, hp)
@@ -169,49 +187,29 @@ def cmd_pvi(args, config):
     inputs = {"train": args.train}
     if args.on:
         inputs["on"] = args.on
-    write_manifest(args.out_dir, "pvi",
-                   {"train": args.train, "on": args.on, "format": args.format,
-                    "hyperparams": hp.as_dict()},
-                   inputs, not args.no_timing)
+    write_manifest(args.out_dir, args, inputs, hp)
     return 0
 
 
-def cmd_sweep(args, config):
-    hp = resolve_hyperparams(config, args)
-    train_ds = _load(args.train, args.format)
-    test_ds = _load(args.test, args.format)
-    train_ds = _apply_variant(train_ds, args.variant, hp.seed,
-                              args.noise_ratio, tuple(args.keep_fractions))
-    ratios = _parse_ratios(args.ratios)
+def cmd_sweep(args):
+    hp, train_ds, test_ds = _load_experiment(args)
     log = RuntimeLog()
-    points = static_sweep(train_ds, test_ds, ratios, hp, strategy=args.strategy,
+    points = static_sweep(train_ds, test_ds, args.ratios, hp, strategy=args.strategy,
                           variant=args.variant, derived_seeds=args.derived_seeds,
                           timing=not args.no_timing, runtime_log=log)
     os.makedirs(args.out_dir, exist_ok=True)
     write_sweep_csv(points, os.path.join(args.out_dir, "sweep.csv"))
     log.write_csv(os.path.join(args.out_dir, "runtime.csv"))
-    write_manifest(args.out_dir, "sweep",
-                   {"train": args.train, "test": args.test, "format": args.format,
-                    "ratios": ratios, "strategy": args.strategy,
-                    "variant": args.variant, "noise_ratio": args.noise_ratio,
-                    "keep_fractions": list(args.keep_fractions),
-                    "derived_seeds": args.derived_seeds, "jobs": args.jobs,
-                    "timing": not args.no_timing, "hyperparams": hp.as_dict()},
-                   {"train": args.train, "test": args.test}, not args.no_timing)
+    write_manifest(args.out_dir, args, {"train": args.train, "test": args.test}, hp)
     return 0
 
 
-def cmd_curriculum(args, config):
-    hp = resolve_hyperparams(config, args)
-    train_ds = _load(args.train, args.format)
-    test_ds = _load(args.test, args.format)
-    train_ds = _apply_variant(train_ds, args.variant, hp.seed,
-                              args.noise_ratio, tuple(args.keep_fractions))
-    ratios = _parse_ratios(args.ratios)
+def cmd_curriculum(args):
+    hp, train_ds, test_ds = _load_experiment(args)
     reports = []
     for i in range(args.seeds):
         seed_hp = dc_replace(hp, seed=hp.seed + i)
-        reports += progressive_train(train_ds, test_ds, seed_hp, ratios,
+        reports += progressive_train(train_ds, test_ds, seed_hp, args.ratios,
                                      ordering=args.ordering,
                                      warm_start=args.warm_start,
                                      timing=not args.no_timing)
@@ -219,30 +217,22 @@ def cmd_curriculum(args, config):
     write_stage_csv(reports, os.path.join(args.out_dir, "stages.csv"))
     if args.seeds > 1:
         write_stage_summary_csv(reports, os.path.join(args.out_dir, "stages_summary.csv"))
-    write_manifest(args.out_dir, "curriculum",
-                   {"train": args.train, "test": args.test, "format": args.format,
-                    "ratios": ratios, "ordering": args.ordering,
-                    "variant": args.variant, "seeds": args.seeds,
-                    "warm_start": args.warm_start, "jobs": args.jobs,
-                    "timing": not args.no_timing, "hyperparams": hp.as_dict()},
-                   {"train": args.train, "test": args.test}, not args.no_timing)
+    write_manifest(args.out_dir, args, {"train": args.train, "test": args.test}, hp)
     return 0
 
 
-def cmd_stats(args, config):
+def cmd_stats(args):
     ds = _load(args.data, args.format)
     stats = length_stats(ds, args.unit)
     buckets = bucket_proportions(ds, unit=args.unit)
     os.makedirs(args.out_dir, exist_ok=True)
     write_length_stats_csv(stats, os.path.join(args.out_dir, "stats.csv"))
     write_bucket_csv(buckets, os.path.join(args.out_dir, "buckets.csv"))
-    write_manifest(args.out_dir, "stats",
-                   {"data": args.data, "format": args.format, "unit": args.unit},
-                   {"data": args.data}, not args.no_timing)
+    write_manifest(args.out_dir, args, {"data": args.data})
     return 0
 
 
-def cmd_report(args, config):
+def cmd_report(args):
     inputs = {name: path for name, path in (("sweep_csv", args.sweep_csv),
                                             ("runtime_csv", args.runtime_csv)) if path}
     if not inputs:
@@ -259,24 +249,27 @@ def cmd_report(args, config):
     os.makedirs(args.out_dir, exist_ok=True)
     for name, svg in plots.items():
         atomic_write_text(os.path.join(args.out_dir, name), svg)
-    write_manifest(args.out_dir, "report", inputs, inputs, not args.no_timing)
+    write_manifest(args.out_dir, args, inputs)
     return 0
 
 
 # ---------------------------------------------------------------------------
 # argument wiring
 
-def _add_common(parser):
-    parser.add_argument("--config", help="INI file with a [hyperparams] section")
-    parser.add_argument("--seed", type=int, help="base random seed")
-    parser.add_argument("--out-dir", default=".", help="output directory")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="accepted for compatibility (N >= 1); runs are sequential")
-    parser.add_argument("--format", choices=["jsonl", "tsv"], default="jsonl")
-    parser.add_argument("--epochs", type=int)
-    parser.add_argument("--learning-rate", type=float, dest="learning_rate")
-    parser.add_argument("--no-timing", action="store_true",
-                        help="write 0.0 for all timing fields (byte-stable reruns)")
+# flags that more than one subcommand takes, by name
+_SHARED_FLAGS = {
+    "--config": dict(help="INI file with a [hyperparams] section"),
+    "--seed": dict(type=int, help="base random seed"),
+    "--epochs": dict(type=int),
+    "--learning-rate": dict(type=float, dest="learning_rate"),
+    "--format": dict(choices=["jsonl", "tsv"], default="jsonl"),
+    "--out-dir": dict(default=".", help="output directory"),
+    "--jobs": dict(type=_count, default=1,
+                   help="accepted for compatibility (N >= 1); runs are sequential"),
+    "--no-timing": dict(action="store_true",
+                        help="write 0.0 for all timing fields (byte-stable reruns)"),
+}
+_TRAINING_FLAGS = ("--config", "--seed", "--epochs", "--learning-rate")
 
 
 def _add_variant_flags(parser):
@@ -290,74 +283,64 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="pvireduce")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate a synthetic corpus")
+    def subcommand(name, func, help, *shared):
+        p = sub.add_parser(name, help=help)
+        for flag in (*shared, "--jobs", "--no-timing"):
+            p.add_argument(flag, **_SHARED_FLAGS[flag])
+        p.set_defaults(func=func)
+        return p
+
+    p = subcommand("gen", cmd_gen, "generate a synthetic corpus", "--format")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--classes", type=int, default=3)
     p.add_argument("--mix", type=_float_list, default=[0.5, 0.3, 0.2])
+    p.add_argument("--seed", type=int, default=1, help="random seed")
     p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("pvi", help="score per-instance difficulty")
+    p = subcommand("pvi", cmd_pvi, "score per-instance difficulty",
+                   "--format", "--out-dir", *_TRAINING_FLAGS)
     p.add_argument("--train", required=True)
     p.add_argument("--on", help="dataset to score (default: the training set)")
     p.add_argument("--save-models", action="store_true")
-    _add_common(p)
-    p.set_defaults(func=cmd_pvi)
 
-    p = sub.add_parser("sweep", help="static reduction sweep")
+    p = subcommand("sweep", cmd_sweep, "static reduction sweep",
+                   "--format", "--out-dir", *_TRAINING_FLAGS)
     p.add_argument("--train", required=True)
     p.add_argument("--test", required=True)
-    p.add_argument("--ratios", default="0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9")
-    p.add_argument("--strategy", choices=["pvi", "pvi_balanced", "random"],
-                   default="pvi")
+    p.add_argument("--ratios", type=_float_list,
+                   default="0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9")
+    p.add_argument("--strategy", choices=STRATEGIES, default="pvi")
     p.add_argument("--derived-seeds", action="store_true")
     _add_variant_flags(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("curriculum", help="progressive easy-to-hard training")
+    p = subcommand("curriculum", cmd_curriculum, "progressive easy-to-hard training",
+                   "--format", "--out-dir", *_TRAINING_FLAGS)
     p.add_argument("--train", required=True)
     p.add_argument("--test", required=True)
-    p.add_argument("--ratios", default="0,0.1,0.2,0.3")
-    p.add_argument("--ordering", choices=["easy_first", "hard_first", "original"],
-                   default="easy_first")
-    p.add_argument("--seeds", type=int, default=1)
+    p.add_argument("--ratios", type=_float_list, default="0,0.1,0.2,0.3")
+    p.add_argument("--ordering", choices=ORDERINGS, default="easy_first")
+    p.add_argument("--seeds", type=_count, default=1)
     p.add_argument("--warm-start", action="store_true")
     _add_variant_flags(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_curriculum)
 
-    p = sub.add_parser("stats", help="length statistics per label")
+    p = subcommand("stats", cmd_stats, "length statistics per label",
+                   "--format", "--out-dir")
     p.add_argument("--data", required=True)
-    p.add_argument("--unit", choices=["chars", "tokens"], default="chars")
-    _add_common(p)
-    p.set_defaults(func=cmd_stats)
+    p.add_argument("--unit", choices=UNITS, default="chars")
 
-    p = sub.add_parser("report", help="render SVG plots from CSV outputs")
+    p = subcommand("report", cmd_report, "render SVG plots from CSV outputs", "--out-dir")
     p.add_argument("--sweep-csv")
     p.add_argument("--runtime-csv")
-    _add_common(p)
-    p.set_defaults(func=cmd_report)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.jobs < 1:
-            raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
-        if getattr(args, "seeds", 1) < 1:
-            raise UsageError(f"--seeds must be >= 1, got {args.seeds}")
-        config = load_config_file(args.config) if args.config else {}
-        return args.func(args, config)
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
     except (OSError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2

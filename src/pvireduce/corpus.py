@@ -131,7 +131,8 @@ def load_dataset(path, fmt: str = "jsonl", num_classes: int = 3,
     """Read a JSONL or TSV dataset; original_index is the 0-based file position.
 
     Malformed records raise DataError naming the line; they are never dropped
-    silently (use filter_invalid for content-level cleanup).
+    silently (use filter_invalid for content-level cleanup). A leading UTF-8
+    byte-order mark is skipped.
     """
     if fmt not in ("jsonl", "tsv"):
         raise ValueError(f"unsupported format {fmt!r}")
@@ -139,7 +140,7 @@ def load_dataset(path, fmt: str = "jsonl", num_classes: int = 3,
         raise ValueError("label_names length must equal num_classes")
     instances = []
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh):
                 text = line.rstrip("\n")
                 if text == "" and fmt == "jsonl":

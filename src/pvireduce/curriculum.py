@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace as dc_replace
 
 from .corpus import Dataset
 from .family import Hyperparams, evaluate, feature_matrix, train
-from .pvi import compute_pvi, rank_by_difficulty, train_scorers
+from .pvi import compute_pvi, rank_by_difficulty, records_by_index, train_scorers
 from .reduction import select_subset
 from .tables import f17, read_csv, write_csv
 
@@ -39,11 +39,9 @@ def curriculum_order(train_ds: Dataset, records, ordering: str) -> Dataset:
         raise ValueError(f"unknown ordering {ordering!r}")
     if ordering == "original":
         return train_ds
+    records_by_index(train_ds, records)
     order = rank_by_difficulty(
         records, "descending_pvi" if ordering == "easy_first" else "ascending_pvi")
-    index_set = {inst.original_index for inst in train_ds}
-    if set(order) != index_set:
-        raise ValueError("records do not cover exactly the dataset's indices")
     by_index = {inst.original_index: inst for inst in train_ds}
     return dc_replace(train_ds, instances=tuple(by_index[i] for i in order))
 

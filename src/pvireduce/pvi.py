@@ -85,6 +85,18 @@ def rank_by_difficulty(records, order: str = "descending_pvi") -> tuple[int, ...
     return tuple(r.original_index for r in ranked)
 
 
+def records_by_index(dataset: Dataset, records) -> dict[int, PviRecord]:
+    """`records` keyed by original_index; there must be exactly one per instance."""
+    by_index: dict[int, PviRecord] = {}
+    for rec in records:
+        if rec.original_index in by_index:
+            raise ValueError(f"records hold original_index {rec.original_index} twice")
+        by_index[rec.original_index] = rec
+    if by_index.keys() != {inst.original_index for inst in dataset}:
+        raise ValueError("records do not cover exactly the dataset's indices")
+    return by_index
+
+
 def hardest_k(records, dataset: Dataset, k: int):
     """The k lowest-score instances with texts attached, ascending by score."""
     records = tuple(records)

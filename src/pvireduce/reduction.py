@@ -15,7 +15,7 @@ import numpy as np
 
 from .corpus import Dataset
 from .family import Hyperparams, evaluate, feature_matrix, train, train_null
-from .pvi import compute_pvi, rank_by_difficulty, train_scorers
+from .pvi import compute_pvi, rank_by_difficulty, records_by_index, train_scorers
 from .tables import f17, read_csv, write_csv
 
 STRATEGIES = ("pvi", "pvi_balanced", "random")
@@ -45,13 +45,6 @@ def retained_count(m: int, r: float) -> int:
     return int(math.floor(m * (1 - Fraction(repr(float(r))))))
 
 
-def _pvi_order(dataset: Dataset, records):
-    by_index = {r.original_index: r for r in records}
-    if set(by_index) != {inst.original_index for inst in dataset}:
-        raise ValueError("records do not cover exactly the dataset's indices")
-    return by_index
-
-
 def _subset(train_ds: Dataset, keep) -> Dataset:
     kept = sorted((inst for inst in train_ds if inst.original_index in keep),
                   key=lambda inst: inst.original_index)
@@ -64,7 +57,7 @@ def select_subset(train_ds: Dataset, records, r: float) -> Dataset:
     Equivalent to sorting by score descending (ties by ascending index),
     dropping the leading easiest r*m entries, and restoring file order.
     """
-    _pvi_order(train_ds, records)
+    records_by_index(train_ds, records)
     m = len(train_ds)
     ranked = rank_by_difficulty(records, "descending_pvi")
     return _subset(train_ds, set(ranked[m - retained_count(m, r):]))
@@ -72,7 +65,7 @@ def select_subset(train_ds: Dataset, records, r: float) -> Dataset:
 
 def balanced_select(train_ds: Dataset, records, r: float) -> Dataset:
     """select_subset applied independently within each class, then merged."""
-    by_index = _pvi_order(train_ds, records)
+    by_index = records_by_index(train_ds, records)
     keep: set[int] = set()
     for c in range(train_ds.num_classes):
         class_insts = [inst for inst in train_ds if inst.label == c]

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from pvireduce.cli import main
+from pvireduce.report import RuntimeLog
 
 
 @pytest.fixture(scope="module")
@@ -263,8 +264,25 @@ def test_empty_input_file_is_named(tmp_path, capsys, corpora, args):
     empty.write_text("")
     out = tmp_path / "out"
     argv = [a.format(empty=empty, train=train, test=test) for a in args]
-    assert _run(argv + ["--out-dir", out, "--epochs", "1", "--no-timing"]) == 2
+    epochs = [] if args[0] == "stats" else ["--epochs", "1"]
+    assert _run(argv + ["--out-dir", out, *epochs, "--no-timing"]) == 2
     assert f"data error: {empty}: the file holds no instances" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["pvi", "--train", "{train}", "--on", "{bad}"],
+    ["sweep", "--train", "{bad}", "--test", "{test}"],
+    ["sweep", "--train", "{train}", "--test", "{bad}"],
+], ids=lambda args: " ".join(args))
+def test_malformed_input_file_is_named(tmp_path, capsys, corpora, args):
+    train, test = corpora
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"premise": "a", "hypothesis": "b", "label": 0}\nnot json\n')
+    out = tmp_path / "out"
+    argv = [a.format(bad=bad, train=train, test=test) for a in args]
+    assert _run(argv + ["--out-dir", out, "--epochs", "1", "--no-timing"]) == 2
+    assert f"data error: {bad}: line 2: invalid JSON" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -328,3 +346,62 @@ def test_benchmark_flags_are_accepted_by_every_command(tmp_path, corpora):
     ]
     for argv in commands:
         assert _run(argv + BENCHMARK_FLAGS) == 0, argv[0]
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("gen", "--config", "run.ini"), ("gen", "--out-dir", "elsewhere"),
+    ("gen", "--epochs", "3"), ("gen", "--learning-rate", "7"),
+    ("stats", "--config", "run.ini"), ("stats", "--seed", "9"),
+    ("stats", "--epochs", "3"), ("stats", "--learning-rate", "7"),
+    ("report", "--config", "run.ini"), ("report", "--seed", "9"),
+    ("report", "--format", "tsv"), ("report", "--epochs", "3"),
+    ("report", "--learning-rate", "7"),
+])
+def test_flag_a_command_does_not_read_is_usage_error(tmp_path, capsys, corpora,
+                                                     command, flag, value):
+    train, _ = corpora
+    runtime_csv = tmp_path / "runtime.csv"
+    log = RuntimeLog()
+    log.record("original", 0.0, "train_cm", 0.0)
+    log.write_csv(runtime_csv)
+    out = tmp_path / "out"
+    argv = {"gen": ["gen", "--n", "10", "--out", out / "gen.jsonl"],
+            "stats": ["stats", "--data", train, "--out-dir", out],
+            "report": ["report", "--runtime-csv", runtime_csv, "--out-dir", out]}[command]
+    if command == "gen":
+        out.mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    assert _run(argv + [flag, value, "--no-timing"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"usage error: unrecognized arguments: {flag} {value}" in captured.err
+    assert sorted(tmp_path.rglob("*")) == before
+    assert _run(argv + ["--no-timing"]) == 0  # the same run without the flag
+
+
+@pytest.mark.parametrize("ratios", ["0,,0.3", "0,0.3,", ""])
+@pytest.mark.parametrize("command", ["sweep", "curriculum"])
+def test_ratio_list_with_an_empty_item_is_usage_error(tmp_path, capsys, corpora,
+                                                      command, ratios):
+    train, test = corpora
+    out = tmp_path / "out"
+    assert _run([command, "--train", train, "--test", test, "--out-dir", out,
+                 "--ratios", ratios, "--epochs", "1", "--no-timing"]) == 1
+    assert (f"usage error: argument --ratios: invalid float list value: {ratios!r}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_manifest_records_every_flag_given(tmp_path, corpora):
+    train, test = corpora
+    out = tmp_path / "curr"
+    assert _run(["curriculum", "--train", train, "--test", test, "--out-dir", out,
+                 "--ratios", "0,0.2", "--epochs", "1", "--variant", "noisy",
+                 "--noise-ratio", "0.3", "--no-timing"]) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert config["noise_ratio"] == 0.3
+    assert config["keep_fractions"] == [1.0, 0.6, 0.3]
+    assert config["ratios"] == [0.0, 0.2]
+    assert config["hyperparams"]["epochs"] == 1
+    # the resolved hyperparams stand in for --config and the flags they override
+    assert not {"config", "seed", "epochs", "learning_rate", "out_dir"} & config.keys()

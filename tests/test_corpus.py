@@ -205,6 +205,19 @@ def test_difficulty_tags_match_mix():
     assert tags.count("hard") == 200
 
 
+@pytest.mark.parametrize("fmt, body", [
+    ("jsonl", '{"premise": "a b", "hypothesis": "c", "label": "neutral"}\n'
+              '{"premise": "d", "hypothesis": "e", "label": 0}\n'),
+    ("tsv", "a b\tc\tneutral\nd\te\tentailment\n"),
+], ids=["jsonl", "tsv"])
+def test_load_skips_a_utf8_bom(tmp_path, fmt, body):
+    plain, bom = tmp_path / f"plain.{fmt}", tmp_path / f"bom.{fmt}"
+    plain.write_text(body, encoding="utf-8")
+    bom.write_text(body, encoding="utf-8-sig")
+    assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_dataset(bom, fmt) == load_dataset(plain, fmt)
+
+
 def test_load_jsonl_integer_labels(tmp_path):
     path = tmp_path / "d.jsonl"
     _write_jsonl(path, [

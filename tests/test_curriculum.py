@@ -48,6 +48,15 @@ def test_stage_subset_sizes():
     assert sizes == [1000, 900, 800, 700]
 
 
+@pytest.mark.parametrize("repeated", [0, 3])
+def test_stage_subset_refuses_a_repeated_record(repeated):
+    ds = generate_synthetic(60, 3, (0.5, 0.3, 0.2), seed=1)
+    records = _records_for(ds, np.random.default_rng(0).normal(size=60))
+    records.append(PviRecord(repeated, 0.0, 0.0, 100.0))
+    with pytest.raises(ValueError, match=f"records hold original_index {repeated} twice"):
+        stage_subset(ds, records, 0.1, "easy_first")
+
+
 def test_stage_nesting():
     ds = generate_synthetic(200, 3, (0.5, 0.3, 0.2), seed=2)
     records = _records_for(ds, np.random.default_rng(1).normal(size=200))

@@ -80,6 +80,15 @@ def test_select_subset_index_mismatch():
         select_subset(ds, records, 0.1)
 
 
+@pytest.mark.parametrize("select", [select_subset, balanced_select])
+@pytest.mark.parametrize("repeated", [0, 3])
+def test_subset_rules_refuse_a_repeated_record(select, repeated):
+    ds = generate_synthetic(60, 3, (0.5, 0.3, 0.2), seed=1)
+    records = _records_for(ds) + [PviRecord(repeated, 0.0, 0.0, 100.0)]
+    with pytest.raises(ValueError, match=f"records hold original_index {repeated} twice"):
+        select(ds, records, 0.5)
+
+
 def test_balanced_select_counts():
     ds = generate_synthetic(300, 3, (0.5, 0.3, 0.2), seed=2)
     records = _records_for(ds, seed=3)
