@@ -175,7 +175,6 @@ def cmd_pvi(args):
     records = compute_pvi(g_cond, g_null, score_ds,
                           features=None if args.on else X_train)
     info = summarize(records)
-    os.makedirs(args.out_dir, exist_ok=True)
     write_records_csv(records, os.path.join(args.out_dir, "pvi.csv"))
     write_records_jsonl(records, os.path.join(args.out_dir, "pvi.jsonl"))
     atomic_write_text(os.path.join(args.out_dir, "summary.json"), json.dumps({
@@ -195,9 +194,8 @@ def cmd_sweep(args):
     hp, train_ds, test_ds = _load_experiment(args)
     log = RuntimeLog()
     points = static_sweep(train_ds, test_ds, args.ratios, hp, strategy=args.strategy,
-                          variant=args.variant, derived_seeds=args.derived_seeds,
+                          derived_seeds=args.derived_seeds,
                           timing=not args.no_timing, runtime_log=log)
-    os.makedirs(args.out_dir, exist_ok=True)
     write_sweep_csv(points, os.path.join(args.out_dir, "sweep.csv"))
     log.write_csv(os.path.join(args.out_dir, "runtime.csv"))
     write_manifest(args.out_dir, args, {"train": args.train, "test": args.test}, hp)
@@ -213,7 +211,6 @@ def cmd_curriculum(args):
                                      ordering=args.ordering,
                                      warm_start=args.warm_start,
                                      timing=not args.no_timing)
-    os.makedirs(args.out_dir, exist_ok=True)
     write_stage_csv(reports, os.path.join(args.out_dir, "stages.csv"))
     if args.seeds > 1:
         write_stage_summary_csv(reports, os.path.join(args.out_dir, "stages_summary.csv"))
@@ -225,7 +222,6 @@ def cmd_stats(args):
     ds = _load(args.data, args.format)
     stats = length_stats(ds, args.unit)
     buckets = bucket_proportions(ds, unit=args.unit)
-    os.makedirs(args.out_dir, exist_ok=True)
     write_length_stats_csv(stats, os.path.join(args.out_dir, "stats.csv"))
     write_bucket_csv(buckets, os.path.join(args.out_dir, "buckets.csv"))
     write_manifest(args.out_dir, args, {"data": args.data})
@@ -246,7 +242,6 @@ def cmd_report(args):
     if args.runtime_csv:
         plots["runtime.svg"] = emit_runtime_plot(
             RuntimeLog.read_csv(args.runtime_csv).records)
-    os.makedirs(args.out_dir, exist_ok=True)
     for name, svg in plots.items():
         atomic_write_text(os.path.join(args.out_dir, name), svg)
     write_manifest(args.out_dir, args, inputs)

@@ -341,8 +341,9 @@ def synthetic_difficulty_tags(num_instances: int, difficulty_mix, seed: int) -> 
     recover which instances were built easy/medium/hard.
     """
     fracs = tuple(difficulty_mix)
-    if abs(sum(fracs) - 1.0) > 1e-9:
-        raise ValueError("difficulty_mix must sum to 1")
+    # `not ... <=` so that NaN fails too
+    if len(fracs) != 3 or not all(f >= 0 for f in fracs) or not abs(sum(fracs) - 1.0) <= 1e-9:
+        raise ValueError(f"difficulty_mix must be three fractions >= 0 that sum to 1: {fracs}")
     # largest-remainder apportionment so counts sum exactly
     raw = [f * num_instances for f in fracs]
     counts = [int(math.floor(x)) for x in raw]

@@ -15,7 +15,7 @@ from .corpus import Dataset
 from .family import Hyperparams, evaluate, feature_matrix, train
 from .pvi import compute_pvi, rank_by_difficulty, records_by_index, train_scorers
 from .reduction import select_subset
-from .tables import f17, read_csv, write_csv
+from .tables import read_csv, write_csv
 
 ORDERINGS = ("easy_first", "hard_first", "original")
 
@@ -103,8 +103,9 @@ def progressive_train(train_ds: Dataset, test_ds: Dataset, hp: Hyperparams,
 # ---------------------------------------------------------------------------
 # export
 
-_CSV_HEADER = ["ordering", "r", "subset_size", "accuracy", "precision",
-               "recall", "f1", "train_seconds", "seed"]
+_CSV_COLUMNS = {"ordering": str, "r": float, "subset_size": int, "accuracy": float,
+                "precision": float, "recall": float, "f1": float,
+                "train_seconds": float, "seed": int}
 
 _SUMMARY_HEADER = ["ordering", "r", "subset_size", "n_seeds",
                    "accuracy_mean", "accuracy_std", "precision_mean", "precision_std",
@@ -112,17 +113,14 @@ _SUMMARY_HEADER = ["ordering", "r", "subset_size", "n_seeds",
 
 
 def write_stage_csv(reports, path) -> None:
-    write_csv(path, _CSV_HEADER,
-              ([s.ordering, f17(s.r), s.subset_size, f17(s.accuracy),
-                f17(s.precision_micro), f17(s.recall_micro), f17(s.f1_micro),
-                f17(s.train_seconds), s.seed] for s in reports))
+    write_csv(path, _CSV_COLUMNS,
+              ([s.ordering, s.r, s.subset_size, s.accuracy, s.precision_micro,
+                s.recall_micro, s.f1_micro, s.train_seconds, s.seed] for s in reports))
 
 
 def read_stage_csv(path) -> list[StageReport]:
-    return [StageReport(float(r), ordering, int(size), float(acc),
-                        float(prec), float(rec), float(f1), float(secs), int(seed))
-            for ordering, r, size, acc, prec, rec, f1, secs, seed
-            in read_csv(path, _CSV_HEADER)]
+    return read_csv(path, _CSV_COLUMNS,
+                    lambda ordering, r, *rest: StageReport(r, ordering, *rest))
 
 
 def write_stage_summary_csv(reports, path) -> None:
@@ -132,11 +130,11 @@ def write_stage_summary_csv(reports, path) -> None:
         groups.setdefault((s.ordering, s.r, s.subset_size), []).append(s)
     rows = []
     for (ordering, r, size), group in sorted(groups.items()):
-        row = [ordering, f17(r), size, len(group)]
+        row = [ordering, r, size, len(group)]
         for metric in ("accuracy", "precision_micro", "recall_micro", "f1_micro"):
             values = [getattr(s, metric) for s in group]
             mean = statistics.fmean(values)
             std = statistics.stdev(values) if len(values) > 1 else 0.0
-            row += [f17(mean), f17(std)]
+            row += [mean, std]
         rows.append(row)
     write_csv(path, _SUMMARY_HEADER, rows)

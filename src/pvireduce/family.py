@@ -336,11 +336,8 @@ def predict_dist_matrix(model: Model, X: sp.csr_matrix) -> np.ndarray:
 
 def predict_dist(model: Model, premise: str, hypothesis: str) -> np.ndarray:
     hp = model.hyperparams
-    vec = featurize(premise, hypothesis, hp.hash_bits, hp.ngram_orders)
-    logits = model.bias.copy()
-    for bucket, weight in vec.items():
-        logits += weight * model.weights[:, bucket]
-    return _softmax(logits)
+    _, buckets, counts = _hashed_counts([premise], [hypothesis], hp.hash_bits, hp.ngram_orders)
+    return _softmax(model.bias + model.weights[:, buckets] @ counts)
 
 
 def log2_prob(model: Model, premise: str, hypothesis: str, label: int) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 from .corpus import Dataset
 from .family import (Hyperparams, Model, feature_matrix, predict_dist_matrix,
                      train, train_null)
-from .tables import atomic_write_text, f17, read_csv, write_csv
+from .tables import atomic_write_text, read_csv, write_csv
 
 
 @dataclass(frozen=True)
@@ -120,18 +120,17 @@ def pvi_histogram(records, num_bins: int, value_range: tuple[float, float]):
 # ---------------------------------------------------------------------------
 # export
 
-_CSV_HEADER = ["original_index", "null_log2prob", "cond_log2prob", "pvi"]
+_CSV_COLUMNS = {"original_index": int, "null_log2prob": float,
+                "cond_log2prob": float, "pvi": float}
 
 
 def write_records_csv(records, path) -> None:
-    write_csv(path, _CSV_HEADER,
-              ([r.original_index, f17(r.null_log2prob), f17(r.cond_log2prob), f17(r.pvi)]
-               for r in records))
+    write_csv(path, _CSV_COLUMNS,
+              ([r.original_index, r.null_log2prob, r.cond_log2prob, r.pvi] for r in records))
 
 
 def read_records_csv(path) -> tuple[PviRecord, ...]:
-    return tuple(PviRecord(int(a), float(b), float(c), float(d))
-                 for a, b, c, d in read_csv(path, _CSV_HEADER))
+    return tuple(read_csv(path, _CSV_COLUMNS, PviRecord))
 
 
 def write_records_jsonl(records, path) -> None:

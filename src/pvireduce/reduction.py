@@ -16,7 +16,7 @@ import numpy as np
 from .corpus import Dataset
 from .family import Hyperparams, evaluate, feature_matrix, train, train_null
 from .pvi import compute_pvi, rank_by_difficulty, records_by_index, train_scorers
-from .tables import f17, read_csv, write_csv
+from .tables import read_csv, write_csv
 
 STRATEGIES = ("pvi", "pvi_balanced", "random")
 
@@ -87,8 +87,7 @@ def random_select(train_ds: Dataset, r: float, seed: int) -> Dataset:
 
 
 def static_sweep(train_ds: Dataset, test_ds: Dataset, ratios, hp: Hyperparams,
-                 strategy: str = "pvi", variant: str | None = None,
-                 derived_seeds: bool = False, timing: bool = True,
+                 strategy: str = "pvi", derived_seeds: bool = False, timing: bool = True,
                  runtime_log=None) -> list[SweepPoint]:
     """Retrain at each reduction ratio and evaluate on the held-out set.
 
@@ -100,7 +99,7 @@ def static_sweep(train_ds: Dataset, test_ds: Dataset, ratios, hp: Hyperparams,
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    variant = variant or train_ds.provenance_tag
+    variant = train_ds.provenance_tag
     ratios = sorted(set(float(r) for r in ratios) | {0.0})
     for r in ratios:
         if not 0.0 <= r < 1.0:
@@ -153,18 +152,19 @@ def static_sweep(train_ds: Dataset, test_ds: Dataset, ratios, hp: Hyperparams,
 # ---------------------------------------------------------------------------
 # export
 
-_CSV_HEADER = ["variant", "strategy", "r", "subset_size", "cm_accuracy",
-               "eim_accuracy", "train_seconds", "seed"]
+_CSV_COLUMNS = {"variant": str, "strategy": str, "r": float, "subset_size": int,
+                "cm_accuracy": float, "eim_accuracy": float, "train_seconds": float,
+                "seed": int}
 
 
 def write_sweep_csv(points, path) -> None:
-    write_csv(path, _CSV_HEADER,
-              ([p.variant, p.strategy, f17(p.r), p.subset_size, f17(p.cm_accuracy),
-                f17(p.eim_accuracy), f17(p.train_seconds), p.seed] for p in points))
+    write_csv(path, _CSV_COLUMNS,
+              ([p.variant, p.strategy, p.r, p.subset_size, p.cm_accuracy,
+                p.eim_accuracy, p.train_seconds, p.seed] for p in points))
 
 
 def read_sweep_csv(path) -> list[SweepPoint]:
-    return [SweepPoint(float(r), int(size), float(cm), float(eim), float(secs),
-                       variant, strategy, strategy == "pvi_balanced", int(seed))
-            for variant, strategy, r, size, cm, eim, secs, seed
-            in read_csv(path, _CSV_HEADER)]
+    return read_csv(path, _CSV_COLUMNS,
+                    lambda variant, strategy, r, size, cm, eim, secs, seed: SweepPoint(
+                        r, size, cm, eim, secs, variant, strategy,
+                        strategy == "pvi_balanced", seed))

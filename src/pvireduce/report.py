@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .tables import f17, read_csv, write_csv
+from .tables import read_csv, write_csv
 
 UNITS = ("chars", "tokens")
 
@@ -98,14 +98,12 @@ def bucket_proportions(dataset, edges=DEFAULT_BUCKET_EDGES,
 def write_length_stats_csv(stats: LengthStats, path) -> None:
     keys = ("min", "max", "median", "mean")
     write_csv(path, ["label", *keys],
-              ([label] + [f17(stats.rows[label][k]) for k in keys]
-               for label in sorted(stats.rows)))
+              ([label] + [stats.rows[label][k] for k in keys] for label in sorted(stats.rows)))
 
 
 def write_bucket_csv(buckets: BucketProportions, path) -> None:
     write_csv(path, ["label", "edge_label", "proportion"],
-              ([label, edge_label, f17(prop)]
-               for label in sorted(buckets.rows)
+              ([label, edge_label, prop] for label in sorted(buckets.rows)
                for edge_label, prop in zip(buckets.labels, buckets.rows[label])))
 
 
@@ -114,7 +112,7 @@ def write_bucket_csv(buckets: BucketProportions, path) -> None:
 
 PHASES = ("pvi_compute", "train_cm", "train_eim", "evaluate")
 
-_RUNTIME_HEADER = ["variant", "r", "phase", "seconds"]
+_RUNTIME_COLUMNS = {"variant": str, "r": float, "phase": str, "seconds": float}
 
 
 @dataclass(frozen=True)
@@ -145,15 +143,13 @@ class RuntimeLog:
         return tuple(self._records)
 
     def write_csv(self, path) -> None:
-        write_csv(path, _RUNTIME_HEADER,
-                  ([rec.variant, f17(rec.r), rec.phase, f17(rec.seconds)]
-                   for rec in self.records))
+        write_csv(path, _RUNTIME_COLUMNS,
+                  ([rec.variant, rec.r, rec.phase, rec.seconds] for rec in self.records))
 
     @classmethod
     def read_csv(cls, path) -> "RuntimeLog":
         log = cls()
-        for variant, r, phase, seconds in read_csv(path, _RUNTIME_HEADER):
-            log.record(variant, float(r), phase, float(seconds))
+        read_csv(path, _RUNTIME_COLUMNS, log.record)
         return log
 
 

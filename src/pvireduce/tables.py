@@ -1,4 +1,6 @@
-"""Atomic text output and header-checked CSV tables shared by every writer."""
+"""The one table layer: atomic text output, which makes its directory, and
+typed CSV tables, written with every float by f17 and read with every field
+cast, naming `<path>:<line>:` (and the column of a failed cast) in any error."""
 
 from __future__ import annotations
 
@@ -15,10 +17,12 @@ def f17(x: float) -> str:
 def atomic_write_text(path, text: str) -> None:
     """Write via a temp file in the target directory, then rename.
 
-    The temp file is created by open(), so the result gets the same
-    umask-derived permissions a plain open(path, "w") would give it.
+    The directory is made when missing. The temp file is created by open(),
+    so the result gets the same umask-derived permissions a plain
+    open(path, "w") would give it.
     """
-    directory = os.path.dirname(os.path.abspath(path)) or "."
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
     tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
     try:
         with open(tmp, "x", encoding="utf-8") as fh:
@@ -30,26 +34,34 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-def write_csv(path, header, rows) -> None:
-    """Header plus rows, LF-terminated, written atomically."""
+def write_csv(path, columns, rows) -> None:
+    """Header plus rows, LF-terminated, written atomically; floats by f17."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerow(list(columns))
+    writer.writerows([f17(v) if isinstance(v, float) else v for v in row] for row in rows)
     atomic_write_text(path, buf.getvalue())
 
 
-def read_csv(path, header) -> list[list[str]]:
-    """The data rows of a CSV whose first row must equal `header`."""
+def read_csv(path, columns: dict, make=lambda *fields: list(fields)) -> list:
+    """make(*fields) per row below the header list(columns), cast by column type."""
+    header = list(columns)
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         found = next(reader, None)
-        if found != list(header):
-            raise ValueError(f"{path}: expected CSV header {list(header)}, got {found}")
+        if found != header:
+            raise ValueError(f"{path}: expected CSV header {header}, got {found}")
         rows = []
         for row in reader:
             if len(row) != len(header):
                 raise ValueError(f"{path}:{reader.line_num}: expected {len(header)} "
                                  f"fields, got {len(row)}")
-            rows.append(row)
+            fields = []
+            try:
+                for name, value in zip(header, row):
+                    fields.append(columns[name](value))
+                rows.append(make(*fields))
+            except ValueError as exc:
+                column = f" {name}:" if len(fields) < len(header) else ""
+                raise ValueError(f"{path}:{reader.line_num}:{column} {exc}") from None
         return rows

@@ -405,3 +405,64 @@ def test_manifest_records_every_flag_given(tmp_path, corpora):
     assert config["hyperparams"]["epochs"] == 1
     # the resolved hyperparams stand in for --config and the flags they override
     assert not {"config", "seed", "epochs", "learning_rate", "out_dir"} & config.keys()
+
+
+@pytest.fixture(scope="module")
+def sweep_tables(tmp_path_factory, corpora):
+    train, test = corpora
+    out = tmp_path_factory.mktemp("tables")
+    assert _run(["sweep", "--train", train, "--test", test, "--out-dir", out,
+                 "--ratios", "0,0.3", "--epochs", "1", "--no-timing"]) == 0
+    return out / "sweep.csv", out / "runtime.csv"
+
+
+@pytest.mark.parametrize("flag, line, old, new, named", [
+    ("--sweep-csv", 2, ",pvi,0,", ",pvi,zero,", ":2: r: could not convert string to float: 'zero'"),
+    ("--sweep-csv", 3, ",1\n", ",one\n", ":3: seed: invalid literal for int()"),
+    ("--runtime-csv", 3, "train_cm", "train_xx", ":3: unknown phase 'train_xx'"),
+    ("--runtime-csv", 2, ",0\n", ",-1\n", ":2: seconds must be >= 0"),
+    ("--runtime-csv", 4, ",0,", ",x,", ":4: r: could not convert string to float: 'x'"),
+])
+def test_report_names_file_line_and_field_of_a_bad_table(tmp_path, capsys, sweep_tables,
+                                                         flag, line, old, new, named):
+    source = sweep_tables[0] if flag == "--sweep-csv" else sweep_tables[1]
+    lines = source.read_text().splitlines(keepends=True)
+    lines[line - 1] = lines[line - 1].replace(old, new)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("".join(lines))
+    out = tmp_path / "out"
+    assert _run(["report", flag, bad, "--out-dir", out]) == 2
+    err = capsys.readouterr().err
+    assert f"data error: {bad}{named}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_gen_makes_the_output_directory(tmp_path):
+    out = tmp_path / "newdir" / "x.jsonl"
+    assert _run(["gen", "--n", "10", "--out", out, "--no-timing"]) == 0
+    assert sorted(p.name for p in out.parent.iterdir()) == ["manifest.json", "x.jsonl"]
+
+
+@pytest.mark.parametrize("args", [
+    ["gen", "--n", "10", "--out", "{file}/x.jsonl"],
+    ["stats", "--data", "{train}", "--out-dir", "{file}"],
+    ["stats", "--data", "{train}", "--out-dir", "{file}/sub"],
+], ids=lambda args: " ".join(args))
+def test_output_under_a_regular_file_is_data_error(tmp_path, capsys, corpora, args):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    argv = [a.format(file=afile, train=corpora[0]) for a in args]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(afile) in err and ".tmp-" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+
+
+@pytest.mark.parametrize("mix", ["--mix=0.5,0.5", "--mix=0.1,0.2,0.3,0.4",
+                                 "--mix=1.5,-0.5,0"])
+def test_gen_mix_must_be_three_fractions_at_least_zero(tmp_path, capsys, mix):
+    out = tmp_path / "new" / "x.jsonl"
+    assert _run(["gen", "--n", "10", mix, "--out", out]) == 2
+    assert "data error: difficulty_mix must be three fractions >= 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
