@@ -118,7 +118,6 @@ class EvalReport:
     precision_micro: float
     recall_micro: float
     f1_micro: float
-    per_class_counts: tuple[tuple[int, int, int], ...]  # (tp, fp, fn) per class
 
 
 # ---------------------------------------------------------------------------
@@ -365,28 +364,19 @@ def constant_predictor(dist, hp: Hyperparams | None = None) -> Model:
 
 
 def evaluate(model: Model, dataset: Dataset, features: sp.csr_matrix | None = None) -> EvalReport:
-    """Accuracy and micro-averaged P/R/F1; argmax ties break to the lowest class."""
+    """Accuracy and micro-averaged P/R/F1; argmax ties break to the lowest class.
+
+    Each instance has one gold label and one prediction, so each miss is one
+    false positive and one false negative: tp + fp = tp + fn = n, and micro
+    precision and recall both equal accuracy, correct / n.
+    """
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     X = feature_matrix(dataset, model.hyperparams) if features is None else features
-    probs = predict_dist_matrix(model, X)
-    preds = probs.argmax(axis=1)
-    y = dataset.labels()
-    counts = []
-    tp_total = fp_total = fn_total = 0
-    for c in range(model.num_classes):
-        tp = int(np.sum((preds == c) & (y == c)))
-        fp = int(np.sum((preds == c) & (y != c)))
-        fn = int(np.sum((preds != c) & (y == c)))
-        counts.append((tp, fp, fn))
-        tp_total += tp
-        fp_total += fp
-        fn_total += fn
-    precision = tp_total / (tp_total + fp_total) if tp_total + fp_total else 0.0
-    recall = tp_total / (tp_total + fn_total) if tp_total + fn_total else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    accuracy = float(np.mean(preds == y))
-    return EvalReport(accuracy, precision, recall, f1, tuple(counts))
+    preds = predict_dist_matrix(model, X).argmax(axis=1)
+    accuracy = float(np.mean(preds == dataset.labels()))
+    f1 = 2 * accuracy * accuracy / (accuracy + accuracy) if accuracy else 0.0
+    return EvalReport(accuracy, accuracy, accuracy, f1)
 
 
 # ---------------------------------------------------------------------------
@@ -414,20 +404,39 @@ def save_model(model: Model, path) -> None:
 
 
 def load_model(path) -> Model:
-    """Read a save_model file, format 2 or the older format 1."""
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    version = payload.get("format_version")
-    if version == _FORMAT_VERSION:
-        hp = Hyperparams.from_dict(payload["hyperparams"])
-    elif version == 1:
-        hp = Hyperparams.from_dict({key: payload[key] for key in _FORMAT_1_KEYS})
-    else:
-        raise ValueError(f"unsupported model format version {version}")
-    C = payload["num_classes"]
-    W = np.zeros((C, hp.dim))
-    for c, j, v in payload["weights"]:
-        W[c, j] = float(v)
-    bias = np.array([float(v) for v in payload["bias"]])
-    losses = tuple(float(v) for v in payload["epoch_losses"])
+    """Read a save_model file, format 2 or the older format 1.
+
+    Invalid or too deeply nested JSON, a missing key, a weight outside the
+    num_classes x 2**hash_bits matrix, or a bias whose length is not
+    num_classes raises ValueError naming the path.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        version = payload.get("format_version")
+        if version == _FORMAT_VERSION:
+            hp = Hyperparams.from_dict(payload["hyperparams"])
+        elif version == 1:
+            hp = Hyperparams.from_dict({key: payload[key] for key in _FORMAT_1_KEYS})
+        else:
+            raise ValueError(f"unsupported model format version {version}")
+        C = payload["num_classes"]
+        W = np.zeros((C, hp.dim))
+        for c, j, v in payload["weights"]:
+            if not all(type(i) is int and 0 <= i < n for i, n in ((c, C), (j, hp.dim))):
+                raise ValueError(f"weight index ({c!r}, {j!r}) is outside "
+                                 f"{C} classes x {hp.dim} columns")
+            W[c, j] = float(v)
+        bias = np.array([float(v) for v in payload["bias"]])
+        if len(bias) != C:
+            raise ValueError(f"bias holds {len(bias)} entries for {C} classes")
+        losses = tuple(float(v) for v in payload["epoch_losses"])
+    except RecursionError:
+        raise ValueError(f"{path}: invalid JSON (nested too deeply)") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON ({exc})") from None
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return Model(W, bias, C, hp, payload.get("trained_on", ""), losses)

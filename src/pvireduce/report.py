@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import bisect
+import math
+import statistics
 from dataclasses import dataclass
 
 from .tables import read_csv, write_csv
@@ -16,17 +19,15 @@ class ReportError(ValueError):
     pass
 
 
-def _length(text: str, unit: str) -> int:
-    if unit == "chars":
-        return len(text)
-    if unit == "tokens":
-        return len(text.split())
-    raise ValueError(f"unknown length unit {unit!r}")
-
-
-def _lower_median(sorted_values) -> float:
-    # lower-middle convention for even counts
-    return float(sorted_values[(len(sorted_values) - 1) // 2])
+def _lengths_by_label(dataset, unit: str) -> dict[int, list[int]]:
+    """Hypothesis lengths per label in one pass, ascending by label."""
+    if unit not in UNITS:
+        raise ValueError(f"unknown length unit {unit!r}")
+    grouped = {}
+    for inst in dataset:
+        n = len(inst.hypothesis) if unit == "chars" else len(inst.hypothesis.split())
+        grouped.setdefault(inst.label, []).append(n)
+    return dict(sorted(grouped.items()))
 
 
 @dataclass(frozen=True)
@@ -48,15 +49,11 @@ def length_stats(dataset, unit: str = "chars") -> LengthStats:
     if len(dataset) == 0:
         raise ReportError("empty dataset")
     rows = {}
-    for c in range(dataset.num_classes):
-        lengths = sorted(_length(inst.hypothesis, unit)
-                         for inst in dataset if inst.label == c)
-        if not lengths:
-            continue
+    for c, lengths in _lengths_by_label(dataset, unit).items():
         rows[c] = {
-            "min": float(lengths[0]),
-            "max": float(lengths[-1]),
-            "median": _lower_median(lengths),
+            "min": float(min(lengths)),
+            "max": float(max(lengths)),
+            "median": float(statistics.median_low(lengths)),
             "mean": sum(lengths) / len(lengths),
         }
     return LengthStats(unit, rows)
@@ -77,18 +74,12 @@ def bucket_proportions(dataset, edges=DEFAULT_BUCKET_EDGES,
         raise ReportError(f"bucket edges must be strictly increasing, got {edges}")
     labels = bucket_labels(edges)
     rows = {}
-    for c in range(dataset.num_classes):
+    for c, lengths in _lengths_by_label(dataset, unit).items():
         counts = [0] * (len(edges) + 1)
-        total = 0
-        for inst in dataset:
-            if inst.label != c:
-                continue
-            n = _length(inst.hypothesis, unit)
-            bucket = next((i for i, e in enumerate(edges) if n <= e), len(edges))
-            counts[bucket] += 1
-            total += 1
-        if total:
-            rows[c] = tuple(k / total for k in counts)
+        for n in lengths:
+            # the first bucket whose upper edge is >= n; the edges ascend strictly
+            counts[bisect.bisect_left(edges, n)] += 1
+        rows[c] = tuple(k / len(lengths) for k in counts)
     return BucketProportions(unit, edges, labels, rows)
 
 
@@ -130,8 +121,8 @@ class RuntimeLog:
         self._records: list[RuntimeRecord] = []
 
     def record(self, variant: str, r: float, phase: str, seconds: float) -> RuntimeRecord:
-        if seconds < 0:
-            raise ValueError("seconds must be >= 0")
+        if not 0 <= seconds < math.inf:
+            raise ValueError(f"seconds must be >= 0 and finite, got {seconds!r}")
         if phase not in PHASES:
             raise ValueError(f"unknown phase {phase!r}")
         rec = RuntimeRecord(variant, float(r), phase, float(seconds))

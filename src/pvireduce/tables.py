@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 
 
@@ -44,7 +45,8 @@ def write_csv(path, columns, rows) -> None:
 
 
 def read_csv(path, columns: dict, make=lambda *fields: list(fields)) -> list:
-    """make(*fields) per row below the header list(columns), cast by column type."""
+    """make(*fields) per row below the header list(columns), cast by column type;
+    a float field must be finite."""
     header = list(columns)
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -59,7 +61,10 @@ def read_csv(path, columns: dict, make=lambda *fields: list(fields)) -> list:
             fields = []
             try:
                 for name, value in zip(header, row):
-                    fields.append(columns[name](value))
+                    field = columns[name](value)
+                    if columns[name] is float and not math.isfinite(field):
+                        raise ValueError(f"{value!r} is not a finite number")
+                    fields.append(field)
                 rows.append(make(*fields))
             except ValueError as exc:
                 column = f" {name}:" if len(fields) < len(header) else ""

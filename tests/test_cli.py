@@ -438,6 +438,38 @@ def test_report_names_file_line_and_field_of_a_bad_table(tmp_path, capsys, sweep
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, column, value", [
+    ("--sweep-csv", "cm_accuracy", "nan"),
+    ("--sweep-csv", "r", "inf"),
+    ("--runtime-csv", "seconds", "nan"),
+    ("--runtime-csv", "seconds", "-inf"),
+])
+def test_report_refuses_non_finite_numbers(tmp_path, capsys, sweep_tables, flag, column,
+                                           value):
+    source = sweep_tables[0] if flag == "--sweep-csv" else sweep_tables[1]
+    header, first, *rest = source.read_text().splitlines()
+    cells = first.split(",")
+    cells[header.split(",").index(column)] = value
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
+    out = tmp_path / "out"
+    assert _run(["report", flag, bad, "--out-dir", out]) == 2
+    err = capsys.readouterr().err
+    assert f"data error: {bad}:2: {column}: '{value}' is not a finite number" in err
+    assert not out.exists()
+
+
+def test_jsonl_line_nested_too_deeply_is_data_error(tmp_path, capsys):
+    deep = tmp_path / "deep.jsonl"
+    depth = 10 * sys.getrecursionlimit()
+    deep.write_text("[" * depth + "]" * depth + "\n")
+    out = tmp_path / "out"
+    assert _run(["pvi", "--train", deep, "--out-dir", out, "--no-timing"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"data error: {deep}: line 1: invalid JSON (nested too deeply)\n"
+    assert not out.exists()
+
+
 def test_gen_makes_the_output_directory(tmp_path):
     out = tmp_path / "newdir" / "x.jsonl"
     assert _run(["gen", "--n", "10", "--out", out, "--no-timing"]) == 0

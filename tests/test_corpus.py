@@ -1,4 +1,6 @@
+import codecs
 import json
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -11,7 +13,7 @@ from pvireduce import (Dataset, Hyperparams, LabeledInstance, NoiseSpec,
                        evaluate, filter_invalid, generate_synthetic,
                        inject_noise, load_dataset, make_imbalanced, serialize,
                        to_null_view, train)
-from pvireduce.corpus import (_EASY_KEYWORDS, DataError,
+from pvireduce.corpus import (_EASY_KEYWORDS, DEFAULT_LABELS, DataError,
                               synthetic_difficulty_tags)
 
 
@@ -280,6 +282,73 @@ def test_load_invalid_utf8_names_line(tmp_path, fmt, good, bad, newline):
     path.write_bytes(newline.join([good, good, bad, good]) + newline)
     with pytest.raises(DataError, match=r"line 3: invalid UTF-8 byte 0x(ff|c3)"):
         load_dataset(path, fmt, 3)
+
+
+@pytest.mark.parametrize("fmt, good, bad", [
+    ("jsonl", b'{"premise": "a", "hypothesis": "b", "label": 0}',
+     b'{"premise": "a\xffb", "hypothesis": "b", "label": 0}'),
+    ("tsv", b"a\tb\tneutral", b"a\tb\xc3\tneutral"),
+], ids=["jsonl", "tsv"])
+@pytest.mark.parametrize("lines, tail, where", [
+    ("good good bad good", b"\r", 3),   # a CR-terminated bad line
+    ("good good good bad", b"", 4),      # a bad final line with no newline
+], ids=["cr", "no-final-newline"])
+def test_load_invalid_utf8_names_line_at_any_line_end(tmp_path, fmt, good, bad,
+                                                       lines, tail, where):
+    path = tmp_path / f"d.{fmt}"
+    rows = [good if name == "good" else bad for name in lines.split()]
+    path.write_bytes(b"\r".join(rows) + tail)
+    with pytest.raises(DataError, match=rf"line {where}: invalid UTF-8 byte 0x(ff|c3)"):
+        load_dataset(path, fmt, 3)
+
+
+def test_load_jsonl_refuses_a_line_nested_too_deeply(tmp_path):
+    path = tmp_path / "deep.jsonl"
+    depth = 10 * sys.getrecursionlimit()
+    path.write_text('{"premise": "a", "hypothesis": "b", "label": 0}\n'
+                    + "[" * depth + "]" * depth + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"^line 2: invalid JSON \(nested too deeply\)$"):
+        load_dataset(path, "jsonl", 3)
+
+
+def _text_mode_reference(path, fmt):
+    """Reference for load_dataset on a valid file: text-mode reading with utf-8-sig,
+    which drops a leading BOM and ends a line at LF, CR or CRLF."""
+    instances = []
+    with open(path, encoding="utf-8-sig") as fh:
+        for index, line in enumerate(fh):
+            text = line.rstrip("\n")
+            if fmt == "jsonl":
+                rec = json.loads(text)
+                premise, hypothesis, label = rec["premise"], rec["hypothesis"], rec["label"]
+            else:
+                premise, hypothesis, label = text.split("\t")
+            instances.append(LabeledInstance(index, premise, hypothesis,
+                                             DEFAULT_LABELS.index(label)))
+    return Dataset(tuple(instances), 3)
+
+
+_LINE_ENDS = {"lf": ["\n"], "crlf": ["\r\n"], "cr": ["\r"], "mixed": ["\n", "\r\n", "\r"]}
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "tsv"])
+@pytest.mark.parametrize("ends", list(_LINE_ENDS))
+@pytest.mark.parametrize("bom", [False, True], ids=["no-bom", "bom"])
+@pytest.mark.parametrize("final_newline", [False, True], ids=["no-final", "final"])
+def test_load_matches_text_mode_reading(tmp_path, fmt, ends, bom, final_newline):
+    ds = generate_synthetic(7, 3, seed=5)
+    path = tmp_path / f"d.{fmt}"
+    serialize(ds, path, fmt)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    seps = [_LINE_ENDS[ends][i % len(_LINE_ENDS[ends])] for i in range(len(lines))]
+    text = "".join(line + sep for line, sep in zip(lines, seps))
+    if not final_newline:
+        text = text[:-len(seps[-1])]
+    path.write_bytes((codecs.BOM_UTF8 if bom else b"") + text.encode("utf-8"))
+    loaded = load_dataset(path, fmt, 3)
+    assert loaded == _text_mode_reference(path, fmt)
+    assert [(i.premise, i.hypothesis, i.label) for i in loaded] == \
+        [(i.premise, i.hypothesis, i.label) for i in ds]
 
 
 @pytest.mark.parametrize("field", ["premise", "hypothesis"])

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import sys
 import tempfile
 import zlib
 from dataclasses import fields, replace
@@ -228,6 +230,50 @@ def test_evaluate_all_correct():
         assert report.precision_micro == 1.0
         assert report.recall_micro == 1.0
     assert report.accuracy >= 0.99
+
+
+def _per_class_evaluate(model, dataset):
+    """Reference for evaluate(): micro P/R/F1 summed from per-class (tp, fp, fn)."""
+    X = feature_matrix(dataset, model.hyperparams)
+    preds = predict_dist_matrix(model, X).argmax(axis=1)
+    y = dataset.labels()
+    tp_total = fp_total = fn_total = 0
+    for c in range(model.num_classes):
+        tp_total += int(np.sum((preds == c) & (y == c)))
+        fp_total += int(np.sum((preds == c) & (y != c)))
+        fn_total += int(np.sum((preds != c) & (y == c)))
+    precision = tp_total / (tp_total + fp_total) if tp_total + fp_total else 0.0
+    recall = tp_total / (tp_total + fn_total) if tp_total + fn_total else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return float(np.mean(preds == y)), precision, recall, f1
+
+
+@settings(max_examples=200, deadline=None)
+@given(classes=st.integers(2, 3), mode=st.sampled_from(["random", "all_correct", "all_wrong"]),
+       data=st.data())
+def test_evaluate_matches_per_class_reference(classes, mode, data):
+    hp = Hyperparams(hash_bits=4, ngram_orders=(1, 2))
+    n = data.draw(st.integers(1, 12), label="n")
+    texts = st.text("abcd ", max_size=6)
+    if mode == "random":
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        model = Model(rng.normal(size=(classes, hp.dim)), rng.normal(size=classes),
+                      classes, hp)
+        labels = st.integers(0, classes - 1)
+    else:
+        # zero weights and a one-hot bias: every prediction is class k
+        k = data.draw(st.integers(0, classes - 1), label="k")
+        model = Model(np.zeros((classes, hp.dim)), 5.0 * np.eye(classes)[k], classes, hp)
+        others = [c for c in range(classes) if c != k]
+        labels = st.just(k) if mode == "all_correct" else st.sampled_from(others)
+    rows = data.draw(st.lists(st.tuples(texts, texts, labels), min_size=n, max_size=n),
+                     label="rows")
+    ds = Dataset(tuple(LabeledInstance(i, *row) for i, row in enumerate(rows)), classes)
+    report = evaluate(model, ds)
+    got = (report.accuracy, report.precision_micro, report.recall_micro, report.f1_micro)
+    assert got == _per_class_evaluate(model, ds)
+    if mode != "random":
+        assert report.accuracy == (1.0 if mode == "all_correct" else 0.0)
 
 
 def test_gradient_matches_finite_differences(small_train):
@@ -475,3 +521,54 @@ def test_hyperparams_dict_roundtrip():
 def test_hyperparams_from_dict_refuses_and_names_key(values, key):
     with pytest.raises(ValueError, match=key):
         Hyperparams.from_dict(values)
+
+
+def _saved_payload(tmp_path):
+    """A saved 3-class model with hash_bits 4, as a JSON payload, and its path."""
+    path = tmp_path / "model.json"
+    model = constant_predictor([0.25, 0.25, 0.5], Hyperparams(hash_bits=4))
+    save_model(replace(model, weights=np.eye(3, 16)), path)
+    return json.loads(path.read_text()), path
+
+
+@pytest.mark.parametrize("key", ["weights", "bias", "num_classes", "hyperparams"])
+def test_load_model_names_a_missing_key(tmp_path, key):
+    payload, path = _saved_payload(tmp_path)
+    del payload[key]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: missing key '{key}'$"):
+        load_model(path)
+
+
+def test_load_model_names_a_file_that_is_not_json(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text('{"format_version": 2, ')
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: invalid JSON"):
+        load_model(path)
+
+
+def test_load_model_names_json_nested_too_deeply(tmp_path):
+    path = tmp_path / "model.json"
+    depth = 10 * sys.getrecursionlimit()
+    path.write_text("[" * depth + "]" * depth)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: invalid JSON \(nested too deeply\)$"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("entry", [[5, 0, 1.0], [3, 0, 1.0], [-1, 0, 1.0],
+                                   [0, 16, 1.0], [0, -1, 1.0]])
+def test_load_model_refuses_a_weight_outside_the_matrix(tmp_path, entry):
+    payload, path = _saved_payload(tmp_path)
+    payload["weights"].append(entry)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: weight index \({entry[0]}, {entry[1]}\)"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("bias", [["0.5", "-0.5"], ["0", "0", "0", "0"]])
+def test_load_model_refuses_a_bias_of_another_length(tmp_path, bias):
+    payload, path = _saved_payload(tmp_path)
+    payload["bias"] = bias
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: bias holds {len(bias)} entries for 3 classes"):
+        load_model(path)

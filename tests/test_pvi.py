@@ -195,7 +195,7 @@ def test_jsonl_export(tmp_path, scored):
     records, _, _ = scored
     path = tmp_path / "pvi.jsonl"
     write_records_jsonl(records, path)
-    rows = [json.loads(line) for line in open(path)]
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
     assert len(rows) == len(records)
     assert rows[0]["original_index"] == records[0].original_index
     assert rows[0]["pvi"] == pytest.approx(records[0].pvi, abs=0)

@@ -84,6 +84,35 @@ def test_bucket_proportions_sum_to_one(lengths):
     assert all(p >= 0 for p in props)
 
 
+def _linear_bucket_rows(lengths_by_label, edges):
+    """Reference for bucket_proportions: a linear search for each length's bucket."""
+    rows = {}
+    for label, lengths in lengths_by_label.items():
+        counts = [0] * (len(edges) + 1)
+        for n in lengths:
+            counts[next((i for i, e in enumerate(edges) if n <= e), len(edges))] += 1
+        rows[label] = tuple(k / len(lengths) for k in counts)
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_bucket_proportions_match_linear_search(data):
+    edges = tuple(sorted(data.draw(st.sets(st.integers(0, 60), min_size=1, max_size=6),
+                                   label="edges")))
+    # lengths on, next to and between the edges
+    near = st.sampled_from(edges).flatmap(lambda e: st.sampled_from([e - 1, e, e + 1]))
+    length = st.one_of(near, st.integers(0, 70)).filter(lambda n: n >= 0)
+    lengths_by_label = data.draw(st.dictionaries(
+        st.integers(0, 2), st.lists(length, min_size=1, max_size=20), min_size=1),
+        label="lengths")
+    lengths_by_label = dict(sorted(lengths_by_label.items()))
+    instances = [(label, n) for label, lengths in lengths_by_label.items() for n in lengths]
+    ds = Dataset(tuple(LabeledInstance(i, "p", "h" * n, label)
+                       for i, (label, n) in enumerate(instances)), num_classes=3)
+    assert bucket_proportions(ds, edges).rows == _linear_bucket_rows(lengths_by_label, edges)
+
+
 def test_stats_csv_outputs(tmp_path):
     ds = generate_synthetic(100, 3, (0.5, 0.3, 0.2), seed=4)
     write_length_stats_csv(length_stats(ds), tmp_path / "stats.csv")

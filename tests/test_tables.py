@@ -86,6 +86,27 @@ def test_every_reader_names_path_line_and_column(tmp_path, write, column):
         read(path)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "-Infinity"])
+@pytest.mark.parametrize("write, column", [(_sweep, "r"), (_sweep, "cm_accuracy"),
+                                           (_stages, "accuracy"), (_records, "pvi"),
+                                           (_runtime, "r"), (_runtime, "seconds")])
+def test_every_reader_refuses_non_finite_floats(tmp_path, write, column, value):
+    path = tmp_path / "t.csv"
+    read = write(path)
+    header, row = (line.split(",") for line in path.read_text().splitlines())
+    row[header.index(column)] = value
+    path.write_text(",".join(header) + "\n" + ",".join(row) + "\n")
+    with pytest.raises(ValueError, match=rf"{re.escape(str(path))}:2: {column}: "
+                                         rf"'{value}' is not a finite number"):
+        read(path)
+
+
+@pytest.mark.parametrize("seconds", [float("nan"), float("inf"), -1.0])
+def test_runtime_log_refuses_non_finite_or_negative_seconds(seconds):
+    with pytest.raises(ValueError, match="seconds must be >= 0 and finite"):
+        RuntimeLog().record("original", 0.0, "train_cm", seconds)
+
+
 @pytest.mark.parametrize("row, named", [("original,0,train_xx,0", "unknown phase 'train_xx'"),
                                         ("original,0,train_cm,-1", "seconds must be >= 0")])
 def test_runtime_csv_names_the_line_of_a_bad_record(tmp_path, row, named):
