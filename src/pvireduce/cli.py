@@ -160,7 +160,7 @@ def _count(raw: str) -> int:
 # subcommands
 
 def cmd_gen(args):
-    ds = generate_synthetic(args.n, args.classes, tuple(args.mix), args.seed)
+    ds = generate_synthetic(args.n, difficulty_mix=tuple(args.mix), seed=args.seed)
     serialize(ds, args.out, args.format)
     write_manifest(os.path.dirname(os.path.abspath(args.out)), args, {"out": args.out})
     return 0
@@ -287,7 +287,6 @@ def build_parser() -> _Parser:
 
     p = subcommand("gen", cmd_gen, "generate a synthetic corpus", "--format")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--classes", type=int, default=3)
     p.add_argument("--mix", type=_float_list, default=[0.5, 0.3, 0.2])
     p.add_argument("--seed", type=int, default=1, help="random seed")
     p.add_argument("--out", required=True)

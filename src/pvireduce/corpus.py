@@ -79,14 +79,10 @@ class Dataset:
 class NoiseSpec:
     replacement_ratio: float
     seed: int
-    corruption_kinds: tuple[str, ...] = CORRUPTION_KINDS
 
     def __post_init__(self):
         if not 0.0 <= self.replacement_ratio <= 1.0:
             raise ValueError(f"replacement_ratio must be in [0,1], got {self.replacement_ratio}")
-        for kind in self.corruption_kinds:
-            if kind not in CORRUPTION_KINDS:
-                raise ValueError(f"unknown corruption kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +223,9 @@ def to_null_view(dataset: Dataset) -> Dataset:
 # ---------------------------------------------------------------------------
 # corruption
 
-def _corrupt_text(text: str, kinds, rng: np.random.Generator) -> str:
+def _corrupt_text(text: str, rng: np.random.Generator) -> str:
     out = text
-    for kind in kinds:
+    for kind in CORRUPTION_KINDS:
         if kind == "char-swap" and len(out) >= 2:
             i = int(rng.integers(0, len(out) - 1))
             out = out[:i] + out[i + 1] + out[i] + out[i + 2:]
@@ -272,8 +268,8 @@ def inject_noise(dataset: Dataset, spec: NoiseSpec) -> Dataset:
             sub = np.random.default_rng([spec.seed, inst.original_index])
             out.append(replace(
                 inst,
-                premise=_corrupt_text(inst.premise, spec.corruption_kinds, sub),
-                hypothesis=_corrupt_text(inst.hypothesis, spec.corruption_kinds, sub),
+                premise=_corrupt_text(inst.premise, sub),
+                hypothesis=_corrupt_text(inst.hypothesis, sub),
             ))
         else:
             out.append(inst)

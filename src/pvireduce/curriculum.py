@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace as dc_replace
 from .corpus import Dataset
 from .family import Hyperparams, evaluate, feature_matrix, train
 from .pvi import compute_pvi, rank_by_difficulty, records_by_index, train_scorers
-from .reduction import select_subset
+from .reduction import retained_count, select_subset
 from .tables import read_csv, write_csv
 
 ORDERINGS = ("easy_first", "hard_first", "original")
@@ -70,8 +70,7 @@ def progressive_train(train_ds: Dataset, test_ds: Dataset, hp: Hyperparams,
     if ordering not in ORDERINGS:
         raise ValueError(f"unknown ordering {ordering!r}")
     for r in ratios:
-        if not 0.0 <= float(r) < 1.0:
-            raise ValueError(f"reduction ratio must be in [0,1), got {r}")
+        retained_count(len(train_ds), r)  # checks the range before any training
     X_train = feature_matrix(train_ds, hp)
     X_test = feature_matrix(test_ds, hp)
     clock = time.perf_counter if timing else (lambda: 0.0)

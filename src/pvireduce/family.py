@@ -137,30 +137,28 @@ def featurize(premise: str, hypothesis: str, hash_bits: int = 16,
     1.0 to bucket crc32(salt + utf-8 bytes) & (2**hash_bits - 1). Premise
     and hypothesis n-grams are salted differently so the same substring
     lands in different buckets per field. Empty texts yield the empty vector.
+    The arguments are checked as Hyperparams checks its fields.
     """
-    _, indices, data = _hashed_counts([premise], [hypothesis], hash_bits, ngram_orders)
+    hp = Hyperparams(hash_bits=hash_bits, ngram_orders=tuple(ngram_orders))
+    _, indices, data = _hashed_counts([premise], [hypothesis], hp)
     return dict(zip(indices.tolist(), data.tolist()))
 
 
 def feature_matrix(dataset: Dataset, hp: Hyperparams) -> sp.csr_matrix:
     """CSR matrix of featurize() applied to every instance, in dataset order."""
     indptr, indices, data = _hashed_counts(
-        [inst.premise for inst in dataset], [inst.hypothesis for inst in dataset],
-        hp.hash_bits, hp.ngram_orders)
+        [inst.premise for inst in dataset], [inst.hypothesis for inst in dataset], hp)
     return sp.csr_matrix((data, indices, indptr), shape=(len(dataset), hp.dim))
 
 
-def _hashed_counts(premises, hypotheses, hash_bits: int, ngram_orders):
+def _hashed_counts(premises, hypotheses, hp: Hyperparams):
     """CSR arrays (indptr, indices, data) of featurize() over the rows, in numpy.
 
     Rows go in chunks of _CHUNK_ROWS; each distinct n-gram is hashed once per
     call. Within a row the buckets ascend, and each count is an exact sum of 1.0s.
     """
-    if not ngram_orders or min(ngram_orders) < 1:
-        raise ValueError("ngram_orders must be a non-empty list of orders >= 1, "
-                         f"got {tuple(ngram_orders)!r}")
-    repeats = Counter(ngram_orders)
-    mask = (1 << hash_bits) - 1
+    repeats = Counter(hp.ngram_orders)
+    mask = hp.dim - 1
     # per field: its texts, its salt, and its gram -> bucket map, kept across chunks
     per_field = [(premises, _FIELD_SALTS["premise"], {}),
                  (hypotheses, _FIELD_SALTS["hypothesis"], {})]
@@ -170,9 +168,9 @@ def _hashed_counts(premises, hypotheses, hash_bits: int, ngram_orders):
         # one key per n-gram occurrence: (row in chunk) << hash_bits | bucket
         keys = []
         for texts, salt, buckets in per_field:
-            keys += _gram_keys(texts[lo:lo + n], salt, buckets, mask, hash_bits, repeats)
+            keys += _gram_keys(texts[lo:lo + n], salt, buckets, mask, hp.hash_bits, repeats)
         keys, counts = np.unique(np.concatenate(keys), return_counts=True)
-        indptr.append(indptr[-1][-1] + np.cumsum(np.bincount(keys >> hash_bits, minlength=n)))
+        indptr.append(indptr[-1][-1] + np.cumsum(np.bincount(keys >> hp.hash_bits, minlength=n)))
         indices.append(keys & mask)
         data.append(counts.astype(np.float64))
     return np.concatenate(indptr), np.concatenate(indices), np.concatenate(data)
@@ -320,10 +318,10 @@ def train_null(dataset: Dataset, hp: Hyperparams) -> Model:
 
 
 def training_order(m: int, hp: Hyperparams):
-    """Instance order consumed per epoch by train() for a size-m dataset."""
+    """Instance order consumed per epoch by train() for a size-m dataset, epoch by epoch."""
     rng = np.random.default_rng(hp.seed)
-    return [np.arange(m) if hp.preserve_order else rng.permutation(m)
-            for _ in range(hp.epochs)]
+    for _ in range(hp.epochs):
+        yield np.arange(m) if hp.preserve_order else rng.permutation(m)
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +332,7 @@ def predict_dist_matrix(model: Model, X: sp.csr_matrix) -> np.ndarray:
 
 
 def predict_dist(model: Model, premise: str, hypothesis: str) -> np.ndarray:
-    hp = model.hyperparams
-    _, buckets, counts = _hashed_counts([premise], [hypothesis], hp.hash_bits, hp.ngram_orders)
+    _, buckets, counts = _hashed_counts([premise], [hypothesis], model.hyperparams)
     return _softmax(model.bias + model.weights[:, buckets] @ counts)
 
 
@@ -406,21 +403,27 @@ def save_model(model: Model, path) -> None:
 def load_model(path) -> Model:
     """Read a save_model file, format 2 or the older format 1.
 
-    Invalid or too deeply nested JSON, a missing key, a weight outside the
-    num_classes x 2**hash_bits matrix, or a bias whose length is not
+    Invalid or too deeply nested JSON, a missing key or mistyped value, a weight
+    outside the num_classes x 2**hash_bits matrix, or a bias whose length is not
     num_classes raises ValueError naming the path.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise ValueError("expected a JSON object")
         version = payload.get("format_version")
         if version == _FORMAT_VERSION:
+            if not isinstance(payload["hyperparams"], dict):
+                raise ValueError("hyperparams must be a JSON object")
             hp = Hyperparams.from_dict(payload["hyperparams"])
         elif version == 1:
             hp = Hyperparams.from_dict({key: payload[key] for key in _FORMAT_1_KEYS})
         else:
             raise ValueError(f"unsupported model format version {version}")
         C = payload["num_classes"]
+        if type(C) is not int or C < 1:
+            raise ValueError(f"num_classes must be an integer >= 1, got {C!r}")
         W = np.zeros((C, hp.dim))
         for c, j, v in payload["weights"]:
             if not all(type(i) is int and 0 <= i < n for i, n in ((c, C), (j, hp.dim))):
@@ -437,6 +440,6 @@ def load_model(path) -> Model:
         raise ValueError(f"{path}: invalid JSON ({exc})") from None
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from None
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None
     return Model(W, bias, C, hp, payload.get("trained_on", ""), losses)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Dataset
-from .family import (Hyperparams, Model, feature_matrix, predict_dist_matrix,
+from .family import (Hyperparams, Model, feature_matrix, predict_dist, predict_dist_matrix,
                      train, train_null)
 from .tables import atomic_write_text, read_csv, write_csv
 
@@ -43,22 +43,20 @@ def train_scorers(dataset: Dataset, hp: Hyperparams,
 
 def compute_pvi(g_cond: Model, g_null: Model, dataset: Dataset,
                 features=None) -> tuple[PviRecord, ...]:
-    """One record per instance, in dataset order; single vectorized pass."""
+    """One record per instance, in dataset order; single vectorized pass.
+
+    g_cond reads each instance; g_null reads the empty input, once.
+    """
     if g_cond.num_classes != dataset.num_classes or g_null.num_classes != dataset.num_classes:
         raise ValueError("model/dataset class-count mismatch")
     X = feature_matrix(dataset, g_cond.hyperparams) if features is None else features
     y = dataset.labels()
-    rows = np.arange(len(dataset))
-    floor_cond = g_cond.hyperparams.prob_floor
-    floor_null = g_null.hyperparams.prob_floor
-    p_cond = predict_dist_matrix(g_cond, X)[rows, y]
-    # the null model ignores its input by construction; feed the real features
-    # anyway so the zero-weight property is exercised, not assumed
-    p_null = predict_dist_matrix(g_null, X)[rows, y]
+    p_cond = predict_dist_matrix(g_cond, X)[np.arange(len(dataset)), y]
+    p_null = predict_dist(g_null, "", "")[y]
     records = []
     for inst, pc, pn in zip(dataset, p_cond, p_null):
-        cond = math.log2(max(float(pc), floor_cond))
-        null = math.log2(max(float(pn), floor_null))
+        cond = math.log2(max(float(pc), g_cond.hyperparams.prob_floor))
+        null = math.log2(max(float(pn), g_null.hyperparams.prob_floor))
         records.append(PviRecord(inst.original_index, null, cond, cond - null))
     return tuple(records)
 
@@ -99,12 +97,12 @@ def records_by_index(dataset: Dataset, records) -> dict[int, PviRecord]:
 
 def hardest_k(records, dataset: Dataset, k: int):
     """The k lowest-score instances with texts attached, ascending by score."""
-    records = tuple(records)
-    if k > len(records):
-        raise ValueError(f"k={k} exceeds record count {len(records)}")
-    by_index = {inst.original_index: inst for inst in dataset}
-    ranked = sorted(records, key=lambda r: (r.pvi, r.original_index))[:k]
-    return [(by_index[r.original_index], r.pvi) for r in ranked]
+    by_index = records_by_index(dataset, records)
+    if k > len(by_index):
+        raise ValueError(f"k={k} exceeds record count {len(by_index)}")
+    insts = {inst.original_index: inst for inst in dataset}
+    return [(insts[i], by_index[i].pvi)
+            for i in rank_by_difficulty(by_index.values(), "ascending_pvi")[:k]]
 
 
 def pvi_histogram(records, num_bins: int, value_range: tuple[float, float]):

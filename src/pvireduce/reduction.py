@@ -30,7 +30,6 @@ class SweepPoint:
     train_seconds: float
     variant: str
     strategy: str
-    balanced: bool
     seed: int
 
 
@@ -102,8 +101,7 @@ def static_sweep(train_ds: Dataset, test_ds: Dataset, ratios, hp: Hyperparams,
     variant = train_ds.provenance_tag
     ratios = sorted(set(float(r) for r in ratios) | {0.0})
     for r in ratios:
-        if not 0.0 <= r < 1.0:
-            raise ValueError(f"reduction ratio must be in [0,1), got {r}")
+        retained_count(len(train_ds), r)  # checks the range before any training
     X_train = feature_matrix(train_ds, hp)
     X_test = feature_matrix(test_ds, hp)
 
@@ -145,7 +143,7 @@ def static_sweep(train_ds: Dataset, test_ds: Dataset, ratios, hp: Hyperparams,
             runtime_log.record(variant, r, "train_eim", eim_seconds)
             runtime_log.record(variant, r, "evaluate", eval_seconds)
         points.append(SweepPoint(r, len(subset), cm_acc, eim_acc, cm_seconds,
-                                 variant, strategy, strategy == "pvi_balanced", seed))
+                                 variant, strategy, seed))
     return points
 
 
@@ -166,5 +164,4 @@ def write_sweep_csv(points, path) -> None:
 def read_sweep_csv(path) -> list[SweepPoint]:
     return read_csv(path, _CSV_COLUMNS,
                     lambda variant, strategy, r, size, cm, eim, secs, seed: SweepPoint(
-                        r, size, cm, eim, secs, variant, strategy,
-                        strategy == "pvi_balanced", seed))
+                        r, size, cm, eim, secs, variant, strategy, seed))

@@ -48,25 +48,32 @@ def read_csv(path, columns: dict, make=lambda *fields: list(fields)) -> list:
     """make(*fields) per row below the header list(columns), cast by column type;
     a float field must be finite."""
     header = list(columns)
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        found = next(reader, None)
-        if found != header:
-            raise ValueError(f"{path}: expected CSV header {header}, got {found}")
-        rows = []
-        for row in reader:
-            if len(row) != len(header):
-                raise ValueError(f"{path}:{reader.line_num}: expected {len(header)} "
-                                 f"fields, got {len(row)}")
-            fields = []
-            try:
-                for name, value in zip(header, row):
-                    field = columns[name](value)
-                    if columns[name] is float and not math.isfinite(field):
-                        raise ValueError(f"{value!r} is not a finite number")
-                    fields.append(field)
-                rows.append(make(*fields))
-            except ValueError as exc:
-                column = f" {name}:" if len(fields) < len(header) else ""
-                raise ValueError(f"{path}:{reader.line_num}:{column} {exc}") from None
-        return rows
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len(raw[:exc.start + 1].splitlines())
+        raise ValueError(f"{path}:{line}: invalid UTF-8 byte {raw[exc.start]:#04x} "
+                         f"({exc.reason})") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    found = next(reader, None)
+    if found != header:
+        raise ValueError(f"{path}: expected CSV header {header}, got {found}")
+    rows = []
+    for row in reader:
+        if len(row) != len(header):
+            raise ValueError(f"{path}:{reader.line_num}: expected {len(header)} "
+                             f"fields, got {len(row)}")
+        fields = []
+        try:
+            for name, value in zip(header, row):
+                field = columns[name](value)
+                if columns[name] is float and not math.isfinite(field):
+                    raise ValueError(f"{value!r} is not a finite number")
+                fields.append(field)
+            rows.append(make(*fields))
+        except ValueError as exc:
+            column = f" {name}:" if len(fields) < len(header) else ""
+            raise ValueError(f"{path}:{reader.line_num}:{column} {exc}") from None
+    return rows

@@ -326,6 +326,18 @@ def test_failed_report_writes_nothing(tmp_path, capsys, corpora):
         assert not out.exists()
 
 
+def test_report_names_file_and_line_of_invalid_utf8(tmp_path, capsys, sweep_tables):
+    lines = sweep_tables[1].read_bytes().splitlines(keepends=True)
+    lines[2] = lines[2].replace(b"\n", b"\xff\n")  # the third row ends in byte 0xff
+    runtime_csv = tmp_path / "runtime.csv"
+    runtime_csv.write_bytes(b"".join(lines))
+    out = tmp_path / "out"
+    assert _run(["report", "--runtime-csv", runtime_csv, "--out-dir", out]) == 2
+    err = capsys.readouterr().err
+    assert f"data error: {runtime_csv}:3: invalid UTF-8 byte 0xff" in err
+    assert not out.exists()
+
+
 # perfbench/workloads.py appends these to every command it runs
 BENCHMARK_FLAGS = ["--no-timing", "--jobs", "1"]
 
@@ -350,7 +362,7 @@ def test_benchmark_flags_are_accepted_by_every_command(tmp_path, corpora):
 
 @pytest.mark.parametrize("command, flag, value", [
     ("gen", "--config", "run.ini"), ("gen", "--out-dir", "elsewhere"),
-    ("gen", "--epochs", "3"), ("gen", "--learning-rate", "7"),
+    ("gen", "--epochs", "3"), ("gen", "--learning-rate", "7"), ("gen", "--classes", "2"),
     ("stats", "--config", "run.ini"), ("stats", "--seed", "9"),
     ("stats", "--epochs", "3"), ("stats", "--learning-rate", "7"),
     ("report", "--config", "run.ini"), ("report", "--seed", "9"),

@@ -572,3 +572,24 @@ def test_load_model_refuses_a_bias_of_another_length(tmp_path, bias):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: bias holds {len(bias)} entries for 3 classes"):
         load_model(path)
+
+
+@pytest.mark.parametrize("change, named", [
+    (lambda payload: {**payload, "weights": payload["weights"] + [5]}, "cannot unpack"),
+    (lambda payload: {**payload, "hyperparams": [1]}, "hyperparams must be a JSON object"),
+    (lambda payload: [payload], "expected a JSON object"),
+    (lambda payload: {**payload, "num_classes": True}, "num_classes must be an integer >= 1"),
+], ids=["weight_entry_5", "hyperparams_list", "top_level_list", "num_classes_true"])
+def test_load_model_names_a_value_of_the_wrong_json_type(tmp_path, change, named):
+    payload, path = _saved_payload(tmp_path)
+    path.write_text(json.dumps(change(payload)))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {named}"):
+        load_model(path)
+
+
+def test_training_order_yields_one_epoch_at_a_time():
+    # a huge epoch count must not build every epoch's order up front
+    want = list(training_order(50, Hyperparams(epochs=2, seed=3)))
+    orders = training_order(50, Hyperparams(epochs=10**20, seed=3))
+    for order, expected in zip(orders, want):
+        np.testing.assert_array_equal(order, expected)

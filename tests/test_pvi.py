@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pvireduce import (Hyperparams, compute_pvi, constant_predictor,
-                       generate_synthetic, hardest_k, pvi_histogram,
+                       generate_synthetic, hardest_k, log2_prob, pvi_histogram,
                        rank_by_difficulty, summarize, to_null_view, train)
 from pvireduce.corpus import synthetic_difficulty_tags
 from pvireduce.family import Model
@@ -123,6 +123,18 @@ def test_hardest_k(scored, small_train):
     assert top1[0][1] == min(r.pvi for r in records)
     with pytest.raises(ValueError):
         hardest_k(records, small_train, len(records) + 1)
+    with pytest.raises(ValueError, match="records do not cover"):
+        hardest_k(records[1:], small_train, 1)
+
+
+def test_null_term_reads_the_null_model_on_the_empty_input(hp, small_train):
+    # weights off zero make the null model's output depend on its input; the
+    # null term must still be its prediction for the empty input
+    rng = np.random.default_rng(5)
+    g_cond = train(small_train, Hyperparams(epochs=1))
+    g_null = Model(rng.normal(size=(3, hp.dim)), rng.normal(size=3), 3, hp)
+    for rec, inst in zip(compute_pvi(g_cond, g_null, small_train), small_train):
+        assert rec.null_log2prob == log2_prob(g_null, "", "", inst.label)
 
 
 def test_histogram_single_value():

@@ -50,7 +50,7 @@ def test_write_csv_writes_every_float_by_f17(tmp_path):
 
 
 def _sweep(path):
-    write_sweep_csv([SweepPoint(0.0, 10, 0.5, 0.25, 0.0, "original", "pvi", False, 1)],
+    write_sweep_csv([SweepPoint(0.0, 10, 0.5, 0.25, 0.0, "original", "pvi", 1)],
                     path)
     return read_sweep_csv
 
