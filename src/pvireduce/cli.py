@@ -30,7 +30,7 @@ from .corpus import (DataError, NoiseSpec, generate_synthetic, inject_noise,
                      load_dataset, make_imbalanced, serialize)
 from .curriculum import (ORDERINGS, progressive_train, write_stage_csv,
                          write_stage_summary_csv)
-from .family import Hyperparams, feature_matrix, save_model
+from .family import Hyperparams, save_model
 from .pvi import (compute_pvi, summarize, train_scorers, write_records_csv,
                   write_records_jsonl)
 from .reduction import STRATEGIES, read_sweep_csv, static_sweep, write_sweep_csv
@@ -170,10 +170,8 @@ def cmd_pvi(args):
     hp = resolve_hyperparams(args)
     train_ds = _load(args.train, args.format)
     score_ds = _load(args.on, args.format) if args.on else train_ds
-    X_train = feature_matrix(train_ds, hp)
-    g_cond, g_null = train_scorers(train_ds, hp, features=X_train)
-    records = compute_pvi(g_cond, g_null, score_ds,
-                          features=None if args.on else X_train)
+    g_cond, g_null = train_scorers(train_ds, hp)
+    records = compute_pvi(g_cond, g_null, score_ds)
     info = summarize(records)
     write_records_csv(records, os.path.join(args.out_dir, "pvi.csv"))
     write_records_jsonl(records, os.path.join(args.out_dir, "pvi.jsonl"))

@@ -10,7 +10,7 @@ import codecs
 import json
 import math
 import unicodedata
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -49,6 +49,8 @@ class Dataset:
     num_classes: int
     provenance_tag: str = "original"
     label_names: tuple[str, ...] = DEFAULT_LABELS
+    # feature matrices built for it, by (hash_bits, ngram_orders); `replace` copies start empty
+    _features: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         seen = set()
@@ -73,6 +75,14 @@ class Dataset:
 
     def class_counts(self) -> np.ndarray:
         return np.bincount(self.labels(), minlength=self.num_classes)
+
+    def take(self, positions, provenance_tag: str | None = None) -> "Dataset":
+        """The instances at `positions`, in order, with each built matrix's rows X[positions]."""
+        out = replace(self, instances=tuple(self.instances[p] for p in positions),
+                      provenance_tag=self.provenance_tag if provenance_tag is None
+                      else provenance_tag)
+        out._features.update((key, X[positions]) for key, X in self._features.items())
+        return out
 
 
 @dataclass(frozen=True)
@@ -204,14 +214,14 @@ def filter_invalid(dataset: Dataset):
     """
     kept = []
     report = {}
-    for inst in dataset:
+    for pos, inst in enumerate(dataset):
         if inst.premise == "" or inst.hypothesis == "":
             report["empty_field"] = report.get("empty_field", 0) + 1
         elif _has_control_chars(inst.premise) or _has_control_chars(inst.hypothesis):
             report["control_chars"] = report.get("control_chars", 0) + 1
         else:
-            kept.append(inst)
-    return replace(dataset, instances=tuple(kept)), report
+            kept.append(pos)
+    return dataset.take(kept), report
 
 
 def to_null_view(dataset: Dataset) -> Dataset:
@@ -294,8 +304,7 @@ def make_imbalanced(dataset: Dataset, class_keep_fractions, seed: int) -> Datase
             raise ValueError(f"class {c}: keep fraction {fractions[c]} rounds to 0 instances")
         picked = rng.choice(len(positions), size=n_keep, replace=False)
         keep_positions.update(positions[i] for i in picked.tolist())
-    kept = tuple(inst for pos, inst in enumerate(dataset) if pos in keep_positions)
-    return replace(dataset, instances=kept, provenance_tag="imbalanced")
+    return dataset.take(sorted(keep_positions), "imbalanced")
 
 
 # ---------------------------------------------------------------------------

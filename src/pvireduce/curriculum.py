@@ -12,9 +12,9 @@ import time
 from dataclasses import dataclass, replace as dc_replace
 
 from .corpus import Dataset
-from .family import Hyperparams, evaluate, feature_matrix, train
+from .family import Hyperparams, evaluate, train
 from .pvi import compute_pvi, rank_by_difficulty, records_by_index, train_scorers
-from .reduction import retained_count, select_subset
+from .reduction import check_ratios, select_subset
 from .tables import read_csv, write_csv
 
 ORDERINGS = ("easy_first", "hard_first", "original")
@@ -42,8 +42,8 @@ def curriculum_order(train_ds: Dataset, records, ordering: str) -> Dataset:
     records_by_index(train_ds, records)
     order = rank_by_difficulty(
         records, "descending_pvi" if ordering == "easy_first" else "ascending_pvi")
-    by_index = {inst.original_index: inst for inst in train_ds}
-    return dc_replace(train_ds, instances=tuple(by_index[i] for i in order))
+    position = {inst.original_index: pos for pos, inst in enumerate(train_ds)}
+    return train_ds.take([position[i] for i in order])
 
 
 def stage_subset(train_ds: Dataset, records, r: float, ordering: str) -> Dataset:
@@ -69,33 +69,28 @@ def progressive_train(train_ds: Dataset, test_ds: Dataset, hp: Hyperparams,
     """
     if ordering not in ORDERINGS:
         raise ValueError(f"unknown ordering {ordering!r}")
-    for r in ratios:
-        retained_count(len(train_ds), r)  # checks the range before any training
-    X_train = feature_matrix(train_ds, hp)
-    X_test = feature_matrix(test_ds, hp)
+    ratios = check_ratios(len(train_ds), ratios)
     clock = time.perf_counter if timing else (lambda: 0.0)
 
-    g_cond, g_null = train_scorers(train_ds, hp, features=X_train)
-    records = compute_pvi(g_cond, g_null, train_ds, features=X_train)
-    pos_by_index = {inst.original_index: pos for pos, inst in enumerate(train_ds)}
+    g_cond, g_null = train_scorers(train_ds, hp)
+    records = compute_pvi(g_cond, g_null, train_ds)
     stage_hp = dc_replace(hp, preserve_order=(ordering != "original"))
 
     model = None
     reports = []
-    for r in map(float, ratios):
+    for r in ratios:
         subset = stage_subset(train_ds, records, r, ordering)
         if not subset:
             raise ValueError(f"reduction ratio {r} keeps 0 of {len(train_ds)} "
                              "training instances")
-        X_subset = X_train[[pos_by_index[inst.original_index] for inst in subset]]
         t0 = clock()
-        model = train(subset, stage_hp, features=X_subset,
-                      init=model if warm_start else None)
+        model = train(subset, stage_hp, init=model if warm_start else None)
         seconds = clock() - t0
-        report = evaluate(model, test_ds, features=X_test)
+        report = evaluate(model, test_ds)
         reports.append(StageReport(r, ordering, len(subset), report.accuracy,
                                    report.precision_micro, report.recall_micro,
                                    report.f1_micro, seconds, hp.seed))
+        del subset  # free its feature rows before the next stage gathers its own
     return reports
 
 

@@ -151,6 +151,14 @@ def feature_matrix(dataset: Dataset, hp: Hyperparams) -> sp.csr_matrix:
     return sp.csr_matrix((data, indices, indptr), shape=(len(dataset), hp.dim))
 
 
+def _features(dataset: Dataset, hp: Hyperparams) -> sp.csr_matrix:
+    """feature_matrix(dataset, hp), built once per dataset and featurization."""
+    key = (hp.hash_bits, tuple(hp.ngram_orders))
+    if key not in dataset._features:
+        dataset._features[key] = feature_matrix(dataset, hp)
+    return dataset._features[key]
+
+
 def _hashed_counts(premises, hypotheses, hp: Hyperparams):
     """CSR arrays (indptr, indices, data) of featurize() over the rows, in numpy.
 
@@ -166,7 +174,7 @@ def _hashed_counts(premises, hypotheses, hp: Hyperparams):
     for lo in range(0, len(premises), _CHUNK_ROWS):
         n = min(len(premises) - lo, _CHUNK_ROWS)
         # one key per n-gram occurrence: (row in chunk) << hash_bits | bucket
-        keys = []
+        keys = [np.zeros(0, np.int64)]
         for texts, salt, buckets in per_field:
             keys += _gram_keys(texts[lo:lo + n], salt, buckets, mask, hp.hash_bits, repeats)
         keys, counts = np.unique(np.concatenate(keys), return_counts=True)
@@ -177,7 +185,8 @@ def _hashed_counts(premises, hypotheses, hp: Hyperparams):
 
 
 def _gram_keys(texts, salt: bytes, buckets: dict, mask: int, hash_bits: int, repeats):
-    """Per listed order, an array of (row << hash_bits | bucket), one per n-gram.
+    """Per listed order some text reaches, an array of (row << hash_bits | bucket),
+    one per n-gram.
 
     Grams are numbered order by order: the id of the k-gram at i is the rank of
     (id of the (k-1)-gram at i, code point at i+k-1), so one np.unique per order
@@ -195,6 +204,8 @@ def _gram_keys(texts, salt: bytes, buckets: dict, mask: int, hash_bits: int, rep
     keys = []
     for k in range(1, max(repeats) + 1):
         pos = pos[remaining[pos] >= k]
+        if not len(pos):
+            break  # no text is k characters long, so none holds a longer gram
         distinct, ids_k = np.unique(ids[pos] * _CODE_POINTS + codes[pos + k - 1],
                                     return_inverse=True)
         ids[pos] = ids_k
@@ -248,8 +259,7 @@ def loss_and_grad(weights: np.ndarray, bias: np.ndarray, X: sp.csr_matrix,
 _MIN_SCALE = 1e-3
 
 
-def train(dataset: Dataset, hp: Hyperparams, features: sp.csr_matrix | None = None,
-          init: Model | None = None) -> Model:
+def train(dataset: Dataset, hp: Hyperparams, init: Model | None = None) -> Model:
     """Mini-batch gradient descent on mean cross-entropy plus 0.5*l2*|W|^2.
 
     Each epoch consumes the dataset in the order training_order() gives:
@@ -268,7 +278,7 @@ def train(dataset: Dataset, hp: Hyperparams, features: sp.csr_matrix | None = No
     m = len(dataset)
     if m == 0:
         raise ValueError("cannot train on an empty dataset")
-    X = feature_matrix(dataset, hp) if features is None else features
+    X = _features(dataset, hp)
     y = dataset.labels()
     C = dataset.num_classes
     if init is None:
@@ -313,8 +323,7 @@ def train(dataset: Dataset, hp: Hyperparams, features: sp.csr_matrix | None = No
 
 def train_null(dataset: Dataset, hp: Hyperparams) -> Model:
     """The null model: train() on the empty-text view, all-zero features."""
-    return train(to_null_view(dataset), hp,
-                 features=sp.csr_matrix((len(dataset), hp.dim)))
+    return train(to_null_view(dataset), hp)
 
 
 def training_order(m: int, hp: Hyperparams):
@@ -360,7 +369,7 @@ def constant_predictor(dist, hp: Hyperparams | None = None) -> Model:
     return Model(np.zeros((C, hp.dim)), np.log(dist), C, hp, "constant")
 
 
-def evaluate(model: Model, dataset: Dataset, features: sp.csr_matrix | None = None) -> EvalReport:
+def evaluate(model: Model, dataset: Dataset) -> EvalReport:
     """Accuracy and micro-averaged P/R/F1; argmax ties break to the lowest class.
 
     Each instance has one gold label and one prediction, so each miss is one
@@ -369,8 +378,7 @@ def evaluate(model: Model, dataset: Dataset, features: sp.csr_matrix | None = No
     """
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    X = feature_matrix(dataset, model.hyperparams) if features is None else features
-    preds = predict_dist_matrix(model, X).argmax(axis=1)
+    preds = predict_dist_matrix(model, _features(dataset, model.hyperparams)).argmax(axis=1)
     accuracy = float(np.mean(preds == dataset.labels()))
     f1 = 2 * accuracy * accuracy / (accuracy + accuracy) if accuracy else 0.0
     return EvalReport(accuracy, accuracy, accuracy, f1)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Dataset
-from .family import (Hyperparams, Model, feature_matrix, predict_dist, predict_dist_matrix,
-                     train, train_null)
+from .family import (Hyperparams, Model, _features, predict_dist, predict_dist_matrix, train,
+                     train_null)
 from .tables import atomic_write_text, read_csv, write_csv
 
 
@@ -35,21 +35,19 @@ class InfoSummary:
     n: int
 
 
-def train_scorers(dataset: Dataset, hp: Hyperparams,
-                  features=None) -> tuple[Model, Model]:
+def train_scorers(dataset: Dataset, hp: Hyperparams) -> tuple[Model, Model]:
     """The conditional and the null scoring model, both trained on `dataset`."""
-    return train(dataset, hp, features=features), train_null(dataset, hp)
+    return train(dataset, hp), train_null(dataset, hp)
 
 
-def compute_pvi(g_cond: Model, g_null: Model, dataset: Dataset,
-                features=None) -> tuple[PviRecord, ...]:
+def compute_pvi(g_cond: Model, g_null: Model, dataset: Dataset) -> tuple[PviRecord, ...]:
     """One record per instance, in dataset order; single vectorized pass.
 
     g_cond reads each instance; g_null reads the empty input, once.
     """
     if g_cond.num_classes != dataset.num_classes or g_null.num_classes != dataset.num_classes:
         raise ValueError("model/dataset class-count mismatch")
-    X = feature_matrix(dataset, g_cond.hyperparams) if features is None else features
+    X = _features(dataset, g_cond.hyperparams)
     y = dataset.labels()
     p_cond = predict_dist_matrix(g_cond, X)[np.arange(len(dataset)), y]
     p_null = predict_dist(g_null, "", "")[y]

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .corpus import Dataset
-from .family import Hyperparams, evaluate, feature_matrix, train, train_null
+from .family import Hyperparams, evaluate, train, train_null
 from .pvi import compute_pvi, rank_by_difficulty, records_by_index, train_scorers
 from .tables import read_csv, write_csv
 
@@ -44,10 +44,21 @@ def retained_count(m: int, r: float) -> int:
     return int(math.floor(m * (1 - Fraction(repr(float(r))))))
 
 
+def check_ratios(m: int, ratios) -> list[float]:
+    """The ratios as floats, each checked by retained_count(m, r); a ratio given
+    twice is refused. Both drivers call this before any training."""
+    checked = []
+    for r in map(float, ratios):
+        retained_count(m, r)
+        if r in checked:
+            raise ValueError(f"reduction ratio {r} is repeated")
+        checked.append(r)
+    return checked
+
+
 def _subset(train_ds: Dataset, keep) -> Dataset:
-    kept = sorted((inst for inst in train_ds if inst.original_index in keep),
-                  key=lambda inst: inst.original_index)
-    return dc_replace(train_ds, instances=tuple(kept), provenance_tag="subset")
+    position = {inst.original_index: pos for pos, inst in enumerate(train_ds)}
+    return train_ds.take([position[i] for i in sorted(keep)], "subset")
 
 
 def select_subset(train_ds: Dataset, records, r: float) -> Dataset:
@@ -99,20 +110,15 @@ def static_sweep(train_ds: Dataset, test_ds: Dataset, ratios, hp: Hyperparams,
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     variant = train_ds.provenance_tag
-    ratios = sorted(set(float(r) for r in ratios) | {0.0})
-    for r in ratios:
-        retained_count(len(train_ds), r)  # checks the range before any training
-    X_train = feature_matrix(train_ds, hp)
-    X_test = feature_matrix(test_ds, hp)
+    # the implicit r = 0 is no repeat of a 0 given in `ratios`
+    ratios = sorted(set(check_ratios(len(train_ds), ratios)) | {0.0})
 
     clock = time.perf_counter if timing else (lambda: 0.0)
     t0 = clock()
-    g_cond, g_null = train_scorers(train_ds, hp, features=X_train)
-    records = compute_pvi(g_cond, g_null, train_ds, features=X_train)
+    g_cond, g_null = train_scorers(train_ds, hp)
+    records = compute_pvi(g_cond, g_null, train_ds)
     if runtime_log is not None:
         runtime_log.record(variant, 0.0, "pvi_compute", clock() - t0)
-
-    pos_by_index = {inst.original_index: pos for pos, inst in enumerate(train_ds)}
 
     points = []
     for i, r in enumerate(ratios):
@@ -127,16 +133,15 @@ def static_sweep(train_ds: Dataset, test_ds: Dataset, ratios, hp: Hyperparams,
         if not subset:
             raise ValueError(f"reduction ratio {r} keeps 0 of {len(train_ds)} "
                              "training instances")
-        X_subset = X_train[[pos_by_index[inst.original_index] for inst in subset]]
         t_cm = clock()
-        cm = train(subset, point_hp, features=X_subset)
+        cm = train(subset, point_hp)
         cm_seconds = clock() - t_cm
         t_eim = clock()
         eim = train_null(subset, point_hp)
         eim_seconds = clock() - t_eim
         t_eval = clock()
-        cm_acc = evaluate(cm, test_ds, features=X_test).accuracy
-        eim_acc = evaluate(eim, test_ds, features=X_test).accuracy
+        cm_acc = evaluate(cm, test_ds).accuracy
+        eim_acc = evaluate(eim, test_ds).accuracy
         eval_seconds = clock() - t_eval
         if runtime_log is not None:
             runtime_log.record(variant, r, "train_cm", cm_seconds)

@@ -312,6 +312,22 @@ def test_ratio_keeping_no_rows_is_named(tmp_path, capsys, corpora, forty_rows,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, ratios, repeated", [
+    ("sweep", "0.3,0.3", "0.3"),
+    ("sweep", "0,0.2,0", "0.0"),
+    ("curriculum", "0.2,0.2", "0.2"),
+])
+def test_repeated_ratio_is_refused(tmp_path, capsys, corpora, command, ratios, repeated):
+    # the sweep's implicit r = 0 is no repeat: `sweep --ratios 0,0.5` runs
+    train, test = corpora
+    out = tmp_path / "out"
+    extra = ["--seeds", "2"] if command == "curriculum" else []
+    assert _run([command, "--train", train, "--test", test, "--out-dir", out,
+                 "--ratios", ratios, "--epochs", "1", "--no-timing", *extra]) == 2
+    assert f"data error: reduction ratio {repeated} is repeated" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_failed_report_writes_nothing(tmp_path, capsys, corpora):
     train, test = corpora
     sweep_dir = tmp_path / "sweep"

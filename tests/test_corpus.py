@@ -13,6 +13,7 @@ from pvireduce import (Dataset, Hyperparams, LabeledInstance, NoiseSpec,
                        evaluate, filter_invalid, generate_synthetic,
                        inject_noise, load_dataset, make_imbalanced, serialize,
                        to_null_view, train)
+from pvireduce import family
 from pvireduce.corpus import (_EASY_KEYWORDS, DEFAULT_LABELS, DataError,
                               synthetic_difficulty_tags)
 
@@ -110,6 +111,23 @@ def test_null_view_preserves_everything_else():
 def test_null_view_empty():
     ds = Dataset((), 3)
     assert len(to_null_view(ds)) == 0
+
+
+def test_changed_datasets_start_without_feature_rows():
+    ds = generate_synthetic(30, 3, (0.5, 0.3, 0.2), seed=9)
+    family._features(ds, Hyperparams(hash_bits=10))
+    assert ds._features
+    for changed in (replace(ds, provenance_tag="copy"), to_null_view(ds),
+                    inject_noise(ds, NoiseSpec(0.5, seed=7))):
+        assert changed._features == {}
+
+
+def test_feature_rows_take_no_part_in_equality_or_hash():
+    a = generate_synthetic(30, 3, (0.5, 0.3, 0.2), seed=9)
+    b = generate_synthetic(30, 3, (0.5, 0.3, 0.2), seed=9)
+    family._features(a, Hyperparams(hash_bits=10))
+    assert a._features and not b._features
+    assert a == b and hash(a) == hash(b)
 
 
 def test_inject_noise_exact_count():

@@ -3,6 +3,7 @@ import math
 import re
 import sys
 import tempfile
+import time
 import zlib
 from dataclasses import fields, replace
 from pathlib import Path
@@ -85,6 +86,7 @@ _TEXT = st.text(st.characters(codec="utf-8"), max_size=10)
        chunk_rows=st.integers(1, 4))
 @example(rows=[("a\U0001F600b\U0001F600", ""), ("", ""), ("\U0001F600", "\u00e9\U0001F600")],
          hash_bits=32, orders=[3, 1, 1], chunk_rows=2)
+@example(rows=[("", "")], hash_bits=16, orders=[2], chunk_rows=1)
 def test_feature_matrix_matches_reference(rows, hash_bits, orders, chunk_rows):
     # arbitrary valid Unicode, repeated and unsorted orders, orders longer than
     # the texts, and chunks small enough that rows cross chunk boundaries
@@ -102,6 +104,17 @@ def test_feature_matrix_matches_reference(rows, hash_bits, orders, chunk_rows):
 def test_featurize_refuses_orders_below_one(orders):
     with pytest.raises(ValueError, match="ngram_orders"):
         featurize("ab", "cd", ngram_orders=orders)
+
+
+@pytest.mark.parametrize("orders", [(10**9,), (3, 10**9, 1)])
+def test_feature_matrix_with_a_huge_order_finishes(orders):
+    # no text holds a gram longer than itself, so numbering stops at the longest text
+    ds = generate_synthetic(200, 3, (0.5, 0.3, 0.2), seed=4)
+    hp = Hyperparams(hash_bits=12, ngram_orders=orders)
+    start = time.perf_counter()
+    got = feature_matrix(ds, hp)
+    assert time.perf_counter() - start < 1.0
+    _assert_same_csr(got, _reference_feature_matrix(ds, hp))
 
 
 def test_feature_matrix_matches_reference_across_chunks():

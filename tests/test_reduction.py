@@ -4,6 +4,9 @@ import pytest
 from pvireduce import (Hyperparams, balanced_select, evaluate,
                        generate_synthetic, random_select, retained_count,
                        select_subset, static_sweep, train)
+from pvireduce import family
+from pvireduce.curriculum import stage_subset
+from pvireduce.family import feature_matrix
 from pvireduce.pvi import PviRecord
 from pvireduce.reduction import read_sweep_csv, write_sweep_csv
 
@@ -117,6 +120,48 @@ def test_random_select_laws():
     c = random_select(ds, 0.5, seed=2)
     assert a.instances == b.instances
     assert a.instances != c.instances
+
+
+@pytest.mark.parametrize("pick", [
+    lambda ds, records: select_subset(ds, records, 0.3),
+    lambda ds, records: balanced_select(ds, records, 0.3),
+    lambda ds, records: random_select(ds, 0.3, seed=4),
+    lambda ds, records: stage_subset(ds, records, 0.3, "easy_first"),
+    lambda ds, records: stage_subset(ds, records, 0.3, "hard_first"),
+    lambda ds, records: stage_subset(ds, records, 0.3, "original"),
+], ids=["select_subset", "balanced_select", "random_select",
+        "easy_first", "hard_first", "original"])
+def test_subsets_carry_their_feature_rows(pick):
+    ds = generate_synthetic(90, 3, (0.5, 0.3, 0.2), seed=5)
+    hp = Hyperparams(hash_bits=12)
+    family._features(ds, hp)
+    subset = pick(ds, _records_for(ds, seed=6))
+    carried = subset._features[(hp.hash_bits, hp.ngram_orders)]
+    built = feature_matrix(subset, hp)
+    assert carried.shape == built.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(carried, name), getattr(built, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def test_static_sweep_featurizes_each_dataset_once(monkeypatch):
+    train_ds = generate_synthetic(90, 3, (0.5, 0.3, 0.2), seed=5)
+    test_ds = generate_synthetic(45, 3, (0.5, 0.3, 0.2), seed=6)
+    built = []
+    real = family.feature_matrix
+
+    def counting(dataset, hp):
+        built.append(dataset)
+        return real(dataset, hp)
+
+    monkeypatch.setattr(family, "feature_matrix", counting)
+    points = static_sweep(train_ds, test_ds, [0.3, 0.5], Hyperparams(epochs=1), timing=False)
+    assert sum(ds is train_ds for ds in built) == 1
+    assert sum(ds is test_ds for ds in built) == 1
+    # the rest are null views: one for the scoring null model, one per point
+    nulls = [ds for ds in built if ds is not train_ds and ds is not test_ds]
+    assert len(nulls) == 1 + len(points)
+    assert all(ds.provenance_tag == "null-view" for ds in nulls)
 
 
 def test_static_sweep_degenerate_matches_plain_train(small_train, small_test):
