@@ -13,11 +13,11 @@ from dataclasses import dataclass, replace as dc_replace
 
 from .corpus import Dataset
 from .family import Hyperparams, evaluate, train
-from .pvi import compute_pvi, rank_by_difficulty, records_by_index, train_scorers
-from .reduction import check_ratios, select_subset
+from .pvi import _ranked_positions, compute_pvi, records_by_index, train_scorers
+from .reduction import check_ratios, retained_count, select_subset
 from .tables import read_csv, write_csv
 
-ORDERINGS = ("easy_first", "hard_first", "original")
+ORDERINGS = {"easy_first": "descending_pvi", "hard_first": "ascending_pvi", "original": None}
 
 
 @dataclass(frozen=True)
@@ -38,12 +38,9 @@ def curriculum_order(train_ds: Dataset, records, ordering: str) -> Dataset:
     if ordering not in ORDERINGS:
         raise ValueError(f"unknown ordering {ordering!r}")
     if ordering == "original":
+        records_by_index(train_ds, records)
         return train_ds
-    records_by_index(train_ds, records)
-    order = rank_by_difficulty(
-        records, "descending_pvi" if ordering == "easy_first" else "ascending_pvi")
-    position = {inst.original_index: pos for pos, inst in enumerate(train_ds)}
-    return train_ds.take([position[i] for i in order])
+    return train_ds.take(_ranked_positions(train_ds, records, ORDERINGS[ordering]))
 
 
 def stage_subset(train_ds: Dataset, records, r: float, ordering: str) -> Dataset:
@@ -51,10 +48,15 @@ def stage_subset(train_ds: Dataset, records, r: float, ordering: str) -> Dataset
 
     Subsets at larger r nest inside those at smaller r.
     """
-    kept = select_subset(train_ds, records, r)
-    keep = {inst.original_index for inst in kept}
-    return curriculum_order(kept, [rec for rec in records if rec.original_index in keep],
-                            ordering)
+    if ordering not in ORDERINGS:
+        raise ValueError(f"unknown ordering {ordering!r}")
+    if ordering == "original":
+        return select_subset(train_ds, records, r)
+    ranked = _ranked_positions(train_ds, records)
+    keep = set(ranked[len(ranked) - retained_count(len(ranked), r):])
+    if ordering == "hard_first":  # ties still break by ascending index: not `ranked` reversed
+        ranked = _ranked_positions(train_ds, records, ORDERINGS[ordering])
+    return train_ds.take([p for p in ranked if p in keep], "subset")
 
 
 def progressive_train(train_ds: Dataset, test_ds: Dataset, hp: Hyperparams,

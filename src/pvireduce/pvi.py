@@ -81,6 +81,12 @@ def rank_by_difficulty(records, order: str = "descending_pvi") -> tuple[int, ...
     return tuple(r.original_index for r in ranked)
 
 
+def _ranked_positions(dataset: Dataset, records, order: str = "descending_pvi") -> list[int]:
+    records_by_index(dataset, records)
+    position = {inst.original_index: pos for pos, inst in enumerate(dataset)}
+    return [position[i] for i in rank_by_difficulty(records, order)]
+
+
 def records_by_index(dataset: Dataset, records) -> dict[int, PviRecord]:
     """`records` keyed by original_index; there must be exactly one per instance."""
     by_index: dict[int, PviRecord] = {}
@@ -95,12 +101,11 @@ def records_by_index(dataset: Dataset, records) -> dict[int, PviRecord]:
 
 def hardest_k(records, dataset: Dataset, k: int):
     """The k lowest-score instances with texts attached, ascending by score."""
-    by_index = records_by_index(dataset, records)
-    if k > len(by_index):
-        raise ValueError(f"k={k} exceeds record count {len(by_index)}")
-    insts = {inst.original_index: inst for inst in dataset}
-    return [(insts[i], by_index[i].pvi)
-            for i in rank_by_difficulty(by_index.values(), "ascending_pvi")[:k]]
+    if not 0 <= k <= len(dataset):
+        raise ValueError(f"k={k} is outside [0, {len(dataset)}]")
+    ranked = _ranked_positions(dataset, records, "ascending_pvi")[:k]
+    pvi = {rec.original_index: rec.pvi for rec in records}
+    return [(dataset.instances[p], pvi[dataset.instances[p].original_index]) for p in ranked]
 
 
 def pvi_histogram(records, num_bins: int, value_range: tuple[float, float]):

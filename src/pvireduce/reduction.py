@@ -15,7 +15,7 @@ import numpy as np
 
 from .corpus import Dataset
 from .family import Hyperparams, evaluate, train, train_null
-from .pvi import compute_pvi, rank_by_difficulty, records_by_index, train_scorers
+from .pvi import _ranked_positions, compute_pvi, train_scorers
 from .tables import read_csv, write_csv
 
 STRATEGIES = ("pvi", "pvi_balanced", "random")
@@ -56,9 +56,9 @@ def check_ratios(m: int, ratios) -> list[float]:
     return checked
 
 
-def _subset(train_ds: Dataset, keep) -> Dataset:
-    position = {inst.original_index: pos for pos, inst in enumerate(train_ds)}
-    return train_ds.take([position[i] for i in sorted(keep)], "subset")
+def _in_file_order(train_ds: Dataset, positions) -> Dataset:
+    index = [inst.original_index for inst in train_ds]
+    return train_ds.take(sorted(positions, key=index.__getitem__), "subset")
 
 
 def select_subset(train_ds: Dataset, records, r: float) -> Dataset:
@@ -67,33 +67,25 @@ def select_subset(train_ds: Dataset, records, r: float) -> Dataset:
     Equivalent to sorting by score descending (ties by ascending index),
     dropping the leading easiest r*m entries, and restoring file order.
     """
-    records_by_index(train_ds, records)
     m = len(train_ds)
-    ranked = rank_by_difficulty(records, "descending_pvi")
-    return _subset(train_ds, set(ranked[m - retained_count(m, r):]))
+    return _in_file_order(train_ds, _ranked_positions(train_ds, records)[m - retained_count(m, r):])
 
 
 def balanced_select(train_ds: Dataset, records, r: float) -> Dataset:
     """select_subset applied independently within each class, then merged."""
-    by_index = records_by_index(train_ds, records)
-    keep: set[int] = set()
+    ranked = _ranked_positions(train_ds, records)
+    kept = []
     for c in range(train_ds.num_classes):
-        class_insts = [inst for inst in train_ds if inst.label == c]
-        if not class_insts:
-            continue
-        class_records = [by_index[inst.original_index] for inst in class_insts]
-        n_keep = retained_count(len(class_insts), r)
-        ranked = rank_by_difficulty(class_records, "descending_pvi")
-        keep.update(ranked[len(class_insts) - n_keep:])
-    return _subset(train_ds, keep)
+        in_class = [p for p in ranked if train_ds.instances[p].label == c]
+        kept += in_class[len(in_class) - retained_count(len(in_class), r):]
+    return _in_file_order(train_ds, kept)
 
 
 def random_select(train_ds: Dataset, r: float, seed: int) -> Dataset:
     """Seeded uniform subset of floor(m(1-r)) instances, in original order."""
     m = len(train_ds)
-    rng = np.random.default_rng(seed)
-    positions = rng.choice(m, size=retained_count(m, r), replace=False).tolist()
-    return _subset(train_ds, {train_ds.instances[p].original_index for p in positions})
+    drawn = np.random.default_rng(seed).choice(m, size=retained_count(m, r), replace=False)
+    return _in_file_order(train_ds, drawn.tolist())
 
 
 def static_sweep(train_ds: Dataset, test_ds: Dataset, ratios, hp: Hyperparams,

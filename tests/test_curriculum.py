@@ -5,6 +5,7 @@ import pytest
 
 from pvireduce import (Hyperparams, curriculum_order, evaluate,
                        generate_synthetic, progressive_train, train)
+from pvireduce.corpus import Dataset
 from pvireduce.curriculum import (StageReport, read_stage_csv, stage_subset,
                                   write_stage_csv, write_stage_summary_csv)
 from pvireduce.family import training_order
@@ -173,3 +174,25 @@ def test_progressive_warm_start_is_an_exact_continuation(small_train, small_test
                                     report.precision_micro, report.recall_micro,
                                     report.f1_micro, 0.0, hp.seed))
     assert reports == expected
+
+
+@pytest.mark.parametrize("ordering", ["easy_first", "hard_first"])
+def test_stage_subset_gathers_once(monkeypatch, ordering):
+    ds = generate_synthetic(60, 3, (0.5, 0.3, 0.2), seed=1)
+    records = _records_for(ds, np.random.default_rng(0).normal(size=60))
+    calls = []
+    real = Dataset.take
+
+    def counting(self, positions, provenance_tag=None):
+        calls.append(len(positions))
+        return real(self, positions, provenance_tag)
+
+    monkeypatch.setattr(Dataset, "take", counting)
+    assert len(stage_subset(ds, records, 0.3, ordering)) == 42
+    assert calls == [42]
+
+
+@pytest.mark.parametrize("ordering", ["easy_first", "hard_first", "original"])
+def test_curriculum_order_checks_records_for_every_ordering(tiny, ordering):
+    with pytest.raises(ValueError, match="records do not cover"):
+        curriculum_order(tiny, [], ordering)

@@ -64,6 +64,12 @@ RUNS = (
 )
 
 
+def _digests(directory: str) -> dict[str, str]:
+    """Path relative to `directory` -> SHA-256, for every file below it."""
+    return {path.relative_to(directory).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(Path(directory).rglob("*")) if path.is_file()}
+
+
 def run_matrix() -> dict[str, str]:
     """Run GENS, then RUNS, in the current directory; relative path -> SHA-256
     of every file left behind."""
@@ -76,8 +82,7 @@ def run_matrix() -> dict[str, str]:
         Path(copy).write_bytes(convert(Path(source).read_bytes()))
     for argv in RUNS:
         assert main([*argv, "--no-timing"]) == 0, argv
-    return {path.as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in sorted(Path(".").rglob("*")) if path.is_file()}
+    return _digests(".")
 
 
 def test_no_timing_outputs_match_the_committed_table(tmp_path, monkeypatch):
@@ -90,6 +95,38 @@ def test_no_timing_outputs_match_the_committed_table(tmp_path, monkeypatch):
     # CRLF line ends and a byte-order mark load like the plain files
     assert tables[0]["pvi_crlf_bom/pvi.csv"] == tables[0]["pvi_on/pvi.csv"]
     assert tables[0] == json.loads(GOLDEN.read_text())
+
+
+def _flag_value(value) -> str:
+    return ",".join(map(str, value)) if isinstance(value, list) else str(value)
+
+
+def _replay_argv(manifest: dict, out_dir: str, ini: Path) -> list[str]:
+    """The argv that gives `manifest`'s config: lists comma-joined, true booleans
+    as bare flags, None and false left out, hyperparams as an INI --config."""
+    argv = [manifest["command"], "--out-dir", out_dir]
+    for key, value in manifest["config"].items():
+        if key == "hyperparams":
+            ini.write_text("[hyperparams]\n" + "".join(
+                f"{name} = {_flag_value(field)}\n" for name, field in value.items()))
+            key, value = "config", str(ini)
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            argv.append(flag)
+        elif value is not None and value is not False:
+            argv += [flag, _flag_value(value)]
+    return argv
+
+
+def test_each_manifest_replays_its_run(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run_matrix()
+    for argv in RUNS:
+        out_dir = argv[argv.index("--out-dir") + 1]
+        manifest = json.loads(Path(out_dir, "manifest.json").read_text())
+        replay = f"replay/{out_dir}"
+        assert main(_replay_argv(manifest, replay, tmp_path / f"{out_dir}.ini")) == 0, argv
+        assert _digests(replay) == _digests(out_dir), argv
 
 
 if __name__ == "__main__":

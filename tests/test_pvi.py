@@ -123,6 +123,8 @@ def test_hardest_k(scored, small_train):
     assert top1[0][1] == min(r.pvi for r in records)
     with pytest.raises(ValueError):
         hardest_k(records, small_train, len(records) + 1)
+    with pytest.raises(ValueError, match="k=-1"):
+        hardest_k(records, small_train, -1)
     with pytest.raises(ValueError, match="records do not cover"):
         hardest_k(records[1:], small_train, 1)
 

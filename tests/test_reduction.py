@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from pvireduce import (Hyperparams, balanced_select, evaluate,
-                       generate_synthetic, random_select, retained_count,
-                       select_subset, static_sweep, train)
+from pvireduce import (Hyperparams, balanced_select, curriculum_order, evaluate,
+                       generate_synthetic, make_imbalanced, random_select,
+                       retained_count, select_subset, static_sweep, train)
 from pvireduce import family
 from pvireduce.curriculum import stage_subset
 from pvireduce.family import feature_matrix
@@ -215,3 +215,46 @@ def test_sweep_csv_roundtrip(tmp_path, small_train, small_test):
              p.strategy, p.seed) for p in back] == \
            [(p.r, p.subset_size, p.cm_accuracy, p.eim_accuracy, p.variant,
              p.strategy, p.seed) for p in points]
+
+
+def _tie_heavy_cases():
+    """(dataset, records) pairs whose scores take 4 values, so most ranks are
+    decided by the index tie-break: records in reverse order, a dataset not in
+    index order, and an imbalanced one."""
+    plain = generate_synthetic(120, 3, (0.5, 0.3, 0.2), seed=7)
+    shuffled = curriculum_order(plain, _records_for(plain, seed=8), "easy_first")
+    skewed = make_imbalanced(plain, (1.0, 0.5, 0.25), seed=3)
+    for ds in (plain, shuffled, skewed):
+        pvis = np.random.default_rng(len(ds)).choice([-1.0, 0.0, 0.5, 2.0], size=len(ds))
+        records = _records_for(ds, pvis)
+        yield ds, records
+        yield ds, records[::-1]
+
+
+def _hardest(records, r):
+    """Oracle for the kept indices: drop the leading easiest of (-pvi, index)."""
+    order = sorted(records, key=lambda rec: (-rec.pvi, rec.original_index))
+    return order[len(order) - retained_count(len(order), r):]
+
+
+@pytest.mark.parametrize("r", [0.0, 0.1, 0.37, 0.5, 0.9])
+def test_subset_rules_match_brute_force_oracles_under_ties(r):
+    for ds, records in _tie_heavy_cases():
+        kept = _hardest(records, r)
+        by_class = []
+        for c in range(ds.num_classes):
+            labels = {i.original_index for i in ds if i.label == c}
+            by_class += _hardest([rec for rec in records if rec.original_index in labels], r)
+        file_order = sorted(rec.original_index for rec in kept)
+        cases = [
+            (select_subset(ds, records, r), file_order),
+            (balanced_select(ds, records, r), sorted(rec.original_index for rec in by_class)),
+            (stage_subset(ds, records, r, "original"), file_order),
+            (stage_subset(ds, records, r, "easy_first"), [rec.original_index for rec in kept]),
+            (stage_subset(ds, records, r, "hard_first"), [
+                rec.original_index
+                for rec in sorted(kept, key=lambda rec: (rec.pvi, rec.original_index))]),
+        ]
+        instances = {i.original_index: i for i in ds}
+        for subset, indices in cases:
+            assert subset.instances == tuple(instances[i] for i in indices)
