@@ -336,6 +336,11 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # numpy's message names the array it could not allocate: with a large
+        # hash_bits, the (classes x 2**hash_bits) weight matrix
+        print(f"data error: out of memory{': ' if str(exc) else ''}{exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -6,7 +6,9 @@ whole pipeline runs in float64 on a single thread. Featurization hashes each
 distinct n-gram once per call, in numpy over chunks of rows, and gives the
 same features as hashing every n-gram occurrence. A training step updates
 only the weight columns its batch touches and keeps L2 decay as a lazy
-global scale on the weights; loss_and_grad is the dense step it matches.
+global scale on the weights; a batch with no features (every null-model
+batch) touches none and updates only the bias. loss_and_grad is the dense
+step it matches.
 """
 
 from __future__ import annotations
@@ -268,12 +270,14 @@ def train(dataset: Dataset, hp: Hyperparams, init: Model | None = None) -> Model
     `init`, training continues from that model's parameters and its epoch
     losses are kept in front of the new ones.
 
-    A step reads and writes only the weight columns its batch touches. L2
-    decay is a lazy global scale, W = scale * V (Bottou 2012): each step
-    multiplies `scale` by (1 - lr*l2), and |V|^2 is kept up to date so the
-    epoch loss keeps its L2 term. With l2 = 0 every step equals
-    loss_and_grad's dense step bit for bit; with l2 > 0 it equals it up to
-    rounding.
+    A step reads and writes only the weight columns its batch touches,
+    found by sorting the batch's entries, so its cost does not grow with
+    hash_bits. A batch with no features touches none: its logits are the
+    bias, and it updates only the bias. L2 decay is a lazy global scale,
+    W = scale * V (Bottou 2012): each step, empty or not, multiplies `scale`
+    by (1 - lr*l2), and |V|^2 is kept up to date so the epoch loss keeps its
+    L2 term. With l2 = 0 every step equals loss_and_grad's dense step bit for
+    bit; with l2 > 0 it equals it up to rounding.
     """
     m = len(dataset)
     if m == 0:
@@ -286,6 +290,8 @@ def train(dataset: Dataset, hp: Hyperparams, init: Model | None = None) -> Model
     else:
         V, b, epoch_losses = init.weights.copy(), init.bias.copy(), list(init.epoch_losses)
     scale, sq_norm = 1.0, float(np.sum(V * V))
+    # slot[c] is column c's position among the columns its batch touches
+    slot = np.zeros(hp.dim, np.int32)
     total_steps = hp.epochs * ((m + hp.batch_size - 1) // hp.batch_size)
     step = 0
     for order in training_order(m, hp):
@@ -295,12 +301,22 @@ def train(dataset: Dataset, hp: Hyperparams, init: Model | None = None) -> Model
         for start in range(0, m, hp.batch_size):
             stop = min(start + hp.batch_size, m)
             lo, hi = Xe.indptr[start], Xe.indptr[stop]
-            # the batch's rows, with columns renumbered to the distinct ones it touches
-            cols, local = np.unique(Xe.indices[lo:hi], return_inverse=True)
-            Xb = sp.csr_matrix((Xe.data[lo:hi], local, Xe.indptr[start:stop + 1] - lo),
-                               shape=(stop - start, len(cols)))
-            Vb = V[:, cols]
-            loss, delta = _cross_entropy(Xb @ (scale * Vb).T + b, ye[start:stop])
+            if lo == hi:
+                # no features: the logits are the bias and the weight gradient is zero
+                logits = np.zeros((stop - start, C)) + b
+            else:
+                # the batch's rows, with columns renumbered to the distinct ones it touches
+                touched = Xe.indices[lo:hi]
+                # the distinct columns in order; np.unique (numpy >= 2.3) hashes before
+                # it sorts, which is several times slower on a batch's few thousand entries
+                ordered = np.sort(touched)
+                cols = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+                slot[cols] = np.arange(len(cols), dtype=np.int32)
+                Xb = sp.csr_matrix((Xe.data[lo:hi], slot[touched], Xe.indptr[start:stop + 1] - lo),
+                                   shape=(stop - start, len(cols)))
+                Vb = V[:, cols]
+                logits = Xb @ (scale * Vb).T + b
+            loss, delta = _cross_entropy(logits, ye[start:stop])
             loss += 0.5 * hp.l2 * (scale * scale * sq_norm)
             if hp.lr_schedule == "linear":
                 lr = hp.learning_rate * (1.0 - step / total_steps)
@@ -309,11 +325,13 @@ def train(dataset: Dataset, hp: Hyperparams, init: Model | None = None) -> Model
             scale *= 1.0 - lr * hp.l2
             if scale <= _MIN_SCALE:
                 V *= scale
-                Vb = V[:, cols]
                 scale, sq_norm = 1.0, float(np.sum(V * V))
-            Vb_new = Vb - (lr / scale) * np.asarray(Xb.T @ delta).T
-            V[:, cols] = Vb_new
-            sq_norm += float(np.sum(Vb_new * Vb_new) - np.sum(Vb * Vb))
+                if lo < hi:
+                    Vb = V[:, cols]
+            if lo < hi:
+                Vb_new = Vb - (lr / scale) * np.asarray(Xb.T @ delta).T
+                V[:, cols] = Vb_new
+                sq_norm += float(np.sum(Vb_new * Vb_new) - np.sum(Vb * Vb))
             b -= lr * delta.sum(axis=0)
             total += loss * (stop - start)
             step += 1

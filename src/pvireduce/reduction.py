@@ -15,7 +15,7 @@ import numpy as np
 
 from .corpus import Dataset
 from .family import Hyperparams, evaluate, train, train_null
-from .pvi import _ranked_positions, compute_pvi, train_scorers
+from .pvi import _ranked_positions, compute_pvi
 from .tables import read_csv, write_csv
 
 STRATEGIES = ("pvi", "pvi_balanced", "random")
@@ -91,13 +91,16 @@ def random_select(train_ds: Dataset, r: float, seed: int) -> Dataset:
 def static_sweep(train_ds: Dataset, test_ds: Dataset, ratios, hp: Hyperparams,
                  strategy: str = "pvi", derived_seeds: bool = False, timing: bool = True,
                  runtime_log=None) -> list[SweepPoint]:
-    """Retrain at each reduction ratio and evaluate on the held-out set.
+    """Train at each reduction ratio and evaluate on the held-out set.
 
     The conditional and null scoring models are trained once on the full
-    train set; each ratio then gets a completely fresh classifier and a fresh
-    null model trained on the subset chosen by `strategy`. r=0 is always
-    included as the baseline. With `derived_seeds`, point i trains with
-    seed hp.seed + i instead of the shared seed.
+    train set. Each ratio then gets a fresh classifier and a fresh null model
+    trained on the subset chosen by `strategy`, except where that training
+    would repeat the scorers': then the scorers are the point's models, and
+    with timing on its train_cm/train_eim rows carry their seconds.
+    That is the case at r=0, which is always included as the baseline, when
+    the training set is in file order. With `derived_seeds`, point i trains
+    with seed hp.seed + i instead of the shared seed.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -107,7 +110,11 @@ def static_sweep(train_ds: Dataset, test_ds: Dataset, ratios, hp: Hyperparams,
 
     clock = time.perf_counter if timing else (lambda: 0.0)
     t0 = clock()
-    g_cond, g_null = train_scorers(train_ds, hp)
+    g_cond = train(train_ds, hp)
+    cond_seconds = clock() - t0
+    t_null = clock()
+    g_null = train_null(train_ds, hp)
+    null_seconds = clock() - t_null
     records = compute_pvi(g_cond, g_null, train_ds)
     if runtime_log is not None:
         runtime_log.record(variant, 0.0, "pvi_compute", clock() - t0)
@@ -125,12 +132,16 @@ def static_sweep(train_ds: Dataset, test_ds: Dataset, ratios, hp: Hyperparams,
         if not subset:
             raise ValueError(f"reduction ratio {r} keeps 0 of {len(train_ds)} "
                              "training instances")
-        t_cm = clock()
-        cm = train(subset, point_hp)
-        cm_seconds = clock() - t_cm
-        t_eim = clock()
-        eim = train_null(subset, point_hp)
-        eim_seconds = clock() - t_eim
+        # training is a function of the rows, their order and the hyperparameters
+        if point_hp == hp and subset.instances == train_ds.instances:
+            cm, cm_seconds, eim, eim_seconds = g_cond, cond_seconds, g_null, null_seconds
+        else:
+            t_cm = clock()
+            cm = train(subset, point_hp)
+            cm_seconds = clock() - t_cm
+            t_eim = clock()
+            eim = train_null(subset, point_hp)
+            eim_seconds = clock() - t_eim
         t_eval = clock()
         cm_acc = evaluate(cm, test_ds).accuracy
         eim_acc = evaluate(eim, test_ds).accuracy

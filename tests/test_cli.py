@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from pvireduce import cli
 from pvireduce.cli import main
 from pvireduce.report import RuntimeLog
 
@@ -115,6 +116,25 @@ def test_exit_code_data_error(tmp_path, capsys):
     assert main(["pvi", "--train", str(tmp_path / "missing.jsonl"),
                  "--out-dir", str(tmp_path)]) == 2
     assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("message, shown", [
+    ("Unable to allocate 96.0 GiB for an array with shape (3, 4294967296) and data type float64",
+     "data error: out of memory: Unable to allocate 96.0 GiB for an array with shape "
+     "(3, 4294967296)"),
+    ("", "data error: out of memory\n"),
+])
+def test_memory_error_is_a_data_error(tmp_path, capsys, monkeypatch, corpora, message, shown):
+    # no real allocation: the command raises what numpy raises for one too large
+    def allocate(args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "cmd_pvi", allocate)
+    train, _ = corpora
+    assert _run(["pvi", "--train", train, "--out-dir", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert shown in err
+    assert "Traceback" not in err
 
 
 def test_data_error_leaves_no_partial_files(tmp_path, corpora):

@@ -430,6 +430,30 @@ def test_train_null_matches_dense_reference(small_train, hp):
     _assert_matches(null, _dense_train(to_null_view(small_train), hp, features=zeros), 0.0)
 
 
+def _with_empty_rows(dataset):
+    """`dataset` with both texts emptied in every third block of three rows, so
+    batches of 1 and 3 rows with no features come between ones with features."""
+    return replace(dataset, instances=tuple(
+        replace(inst, premise="", hypothesis="") if i // 3 % 3 == 0 else inst
+        for i, inst in enumerate(dataset)))
+
+
+@pytest.mark.parametrize("batch_size", [1, 3])
+@pytest.mark.parametrize("kwargs, atol", [
+    ({"l2": 0.0}, 0.0),
+    ({"l2": 0.0, "preserve_order": True}, 0.0),
+    # the scale folds on every step, empty batches included
+    ({"learning_rate": 2.0, "l2": 0.5, "lr_schedule": "constant"}, 1e-9),
+])
+def test_train_with_empty_batches_matches_dense_reference(small_train, batch_size, kwargs,
+                                                          atol):
+    dataset = _with_empty_rows(small_train)
+    hp = Hyperparams(hash_bits=10, epochs=2, batch_size=batch_size, **kwargs)
+    emptied = [i // 3 % 3 == 0 for i in range(len(dataset))]
+    assert (feature_matrix(dataset, hp).getnnz(axis=1) == 0).tolist() == emptied
+    _assert_matches(train(dataset, hp), _dense_train(dataset, hp), atol)
+
+
 @pytest.mark.parametrize("l2, atol", [(0.0, 0.0), (1e-3, 1e-9)])
 def test_train_init_matches_dense_reference(small_train, l2, atol):
     first = train(small_train, Hyperparams(epochs=2, l2=1e-3))

@@ -3,11 +3,12 @@ import pytest
 
 from pvireduce import (Hyperparams, balanced_select, curriculum_order, evaluate,
                        generate_synthetic, make_imbalanced, random_select,
-                       retained_count, select_subset, static_sweep, train)
-from pvireduce import family
+                       retained_count, select_subset, static_sweep, train, train_null)
+from pvireduce import family, reduction
 from pvireduce.curriculum import stage_subset
 from pvireduce.family import feature_matrix
-from pvireduce.pvi import PviRecord
+from pvireduce.pvi import PviRecord, compute_pvi, train_scorers
+from pvireduce.report import RuntimeLog
 from pvireduce.reduction import read_sweep_csv, write_sweep_csv
 
 
@@ -158,10 +159,63 @@ def test_static_sweep_featurizes_each_dataset_once(monkeypatch):
     points = static_sweep(train_ds, test_ds, [0.3, 0.5], Hyperparams(epochs=1), timing=False)
     assert sum(ds is train_ds for ds in built) == 1
     assert sum(ds is test_ds for ds in built) == 1
-    # the rest are null views: one for the scoring null model, one per point
+    # the rest are null views: one for the scoring null model, which is also
+    # the r = 0 point's, and one per other point
     nulls = [ds for ds in built if ds is not train_ds and ds is not test_ds]
-    assert len(nulls) == 1 + len(points)
+    assert len(nulls) == len(points)
     assert all(ds.provenance_tag == "null-view" for ds in nulls)
+
+
+@pytest.fixture
+def trained(monkeypatch):
+    """The dataset of every train() call, train_null()'s included, in call order."""
+    calls = []
+    real = family.train
+
+    def counting(dataset, hp, init=None):
+        calls.append(dataset)
+        return real(dataset, hp, init)
+
+    for module in (family, reduction):
+        monkeypatch.setattr(module, "train", counting)
+    return calls
+
+
+@pytest.mark.parametrize("strategy", ["pvi", "pvi_balanced", "random"])
+@pytest.mark.parametrize("derived_seeds", [False, True])
+def test_static_sweep_reuses_the_scorers_at_r0(trained, small_train, small_test,
+                                               strategy, derived_seeds):
+    hp = Hyperparams(epochs=2)
+    points = static_sweep(small_train, small_test, [0.3, 0.6], hp, strategy=strategy,
+                          derived_seeds=derived_seeds, timing=False)
+    assert len(trained) == 2 + 2 * (len(points) - 1)
+    assert points[0].r == 0.0 and points[0].seed == hp.seed
+    assert points[0].cm_accuracy == evaluate(train(small_train, hp), small_test).accuracy
+    assert (points[0].eim_accuracy
+            == evaluate(train_null(small_train, hp), small_test).accuracy)
+
+
+def test_static_sweep_retrains_at_r0_a_set_out_of_file_order(trained, small_train,
+                                                              small_test):
+    hp = Hyperparams(epochs=2)
+    records = compute_pvi(*train_scorers(small_train, hp), small_train)
+    reordered = curriculum_order(small_train, records, "easy_first")
+    trained.clear()
+    points = static_sweep(reordered, small_test, [0.3], hp, timing=False)
+    # the r = 0 subset is in file order, so it is not the scorers' training set
+    assert len(trained) == 2 + 2 * len(points)
+    assert [ds.provenance_tag for ds in trained[2:4]] == ["subset", "null-view"]
+    assert points[0].cm_accuracy == evaluate(train(small_train, hp), small_test).accuracy
+
+
+def test_static_sweep_r0_timing_rows_carry_the_scorers_seconds(small_train, small_test):
+    log = RuntimeLog()
+    static_sweep(small_train, small_test, [0.5], Hyperparams(epochs=2), runtime_log=log)
+    seconds = {(rec.r, rec.phase): rec.seconds for rec in log.records}
+    cm, eim = seconds[(0.0, "train_cm")], seconds[(0.0, "train_eim")]
+    assert cm > 0 and eim > 0
+    # pvi_compute holds the scorers' training, and their scoring on top
+    assert seconds[(0.0, "pvi_compute")] > cm + eim
 
 
 def test_static_sweep_degenerate_matches_plain_train(small_train, small_test):
