@@ -13,7 +13,8 @@ from dataclasses import dataclass, replace as dc_replace
 
 from .corpus import Dataset
 from .family import Hyperparams, evaluate, train
-from .pvi import _ranked_positions, compute_pvi, records_by_index, train_scorers
+from .pvi import (_hardest_positions, _ranked_positions, compute_pvi, records_by_index,
+                  train_scorers)
 from .reduction import check_ratios, retained_count, select_subset
 from .tables import read_csv, write_csv
 
@@ -52,11 +53,8 @@ def stage_subset(train_ds: Dataset, records, r: float, ordering: str) -> Dataset
         raise ValueError(f"unknown ordering {ordering!r}")
     if ordering == "original":
         return select_subset(train_ds, records, r)
-    ranked = _ranked_positions(train_ds, records)
-    keep = set(ranked[len(ranked) - retained_count(len(ranked), r):])
-    if ordering == "hard_first":  # ties still break by ascending index: not `ranked` reversed
-        ranked = _ranked_positions(train_ds, records, ORDERINGS[ordering])
-    return train_ds.take([p for p in ranked if p in keep], "subset")
+    k = retained_count(len(train_ds), r)
+    return train_ds.take(_hardest_positions(train_ds, records, k, ORDERINGS[ordering]), "subset")
 
 
 def progressive_train(train_ds: Dataset, test_ds: Dataset, hp: Hyperparams,

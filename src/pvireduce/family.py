@@ -142,15 +142,14 @@ def featurize(premise: str, hypothesis: str, hash_bits: int = 16,
     The arguments are checked as Hyperparams checks its fields.
     """
     hp = Hyperparams(hash_bits=hash_bits, ngram_orders=tuple(ngram_orders))
-    _, indices, data = _hashed_counts([premise], [hypothesis], hp)
-    return dict(zip(indices.tolist(), data.tolist()))
+    X = _hashed_counts([premise], [hypothesis], hp)
+    return dict(zip(X.indices.tolist(), X.data.tolist()))
 
 
 def feature_matrix(dataset: Dataset, hp: Hyperparams) -> sp.csr_matrix:
     """CSR matrix of featurize() applied to every instance, in dataset order."""
-    indptr, indices, data = _hashed_counts(
-        [inst.premise for inst in dataset], [inst.hypothesis for inst in dataset], hp)
-    return sp.csr_matrix((data, indices, indptr), shape=(len(dataset), hp.dim))
+    return _hashed_counts([inst.premise for inst in dataset],
+                          [inst.hypothesis for inst in dataset], hp)
 
 
 def _features(dataset: Dataset, hp: Hyperparams) -> sp.csr_matrix:
@@ -161,8 +160,8 @@ def _features(dataset: Dataset, hp: Hyperparams) -> sp.csr_matrix:
     return dataset._features[key]
 
 
-def _hashed_counts(premises, hypotheses, hp: Hyperparams):
-    """CSR arrays (indptr, indices, data) of featurize() over the rows, in numpy.
+def _hashed_counts(premises, hypotheses, hp: Hyperparams) -> sp.csr_matrix:
+    """CSR matrix of featurize() over the rows, built in numpy; every feature row's builder.
 
     Rows go in chunks of _CHUNK_ROWS; each distinct n-gram is hashed once per
     call. Within a row the buckets ascend, and each count is an exact sum of 1.0s.
@@ -183,7 +182,9 @@ def _hashed_counts(premises, hypotheses, hp: Hyperparams):
         indptr.append(indptr[-1][-1] + np.cumsum(np.bincount(keys >> hp.hash_bits, minlength=n)))
         indices.append(keys & mask)
         data.append(counts.astype(np.float64))
-    return np.concatenate(indptr), np.concatenate(indices), np.concatenate(data)
+    # rebinding frees the chunks before scipy copies the indices to int32
+    indptr, indices, data = np.concatenate(indptr), np.concatenate(indices), np.concatenate(data)
+    return sp.csr_matrix((data, indices, indptr), shape=(len(premises), hp.dim))
 
 
 def _gram_keys(texts, salt: bytes, buckets: dict, mask: int, hash_bits: int, repeats):
@@ -359,8 +360,9 @@ def predict_dist_matrix(model: Model, X: sp.csr_matrix) -> np.ndarray:
 
 
 def predict_dist(model: Model, premise: str, hypothesis: str) -> np.ndarray:
-    _, buckets, counts = _hashed_counts([premise], [hypothesis], model.hyperparams)
-    return _softmax(model.bias + model.weights[:, buckets] @ counts)
+    """The pair's row of predict_dist_matrix on any feature_matrix, bit for bit."""
+    X = _hashed_counts([premise], [hypothesis], model.hyperparams)
+    return predict_dist_matrix(model, X)[0]
 
 
 def log2_prob(model: Model, premise: str, hypothesis: str, label: int) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Dataset
-from .family import (Hyperparams, Model, _features, predict_dist, predict_dist_matrix, train,
+from .family import (Hyperparams, Model, _features, log2_prob, predict_dist_matrix, train,
                      train_null)
 from .tables import atomic_write_text, read_csv, write_csv
 
@@ -41,20 +41,20 @@ def train_scorers(dataset: Dataset, hp: Hyperparams) -> tuple[Model, Model]:
 
 
 def compute_pvi(g_cond: Model, g_null: Model, dataset: Dataset) -> tuple[PviRecord, ...]:
-    """One record per instance, in dataset order; single vectorized pass.
+    """One record per instance, in dataset order, in one batch pass over the rows.
 
-    g_cond reads each instance; g_null reads the empty input, once.
-    """
+    cond_log2prob is log2_prob(g_cond, premise, hypothesis, label) and
+    null_log2prob is log2_prob(g_null, "", "", label), bit for bit."""
     if g_cond.num_classes != dataset.num_classes or g_null.num_classes != dataset.num_classes:
         raise ValueError("model/dataset class-count mismatch")
     X = _features(dataset, g_cond.hyperparams)
     y = dataset.labels()
     p_cond = predict_dist_matrix(g_cond, X)[np.arange(len(dataset)), y]
-    p_null = predict_dist(g_null, "", "")[y]
+    null_by_class = [log2_prob(g_null, "", "", c) for c in range(dataset.num_classes)]
     records = []
-    for inst, pc, pn in zip(dataset, p_cond, p_null):
+    for inst, pc in zip(dataset, p_cond):
         cond = math.log2(max(float(pc), g_cond.hyperparams.prob_floor))
-        null = math.log2(max(float(pn), g_null.hyperparams.prob_floor))
+        null = null_by_class[inst.label]
         records.append(PviRecord(inst.original_index, null, cond, cond - null))
     return tuple(records)
 
@@ -87,6 +87,16 @@ def _ranked_positions(dataset: Dataset, records, order: str = "descending_pvi") 
     return [position[i] for i in rank_by_difficulty(records, order)]
 
 
+def _hardest_positions(dataset: Dataset, records, k: int, order: str = "descending_pvi"):
+    """Positions of the k hardest instances, the last k of the descending_pvi
+    ranking (a tie keeps the larger original_index), listed in `order`'s ranking."""
+    ranked = _ranked_positions(dataset, records)
+    kept = set(ranked[len(ranked) - k:])
+    if order != "descending_pvi":
+        ranked = _ranked_positions(dataset, records, order)
+    return [p for p in ranked if p in kept]
+
+
 def records_by_index(dataset: Dataset, records) -> dict[int, PviRecord]:
     """`records` keyed by original_index; there must be exactly one per instance."""
     by_index: dict[int, PviRecord] = {}
@@ -100,12 +110,12 @@ def records_by_index(dataset: Dataset, records) -> dict[int, PviRecord]:
 
 
 def hardest_k(records, dataset: Dataset, k: int):
-    """The k lowest-score instances with texts attached, ascending by score."""
+    """The k instances select_subset would keep, with scores attached, ascending by score."""
     if not 0 <= k <= len(dataset):
         raise ValueError(f"k={k} is outside [0, {len(dataset)}]")
-    ranked = _ranked_positions(dataset, records, "ascending_pvi")[:k]
+    hardest = _hardest_positions(dataset, records, k, "ascending_pvi")
     pvi = {rec.original_index: rec.pvi for rec in records}
-    return [(dataset.instances[p], pvi[dataset.instances[p].original_index]) for p in ranked]
+    return [(dataset.instances[p], pvi[dataset.instances[p].original_index]) for p in hardest]
 
 
 def pvi_histogram(records, num_bins: int, value_range: tuple[float, float]):

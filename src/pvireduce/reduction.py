@@ -15,7 +15,7 @@ import numpy as np
 
 from .corpus import Dataset
 from .family import Hyperparams, evaluate, train, train_null
-from .pvi import _ranked_positions, compute_pvi
+from .pvi import _hardest_positions, _ranked_positions, compute_pvi
 from .tables import read_csv, write_csv
 
 STRATEGIES = ("pvi", "pvi_balanced", "random")
@@ -67,8 +67,8 @@ def select_subset(train_ds: Dataset, records, r: float) -> Dataset:
     Equivalent to sorting by score descending (ties by ascending index),
     dropping the leading easiest r*m entries, and restoring file order.
     """
-    m = len(train_ds)
-    return _in_file_order(train_ds, _ranked_positions(train_ds, records)[m - retained_count(m, r):])
+    k = retained_count(len(train_ds), r)
+    return _in_file_order(train_ds, _hardest_positions(train_ds, records, k))
 
 
 def balanced_select(train_ds: Dataset, records, r: float) -> Dataset:

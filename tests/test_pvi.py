@@ -131,11 +131,13 @@ def test_hardest_k(scored, small_train):
 
 def test_null_term_reads_the_null_model_on_the_empty_input(hp, small_train):
     # weights off zero make the null model's output depend on its input; the
-    # null term must still be its prediction for the empty input
+    # null term must still be its prediction for the empty input. Both terms
+    # equal log2_prob exactly, not just to rounding
     rng = np.random.default_rng(5)
     g_cond = train(small_train, Hyperparams(epochs=1))
     g_null = Model(rng.normal(size=(3, hp.dim)), rng.normal(size=3), 3, hp)
     for rec, inst in zip(compute_pvi(g_cond, g_null, small_train), small_train):
+        assert rec.cond_log2prob == log2_prob(g_cond, inst.premise, inst.hypothesis, inst.label)
         assert rec.null_log2prob == log2_prob(g_null, "", "", inst.label)
 
 

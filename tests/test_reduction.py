@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pvireduce import (Hyperparams, balanced_select, curriculum_order, evaluate,
-                       generate_synthetic, make_imbalanced, random_select,
+                       generate_synthetic, hardest_k, make_imbalanced, random_select,
                        retained_count, select_subset, static_sweep, train, train_null)
 from pvireduce import family, reduction
 from pvireduce.curriculum import stage_subset
@@ -300,15 +300,17 @@ def test_subset_rules_match_brute_force_oracles_under_ties(r):
             labels = {i.original_index for i in ds if i.label == c}
             by_class += _hardest([rec for rec in records if rec.original_index in labels], r)
         file_order = sorted(rec.original_index for rec in kept)
+        hard_first = [rec.original_index
+                      for rec in sorted(kept, key=lambda rec: (rec.pvi, rec.original_index))]
         cases = [
             (select_subset(ds, records, r), file_order),
             (balanced_select(ds, records, r), sorted(rec.original_index for rec in by_class)),
             (stage_subset(ds, records, r, "original"), file_order),
             (stage_subset(ds, records, r, "easy_first"), [rec.original_index for rec in kept]),
-            (stage_subset(ds, records, r, "hard_first"), [
-                rec.original_index
-                for rec in sorted(kept, key=lambda rec: (rec.pvi, rec.original_index))]),
+            (stage_subset(ds, records, r, "hard_first"), hard_first),
         ]
         instances = {i.original_index: i for i in ds}
         for subset, indices in cases:
             assert subset.instances == tuple(instances[i] for i in indices)
+        hardest = hardest_k(records, ds, retained_count(len(ds), r))
+        assert [inst for inst, _ in hardest] == [instances[i] for i in hard_first]
