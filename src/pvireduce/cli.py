@@ -318,7 +318,9 @@ def build_parser() -> _Parser:
     p = subcommand("stats", cmd_stats, "length statistics per label",
                    "--format", "--out-dir")
     p.add_argument("--data", required=True)
-    p.add_argument("--unit", choices=UNITS, default="chars")
+    p.add_argument("--unit", choices=UNITS, default="chars",
+                   help="chars, or whitespace-separated tokens (unsegmented CJK text "
+                        "counts as 1)")
 
     p = subcommand("report", cmd_report, "render SVG plots from CSV outputs", "--out-dir")
     p.add_argument("--sweep-csv")

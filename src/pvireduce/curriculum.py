@@ -13,9 +13,8 @@ from dataclasses import dataclass, replace as dc_replace
 
 from .corpus import Dataset
 from .family import Hyperparams, evaluate, train
-from .pvi import (_hardest_positions, _ranked_positions, compute_pvi, records_by_index,
-                  train_scorers)
-from .reduction import check_ratios, retained_count, select_subset
+from .pvi import _rank, compute_pvi, records_by_index, train_scorers
+from .reduction import _in_file_order, check_ratios, retained_count
 from .tables import read_csv, write_csv
 
 ORDERINGS = {"easy_first": "descending_pvi", "hard_first": "ascending_pvi", "original": None}
@@ -38,10 +37,20 @@ def curriculum_order(train_ds: Dataset, records, ordering: str) -> Dataset:
     """Rearrange the dataset by score: easy_first = highest score leads."""
     if ordering not in ORDERINGS:
         raise ValueError(f"unknown ordering {ordering!r}")
+    records = records_by_index(train_ds, records)
     if ordering == "original":
-        records_by_index(train_ds, records)
         return train_ds
-    return train_ds.take(_ranked_positions(train_ds, records, ORDERINGS[ordering]))
+    return train_ds.take(_rank(records, ORDERINGS[ordering]))
+
+
+def _stage(train_ds: Dataset, records, ranked, r: float, ordering: str) -> Dataset:
+    """stage_subset, given the records by dataset position and their descending_pvi ranking."""
+    kept = ranked[len(ranked) - retained_count(len(ranked), r):]
+    if ordering == "original":
+        return _in_file_order(train_ds, kept)
+    if ordering == "hard_first":
+        kept = _rank(records, ORDERINGS[ordering], kept)
+    return train_ds.take(kept, "subset")
 
 
 def stage_subset(train_ds: Dataset, records, r: float, ordering: str) -> Dataset:
@@ -51,10 +60,8 @@ def stage_subset(train_ds: Dataset, records, r: float, ordering: str) -> Dataset
     """
     if ordering not in ORDERINGS:
         raise ValueError(f"unknown ordering {ordering!r}")
-    if ordering == "original":
-        return select_subset(train_ds, records, r)
-    k = retained_count(len(train_ds), r)
-    return train_ds.take(_hardest_positions(train_ds, records, k, ORDERINGS[ordering]), "subset")
+    records = records_by_index(train_ds, records)
+    return _stage(train_ds, records, _rank(records), r, ordering)
 
 
 def progressive_train(train_ds: Dataset, test_ds: Dataset, hp: Hyperparams,
@@ -72,17 +79,14 @@ def progressive_train(train_ds: Dataset, test_ds: Dataset, hp: Hyperparams,
     ratios = check_ratios(len(train_ds), ratios)
     clock = time.perf_counter if timing else (lambda: 0.0)
 
-    g_cond, g_null = train_scorers(train_ds, hp)
-    records = compute_pvi(g_cond, g_null, train_ds)
+    records = compute_pvi(*train_scorers(train_ds, hp), train_ds)  # by dataset position
+    ranked = _rank(records)
     stage_hp = dc_replace(hp, preserve_order=(ordering != "original"))
 
     model = None
     reports = []
     for r in ratios:
-        subset = stage_subset(train_ds, records, r, ordering)
-        if not subset:
-            raise ValueError(f"reduction ratio {r} keeps 0 of {len(train_ds)} "
-                             "training instances")
+        subset = _stage(train_ds, records, ranked, r, ordering)
         t0 = clock()
         model = train(subset, stage_hp, init=model if warm_start else None)
         seconds = clock() - t0

@@ -17,7 +17,7 @@ import json
 import math
 import zlib
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -418,6 +418,7 @@ def save_model(model: Model, path) -> None:
     payload = {
         "format_version": _FORMAT_VERSION,
         "hyperparams": model.hyperparams.as_dict(),
+        "preserve_order": model.hyperparams.preserve_order,
         "num_classes": model.num_classes,
         "trained_on": model.trained_on,
         "bias": [f17(v) for v in model.bias],
@@ -449,6 +450,11 @@ def load_model(path) -> Model:
             hp = Hyperparams.from_dict({key: payload[key] for key in _FORMAT_1_KEYS})
         else:
             raise ValueError(f"unsupported model format version {version}")
+        # files written before the key existed load as they did then, with false
+        preserve_order = payload.get("preserve_order", False)
+        if type(preserve_order) is not bool:
+            raise ValueError(f"preserve_order must be true or false, got {preserve_order!r}")
+        hp = replace(hp, preserve_order=preserve_order)
         C = payload["num_classes"]
         if type(C) is not int or C < 1:
             raise ValueError(f"num_classes must be an integer >= 1, got {C!r}")

@@ -69,36 +69,27 @@ def summarize(records) -> InfoSummary:
     return InfoSummary(h_y, h_yx, h_y - h_yx, len(records))
 
 
+def _rank(records, order: str = "descending_pvi", positions=None) -> list[int]:
+    """Positions into `records` (all, or just `positions`), sorted by score, ties by
+    ascending original_index: the one difficulty sort, descending_pvi = easiest first."""
+    if order not in ("descending_pvi", "ascending_pvi"):
+        raise ValueError(f"unknown order {order!r}")
+    sign = -1.0 if order == "descending_pvi" else 1.0
+    return sorted(range(len(records)) if positions is None else positions,
+                  key=lambda p: (sign * records[p].pvi, records[p].original_index))
+
+
 def rank_by_difficulty(records, order: str = "descending_pvi") -> tuple[int, ...]:
     """Permutation of original_index; ties break by ascending original_index.
 
     descending_pvi puts the easiest (highest-score) instances first.
     """
-    if order not in ("descending_pvi", "ascending_pvi"):
-        raise ValueError(f"unknown order {order!r}")
-    sign = -1.0 if order == "descending_pvi" else 1.0
-    ranked = sorted(records, key=lambda r: (sign * r.pvi, r.original_index))
-    return tuple(r.original_index for r in ranked)
+    records = tuple(records)
+    return tuple(records[p].original_index for p in _rank(records, order))
 
 
-def _ranked_positions(dataset: Dataset, records, order: str = "descending_pvi") -> list[int]:
-    records_by_index(dataset, records)
-    position = {inst.original_index: pos for pos, inst in enumerate(dataset)}
-    return [position[i] for i in rank_by_difficulty(records, order)]
-
-
-def _hardest_positions(dataset: Dataset, records, k: int, order: str = "descending_pvi"):
-    """Positions of the k hardest instances, the last k of the descending_pvi
-    ranking (a tie keeps the larger original_index), listed in `order`'s ranking."""
-    ranked = _ranked_positions(dataset, records)
-    kept = set(ranked[len(ranked) - k:])
-    if order != "descending_pvi":
-        ranked = _ranked_positions(dataset, records, order)
-    return [p for p in ranked if p in kept]
-
-
-def records_by_index(dataset: Dataset, records) -> dict[int, PviRecord]:
-    """`records` keyed by original_index; there must be exactly one per instance."""
+def records_by_index(dataset: Dataset, records) -> list[PviRecord]:
+    """`records` listed by dataset position; there must be exactly one per instance."""
     by_index: dict[int, PviRecord] = {}
     for rec in records:
         if rec.original_index in by_index:
@@ -106,16 +97,16 @@ def records_by_index(dataset: Dataset, records) -> dict[int, PviRecord]:
         by_index[rec.original_index] = rec
     if by_index.keys() != {inst.original_index for inst in dataset}:
         raise ValueError("records do not cover exactly the dataset's indices")
-    return by_index
+    return [by_index[inst.original_index] for inst in dataset]
 
 
 def hardest_k(records, dataset: Dataset, k: int):
     """The k instances select_subset would keep, with scores attached, ascending by score."""
     if not 0 <= k <= len(dataset):
         raise ValueError(f"k={k} is outside [0, {len(dataset)}]")
-    hardest = _hardest_positions(dataset, records, k, "ascending_pvi")
-    pvi = {rec.original_index: rec.pvi for rec in records}
-    return [(dataset.instances[p], pvi[dataset.instances[p].original_index]) for p in hardest]
+    records = records_by_index(dataset, records)
+    hardest = _rank(records, "ascending_pvi", _rank(records)[len(records) - k:])
+    return [(dataset.instances[p], records[p].pvi) for p in hardest]
 
 
 def pvi_histogram(records, num_bins: int, value_range: tuple[float, float]):

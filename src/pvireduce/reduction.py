@@ -15,7 +15,7 @@ import numpy as np
 
 from .corpus import Dataset
 from .family import Hyperparams, evaluate, train, train_null
-from .pvi import _hardest_positions, _ranked_positions, compute_pvi
+from .pvi import _rank, compute_pvi, records_by_index
 from .tables import read_csv, write_csv
 
 STRATEGIES = ("pvi", "pvi_balanced", "random")
@@ -45,11 +45,12 @@ def retained_count(m: int, r: float) -> int:
 
 
 def check_ratios(m: int, ratios) -> list[float]:
-    """The ratios as floats, each checked by retained_count(m, r); a ratio given
-    twice is refused. Both drivers call this before any training."""
+    """The ratios as floats, each checked by retained_count(m, r); one that keeps no row
+    or is given twice is refused. static_sweep and progressive_train call it first."""
     checked = []
     for r in map(float, ratios):
-        retained_count(m, r)
+        if retained_count(m, r) == 0:
+            raise ValueError(f"reduction ratio {r} keeps 0 of {m} training instances")
         if r in checked:
             raise ValueError(f"reduction ratio {r} is repeated")
         checked.append(r)
@@ -61,31 +62,39 @@ def _in_file_order(train_ds: Dataset, positions) -> Dataset:
     return train_ds.take(sorted(positions, key=index.__getitem__), "subset")
 
 
+def _subset(train_ds: Dataset, ranked, r: float, strategy: str = "pvi", seed: int = 0) -> Dataset:
+    """The subset `strategy` keeps at ratio r, in file order; `ranked` is the
+    descending_pvi ranking of train_ds's positions (unused by random)."""
+    m = len(train_ds)
+    if strategy == "pvi":
+        kept = ranked[m - retained_count(m, r):]
+    elif strategy == "pvi_balanced":
+        kept = []
+        for c in range(train_ds.num_classes):
+            in_class = [p for p in ranked if train_ds.instances[p].label == c]
+            kept += in_class[len(in_class) - retained_count(len(in_class), r):]
+    else:
+        kept = np.random.default_rng(seed).choice(m, retained_count(m, r), replace=False).tolist()
+    return _in_file_order(train_ds, kept)
+
+
 def select_subset(train_ds: Dataset, records, r: float) -> Dataset:
     """Keep the hardest floor(m(1-r)) instances, reordered by original index.
 
     Equivalent to sorting by score descending (ties by ascending index),
     dropping the leading easiest r*m entries, and restoring file order.
     """
-    k = retained_count(len(train_ds), r)
-    return _in_file_order(train_ds, _hardest_positions(train_ds, records, k))
+    return _subset(train_ds, _rank(records_by_index(train_ds, records)), r)
 
 
 def balanced_select(train_ds: Dataset, records, r: float) -> Dataset:
     """select_subset applied independently within each class, then merged."""
-    ranked = _ranked_positions(train_ds, records)
-    kept = []
-    for c in range(train_ds.num_classes):
-        in_class = [p for p in ranked if train_ds.instances[p].label == c]
-        kept += in_class[len(in_class) - retained_count(len(in_class), r):]
-    return _in_file_order(train_ds, kept)
+    return _subset(train_ds, _rank(records_by_index(train_ds, records)), r, "pvi_balanced")
 
 
 def random_select(train_ds: Dataset, r: float, seed: int) -> Dataset:
     """Seeded uniform subset of floor(m(1-r)) instances, in original order."""
-    m = len(train_ds)
-    drawn = np.random.default_rng(seed).choice(m, size=retained_count(m, r), replace=False)
-    return _in_file_order(train_ds, drawn.tolist())
+    return _subset(train_ds, None, r, "random", seed)
 
 
 def static_sweep(train_ds: Dataset, test_ds: Dataset, ratios, hp: Hyperparams,
@@ -115,7 +124,7 @@ def static_sweep(train_ds: Dataset, test_ds: Dataset, ratios, hp: Hyperparams,
     t_null = clock()
     g_null = train_null(train_ds, hp)
     null_seconds = clock() - t_null
-    records = compute_pvi(g_cond, g_null, train_ds)
+    ranked = _rank(compute_pvi(g_cond, g_null, train_ds))  # records by dataset position
     if runtime_log is not None:
         runtime_log.record(variant, 0.0, "pvi_compute", clock() - t0)
 
@@ -123,12 +132,8 @@ def static_sweep(train_ds: Dataset, test_ds: Dataset, ratios, hp: Hyperparams,
     for i, r in enumerate(ratios):
         seed = hp.seed + i if derived_seeds else hp.seed
         point_hp = dc_replace(hp, seed=seed)
-        if strategy == "pvi":
-            subset = select_subset(train_ds, records, r)
-        elif strategy == "pvi_balanced":
-            subset = balanced_select(train_ds, records, r)
-        else:
-            subset = random_select(train_ds, r, seed)
+        subset = _subset(train_ds, ranked, r, strategy, seed)
+        # per-class floors can still empty a pvi_balanced subset
         if not subset:
             raise ValueError(f"reduction ratio {r} keeps 0 of {len(train_ds)} "
                              "training instances")

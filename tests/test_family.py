@@ -471,6 +471,7 @@ _HYPERPARAMS = st.builds(
     l2=st.floats(0.0, 10.0),
     seed=st.integers(0, 2**63),
     prob_floor=st.floats(1e-300, 0.5),
+    preserve_order=st.booleans(),
     lr_schedule=st.sampled_from(["linear", "constant"]),
 )
 
@@ -508,6 +509,16 @@ def test_load_model_reads_format_1(tmp_path):
     assert np.array_equal(model.weights, expected)
     assert model.bias.tolist() == [0.5, -0.5]
     assert (model.trained_on, model.epoch_losses) == ("old", (0.75,))
+
+
+def test_a_model_file_without_preserve_order_loads_it_as_false(tmp_path):
+    path = tmp_path / "model.json"
+    save_model(constant_predictor([0.25, 0.75], Hyperparams(hash_bits=4, preserve_order=True)),
+               path)
+    payload = json.loads(path.read_text())
+    del payload["preserve_order"]
+    path.write_text(json.dumps(payload))
+    assert load_model(path).hyperparams == Hyperparams(hash_bits=4)
 
 
 @pytest.mark.parametrize("version", [0, 3, "2", None])
@@ -615,7 +626,9 @@ def test_load_model_refuses_a_bias_of_another_length(tmp_path, bias):
     (lambda payload: {**payload, "hyperparams": [1]}, "hyperparams must be a JSON object"),
     (lambda payload: [payload], "expected a JSON object"),
     (lambda payload: {**payload, "num_classes": True}, "num_classes must be an integer >= 1"),
-], ids=["weight_entry_5", "hyperparams_list", "top_level_list", "num_classes_true"])
+    (lambda payload: {**payload, "preserve_order": 1}, "preserve_order must be true or false"),
+], ids=["weight_entry_5", "hyperparams_list", "top_level_list", "num_classes_true",
+        "preserve_order_1"])
 def test_load_model_names_a_value_of_the_wrong_json_type(tmp_path, change, named):
     payload, path = _saved_payload(tmp_path)
     path.write_text(json.dumps(change(payload)))

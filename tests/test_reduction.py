@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from pvireduce import (Hyperparams, balanced_select, curriculum_order, evaluate,
-                       generate_synthetic, hardest_k, make_imbalanced, random_select,
-                       retained_count, select_subset, static_sweep, train, train_null)
-from pvireduce import family, reduction
+                       generate_synthetic, hardest_k, make_imbalanced, progressive_train,
+                       random_select, retained_count, select_subset, static_sweep, train,
+                       train_null)
+from pvireduce import curriculum, family, pvi, reduction
 from pvireduce.curriculum import stage_subset
 from pvireduce.family import feature_matrix
 from pvireduce.pvi import PviRecord, compute_pvi, train_scorers
@@ -257,6 +258,57 @@ def test_static_sweep_rejects_bad_inputs(small_train, small_test):
         static_sweep(small_train, small_test, [1.0], hp)
     with pytest.raises(ValueError):
         static_sweep(small_train, small_test, [0.1], hp, strategy="nope")
+
+
+@pytest.mark.parametrize("run", [
+    lambda ds, hp: static_sweep(ds, ds, [0.3, 0.99], hp, timing=False),
+    lambda ds, hp: progressive_train(ds, ds, hp, [0.0, 0.99], timing=False),
+], ids=["static_sweep", "progressive_train"])
+def test_a_ratio_keeping_no_rows_is_refused_before_any_training(monkeypatch, run):
+    calls = []
+    for module in (family, pvi, reduction, curriculum):
+        monkeypatch.setattr(module, "train", lambda *args, **kwargs: calls.append(args))
+    ds = generate_synthetic(40, 3, (0.5, 0.3, 0.2), seed=3)
+    with pytest.raises(ValueError, match="reduction ratio 0.99 keeps 0 of 40 training instances"):
+        run(ds, Hyperparams(epochs=1))
+    assert calls == []
+
+
+@pytest.fixture
+def sorts(monkeypatch):
+    """(order, count) of every call to the one difficulty sort, in call order."""
+    calls = []
+    real = pvi._rank
+
+    def counting(records, order="descending_pvi", positions=None):
+        calls.append((order, len(records) if positions is None else len(positions)))
+        return real(records, order, positions)
+
+    for module in (pvi, reduction, curriculum):
+        monkeypatch.setattr(module, "_rank", counting)
+    return calls
+
+
+@pytest.mark.parametrize("strategy", reduction.STRATEGIES)
+def test_static_sweep_ranks_once(sorts, small_train, small_test, strategy):
+    static_sweep(small_train, small_test, [0.2, 0.5, 0.7], Hyperparams(epochs=1),
+                 strategy=strategy, timing=False)
+    assert len(sorts) <= 1
+    assert all(count == len(small_train) for _, count in sorts)
+
+
+@pytest.mark.parametrize("ordering", ["easy_first", "hard_first", "original"])
+def test_progressive_train_ranks_once(sorts, small_train, small_test, ordering):
+    ratios = [0.0, 0.1, 0.2, 0.3]
+    progressive_train(small_train, small_test, Hyperparams(epochs=1), ratios,
+                      ordering=ordering, timing=False)
+    m = len(small_train)
+    if ordering != "hard_first":
+        assert sorts == [("descending_pvi", m)]
+    else:
+        # at most twice in full, or once in full and then each stage's kept positions
+        stages = [("ascending_pvi", retained_count(m, r)) for r in ratios]
+        assert len(sorts) <= 2 or sorts == [("descending_pvi", m)] + stages
 
 
 def test_sweep_csv_roundtrip(tmp_path, small_train, small_test):
