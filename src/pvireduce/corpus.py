@@ -18,15 +18,6 @@ from .tables import atomic_write_text
 
 DEFAULT_LABELS = ("entailment", "neutral", "contradiction")
 
-CORRUPTION_KINDS = (
-    "char-swap",
-    "char-delete",
-    "punctuation-insert",
-    "token-shuffle",
-    "duplicate-fragment",
-)
-
-
 class DataError(ValueError):
     """Malformed dataset content (bad label, missing field, bad line)."""
 
@@ -234,31 +225,28 @@ def to_null_view(dataset: Dataset) -> Dataset:
 # corruption
 
 def _corrupt_text(text: str, rng: np.random.Generator) -> str:
+    """Swap two adjacent characters, delete one, insert a punctuation mark, shuffle
+    the space-separated tokens and repeat a fragment, in that order.
+
+    At most one character goes and at least two come in, so the result is
+    always longer than `text`: corruption visibly changes every instance."""
     out = text
-    for kind in CORRUPTION_KINDS:
-        if kind == "char-swap" and len(out) >= 2:
-            i = int(rng.integers(0, len(out) - 1))
-            out = out[:i] + out[i + 1] + out[i] + out[i + 2:]
-        elif kind == "char-delete" and len(out) >= 2:
-            i = int(rng.integers(0, len(out)))
-            out = out[:i] + out[i + 1:]
-        elif kind == "punctuation-insert":
-            i = int(rng.integers(0, len(out) + 1))
-            punct = "!?,.;~"[int(rng.integers(0, 6))]
-            out = out[:i] + punct + out[i:]
-        elif kind == "token-shuffle":
-            tokens = out.split(" ")
-            if len(tokens) >= 2:
-                perm = rng.permutation(len(tokens))
-                out = " ".join(tokens[i] for i in perm)
-        elif kind == "duplicate-fragment" and out:
-            i = int(rng.integers(0, len(out)))
-            j = int(rng.integers(i, len(out))) + 1
-            out = out[:j] + out[i:j] + out[j:]
-    if out == text:
-        # corruption must visibly change the instance
-        out = out + "~"
-    return out
+    if len(out) >= 2:
+        i = int(rng.integers(0, len(out) - 1))
+        out = out[:i] + out[i + 1] + out[i] + out[i + 2:]
+    if len(out) >= 2:
+        i = int(rng.integers(0, len(out)))
+        out = out[:i] + out[i + 1:]
+    i = int(rng.integers(0, len(out) + 1))
+    punct = "!?,.;~"[int(rng.integers(0, 6))]
+    out = out[:i] + punct + out[i:]
+    tokens = out.split(" ")
+    if len(tokens) >= 2:
+        out = " ".join(tokens[i] for i in rng.permutation(len(tokens)))
+    # out holds at least the punctuation mark
+    i = int(rng.integers(0, len(out)))
+    j = int(rng.integers(i, len(out))) + 1
+    return out[:j] + out[i:j] + out[j:]
 
 
 def inject_noise(dataset: Dataset, spec: NoiseSpec) -> Dataset:

@@ -8,13 +8,12 @@ first within every epoch.
 from __future__ import annotations
 
 import statistics
-import time
 from dataclasses import dataclass, replace as dc_replace
 
 from .corpus import Dataset
 from .family import Hyperparams, evaluate, train
 from .pvi import _rank, compute_pvi, records_by_index, train_scorers
-from .reduction import _in_file_order, check_ratios, retained_count
+from .reduction import _in_file_order, _timed, check_ratios, retained_count
 from .tables import read_csv, write_csv
 
 ORDERINGS = {"easy_first": "descending_pvi", "hard_first": "ascending_pvi", "original": None}
@@ -77,7 +76,6 @@ def progressive_train(train_ds: Dataset, test_ds: Dataset, hp: Hyperparams,
     if ordering not in ORDERINGS:
         raise ValueError(f"unknown ordering {ordering!r}")
     ratios = check_ratios(len(train_ds), ratios)
-    clock = time.perf_counter if timing else (lambda: 0.0)
 
     records = compute_pvi(*train_scorers(train_ds, hp), train_ds)  # by dataset position
     ranked = _rank(records)
@@ -87,9 +85,8 @@ def progressive_train(train_ds: Dataset, test_ds: Dataset, hp: Hyperparams,
     reports = []
     for r in ratios:
         subset = _stage(train_ds, records, ranked, r, ordering)
-        t0 = clock()
-        model = train(subset, stage_hp, init=model if warm_start else None)
-        seconds = clock() - t0
+        model, seconds = _timed(timing, train, subset, stage_hp,
+                                init=model if warm_start else None)
         report = evaluate(model, test_ds)
         reports.append(StageReport(r, ordering, len(subset), report.accuracy,
                                    report.precision_micro, report.recall_micro,

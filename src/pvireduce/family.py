@@ -3,8 +3,8 @@
 Deterministic end to end: feature hashing uses CRC32 with fixed field salts,
 training is plain mini-batch gradient descent with a seeded shuffle, and the
 whole pipeline runs in float64 on a single thread. Featurization hashes each
-distinct n-gram once per call, in numpy over chunks of rows, and gives the
-same features as hashing every n-gram occurrence. A training step updates
+distinct n-gram once per chunk of 2048 rows, in numpy, and gives the same
+features as hashing every n-gram occurrence. A training step updates
 only the weight columns its batch touches and keeps L2 decay as a lazy
 global scale on the weights; a batch with no features (every null-model
 batch) touches none and updates only the bias. loss_and_grad is the dense
@@ -164,20 +164,18 @@ def _hashed_counts(premises, hypotheses, hp: Hyperparams) -> sp.csr_matrix:
     """CSR matrix of featurize() over the rows, built in numpy; every feature row's builder.
 
     Rows go in chunks of _CHUNK_ROWS; each distinct n-gram is hashed once per
-    call. Within a row the buckets ascend, and each count is an exact sum of 1.0s.
+    chunk. Within a row the buckets ascend, and each count is an exact sum of 1.0s.
     """
     repeats = Counter(hp.ngram_orders)
     mask = hp.dim - 1
-    # per field: its texts, its salt, and its gram -> bucket map, kept across chunks
-    per_field = [(premises, _FIELD_SALTS["premise"], {}),
-                 (hypotheses, _FIELD_SALTS["hypothesis"], {})]
+    per_field = [(premises, _FIELD_SALTS["premise"]), (hypotheses, _FIELD_SALTS["hypothesis"])]
     indptr, indices, data = [np.zeros(1, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
     for lo in range(0, len(premises), _CHUNK_ROWS):
         n = min(len(premises) - lo, _CHUNK_ROWS)
         # one key per n-gram occurrence: (row in chunk) << hash_bits | bucket
         keys = [np.zeros(0, np.int64)]
-        for texts, salt, buckets in per_field:
-            keys += _gram_keys(texts[lo:lo + n], salt, buckets, mask, hp.hash_bits, repeats)
+        for texts, salt in per_field:
+            keys += _gram_keys(texts[lo:lo + n], salt, mask, hp.hash_bits, repeats)
         keys, counts = np.unique(np.concatenate(keys), return_counts=True)
         indptr.append(indptr[-1][-1] + np.cumsum(np.bincount(keys >> hp.hash_bits, minlength=n)))
         indices.append(keys & mask)
@@ -187,14 +185,13 @@ def _hashed_counts(premises, hypotheses, hp: Hyperparams) -> sp.csr_matrix:
     return sp.csr_matrix((data, indices, indptr), shape=(len(premises), hp.dim))
 
 
-def _gram_keys(texts, salt: bytes, buckets: dict, mask: int, hash_bits: int, repeats):
+def _gram_keys(texts, salt: bytes, mask: int, hash_bits: int, repeats):
     """Per listed order some text reaches, an array of (row << hash_bits | bucket),
     one per n-gram.
 
     Grams are numbered order by order: the id of the k-gram at i is the rank of
     (id of the (k-1)-gram at i, code point at i+k-1), so one np.unique per order
-    numbers them and equal ids spell equal grams. `buckets` maps each gram
-    already hashed to its bucket.
+    numbers them and equal ids spell equal grams.
     """
     lengths = np.fromiter(map(len, texts), np.int64, len(texts))
     joined = "".join(texts)
@@ -216,10 +213,8 @@ def _gram_keys(texts, salt: bytes, buckets: dict, mask: int, hash_bits: int, rep
             # one position per distinct gram: any occurrence spells the same gram
             where = np.empty(len(distinct), np.int64)
             where[ids_k] = pos
-            grams = [joined[i:i + k] for i in where.tolist()]
-            buckets.update((gram, zlib.crc32(salt + gram.encode("utf-8")) & mask)
-                           for gram in grams if gram not in buckets)
-            gram_bucket = np.array([buckets[gram] for gram in grams], np.int64)
+            gram_bucket = np.array([zlib.crc32(salt + joined[i:i + k].encode("utf-8")) & mask
+                                    for i in where.tolist()], np.int64)
             keys += [rows[pos] | gram_bucket[ids_k]] * repeats[k]
     return keys
 
@@ -288,6 +283,9 @@ def train(dataset: Dataset, hp: Hyperparams, init: Model | None = None) -> Model
     C = dataset.num_classes
     if init is None:
         V, b, epoch_losses = np.zeros((C, hp.dim)), np.zeros(C), []
+    elif init.weights.shape != (C, hp.dim) or init.bias.shape != (C,):
+        raise ValueError(f"init model has weights {init.weights.shape} and bias "
+                         f"{init.bias.shape}; training here needs {(C, hp.dim)} and {(C,)}")
     else:
         V, b, epoch_losses = init.weights.copy(), init.bias.copy(), list(init.epoch_losses)
     scale, sq_norm = 1.0, float(np.sum(V * V))
@@ -369,8 +367,14 @@ def log2_prob(model: Model, premise: str, hypothesis: str, label: int) -> float:
     """log2 of the model's probability of the gold label, floored at prob_floor."""
     if not 0 <= label < model.num_classes:
         raise ValueError(f"label {label} out of range")
-    p = predict_dist(model, premise, hypothesis)[label]
-    return math.log2(max(float(p), model.hyperparams.prob_floor))
+    X = _hashed_counts([premise], [hypothesis], model.hyperparams)
+    return _gold_log2(model, X, [label])[0]
+
+
+def _gold_log2(model: Model, X: sp.csr_matrix, labels) -> list[float]:
+    """log2 of each row's probability of its label, floored at prob_floor."""
+    p = predict_dist_matrix(model, X)[np.arange(len(labels)), labels]
+    return [math.log2(max(pk, model.hyperparams.prob_floor)) for pk in p.tolist()]
 
 
 def constant_predictor(dist, hp: Hyperparams | None = None) -> Model:

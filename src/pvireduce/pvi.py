@@ -8,14 +8,12 @@ negative = hard. Aggregates give the dataset-level information quantities.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import Dataset
-from .family import (Hyperparams, Model, _features, log2_prob, predict_dist_matrix, train,
-                     train_null)
+from .family import Hyperparams, Model, _features, _gold_log2, log2_prob, train, train_null
 from .tables import atomic_write_text, read_csv, write_csv
 
 
@@ -47,13 +45,10 @@ def compute_pvi(g_cond: Model, g_null: Model, dataset: Dataset) -> tuple[PviReco
     null_log2prob is log2_prob(g_null, "", "", label), bit for bit."""
     if g_cond.num_classes != dataset.num_classes or g_null.num_classes != dataset.num_classes:
         raise ValueError("model/dataset class-count mismatch")
-    X = _features(dataset, g_cond.hyperparams)
-    y = dataset.labels()
-    p_cond = predict_dist_matrix(g_cond, X)[np.arange(len(dataset)), y]
+    conds = _gold_log2(g_cond, _features(dataset, g_cond.hyperparams), dataset.labels())
     null_by_class = [log2_prob(g_null, "", "", c) for c in range(dataset.num_classes)]
     records = []
-    for inst, pc in zip(dataset, p_cond):
-        cond = math.log2(max(float(pc), g_cond.hyperparams.prob_floor))
+    for inst, cond in zip(dataset, conds):
         null = null_by_class[inst.label]
         records.append(PviRecord(inst.original_index, null, cond, cond - null))
     return tuple(records)

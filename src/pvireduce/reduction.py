@@ -97,6 +97,14 @@ def random_select(train_ds: Dataset, r: float, seed: int) -> Dataset:
     return _subset(train_ds, None, r, "random", seed)
 
 
+def _timed(timing: bool, fn, *args, **kwargs):
+    """fn(*args, **kwargs) and the seconds it took, or 0.0 when timing is off."""
+    now = time.perf_counter if timing else float  # float() is 0.0
+    start = now()
+    result = fn(*args, **kwargs)
+    return result, now() - start
+
+
 def static_sweep(train_ds: Dataset, test_ds: Dataset, ratios, hp: Hyperparams,
                  strategy: str = "pvi", derived_seeds: bool = False, timing: bool = True,
                  runtime_log=None) -> list[SweepPoint]:
@@ -117,16 +125,12 @@ def static_sweep(train_ds: Dataset, test_ds: Dataset, ratios, hp: Hyperparams,
     # the implicit r = 0 is no repeat of a 0 given in `ratios`
     ratios = sorted(set(check_ratios(len(train_ds), ratios)) | {0.0})
 
-    clock = time.perf_counter if timing else (lambda: 0.0)
-    t0 = clock()
-    g_cond = train(train_ds, hp)
-    cond_seconds = clock() - t0
-    t_null = clock()
-    g_null = train_null(train_ds, hp)
-    null_seconds = clock() - t_null
-    ranked = _rank(compute_pvi(g_cond, g_null, train_ds))  # records by dataset position
+    g_cond, cond_seconds = _timed(timing, train, train_ds, hp)
+    g_null, null_seconds = _timed(timing, train_null, train_ds, hp)
+    # compute_pvi lists records by dataset position, so `ranked` holds dataset positions
+    ranked, score_seconds = _timed(timing, lambda: _rank(compute_pvi(g_cond, g_null, train_ds)))
     if runtime_log is not None:
-        runtime_log.record(variant, 0.0, "pvi_compute", clock() - t0)
+        runtime_log.record(variant, 0.0, "pvi_compute", cond_seconds + null_seconds + score_seconds)
 
     points = []
     for i, r in enumerate(ratios):
@@ -141,16 +145,10 @@ def static_sweep(train_ds: Dataset, test_ds: Dataset, ratios, hp: Hyperparams,
         if point_hp == hp and subset.instances == train_ds.instances:
             cm, cm_seconds, eim, eim_seconds = g_cond, cond_seconds, g_null, null_seconds
         else:
-            t_cm = clock()
-            cm = train(subset, point_hp)
-            cm_seconds = clock() - t_cm
-            t_eim = clock()
-            eim = train_null(subset, point_hp)
-            eim_seconds = clock() - t_eim
-        t_eval = clock()
-        cm_acc = evaluate(cm, test_ds).accuracy
-        eim_acc = evaluate(eim, test_ds).accuracy
-        eval_seconds = clock() - t_eval
+            cm, cm_seconds = _timed(timing, train, subset, point_hp)
+            eim, eim_seconds = _timed(timing, train_null, subset, point_hp)
+        (cm_acc, eim_acc), eval_seconds = _timed(
+            timing, lambda: (evaluate(cm, test_ds).accuracy, evaluate(eim, test_ds).accuracy))
         if runtime_log is not None:
             runtime_log.record(variant, r, "train_cm", cm_seconds)
             runtime_log.record(variant, r, "train_eim", eim_seconds)

@@ -162,54 +162,46 @@ def _scale(v, lo, hi, out_lo, out_hi):
     return out_lo + (v - lo) / (hi - lo) * (out_hi - out_lo)
 
 
-def _svg_frame(body: list[str], x_label: str, y_label: str) -> str:
-    head = [
+def _plot(series, y_hi: float, y_label: str, radius: int, joined: bool) -> str:
+    """SVG of y against reduction ratio r, one colour per (label, [(r, y), ...])
+    series: a circle per point, a polyline through them when `joined` and there
+    are two or more, and a legend entry."""
+    body = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{_W}" height="{_H}">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
         f'<line x1="{_ML}" y1="{_H - _MB}" x2="{_W - _MR}" y2="{_H - _MB}" stroke="black"/>',
         f'<line x1="{_ML}" y1="{_MT}" x2="{_ML}" y2="{_H - _MB}" stroke="black"/>',
         f'<text x="{(_ML + _W - _MR) // 2}" y="{_H - 12}" text-anchor="middle" '
-        f'font-size="14">{x_label}</text>',
+        f'font-size="14">reduction ratio r</text>',
         f'<text x="16" y="{(_MT + _H - _MB) // 2}" text-anchor="middle" font-size="14" '
         f'transform="rotate(-90 16 {(_MT + _H - _MB) // 2})">{y_label}</text>',
     ]
-    return "\n".join(head + body + ["</svg>"]) + "\n"
+    for i, (label, points) in enumerate(series):
+        color = _COLORS[i % len(_COLORS)]
+        coords = [(_fnum(_scale(r, 0.0, 0.9, _ML, _W - _MR)),
+                   _fnum(_scale(y, 0.0, y_hi, _H - _MB, _MT))) for r, y in points]
+        if joined and len(coords) > 1:
+            path = " ".join(f"{x},{y}" for x, y in coords)
+            body.append(f'<polyline points="{path}" fill="none" stroke="{color}" stroke-width="2"/>')
+        for x, y in coords:
+            body.append(f'<circle cx="{x}" cy="{y}" r="{radius}" fill="{color}"/>')
+        body.append(f'<text x="{_W - _MR - 140}" y="{_MT + 16 + 18 * i}" font-size="13" '
+                    f'fill="{color}">{label}</text>')
+    return "\n".join(body + ["</svg>"]) + "\n"
 
 
 def emit_accuracy_plot(sweep_points) -> str:
     """Classifier accuracy vs reduction ratio, one polyline per variant."""
-    body = []
-    variants = sorted({p.variant for p in sweep_points})
-    for vi, variant in enumerate(variants):
-        pts = sorted((p for p in sweep_points if p.variant == variant),
-                     key=lambda p: p.r)
-        color = _COLORS[vi % len(_COLORS)]
-        coords = [(_scale(p.r, 0.0, 0.9, _ML, _W - _MR),
-                   _scale(p.cm_accuracy, 0.0, 1.0, _H - _MB, _MT)) for p in pts]
-        if len(coords) > 1:
-            path = " ".join(f"{_fnum(x)},{_fnum(y)}" for x, y in coords)
-            body.append(f'<polyline points="{path}" fill="none" stroke="{color}" stroke-width="2"/>')
-        for x, y in coords:
-            body.append(f'<circle cx="{_fnum(x)}" cy="{_fnum(y)}" r="3" fill="{color}"/>')
-        body.append(f'<text x="{_W - _MR - 140}" y="{_MT + 16 + 18 * vi}" font-size="13" '
-                    f'fill="{color}">{variant}</text>')
-    return _svg_frame(body, "reduction ratio r", "classifier accuracy")
+    ordered = sorted(sweep_points, key=lambda p: p.r)
+    series = [(variant, [(p.r, p.cm_accuracy) for p in ordered if p.variant == variant])
+              for variant in sorted({p.variant for p in ordered})]
+    return _plot(series, 1.0, "classifier accuracy", radius=3, joined=True)
 
 
 def emit_runtime_plot(records) -> str:
     """Training-time scatter vs reduction ratio, colored by phase."""
     records = list(records)
-    body = []
-    phases = sorted({rec.phase for rec in records})
     max_s = max((rec.seconds for rec in records), default=1.0) or 1.0
-    for pi, phase in enumerate(phases):
-        color = _COLORS[pi % len(_COLORS)]
-        for rec in records:
-            if rec.phase != phase:
-                continue
-            x = _scale(rec.r, 0.0, 0.9, _ML, _W - _MR)
-            y = _scale(rec.seconds, 0.0, max_s, _H - _MB, _MT)
-            body.append(f'<circle cx="{_fnum(x)}" cy="{_fnum(y)}" r="4" fill="{color}"/>')
-        body.append(f'<text x="{_W - _MR - 140}" y="{_MT + 16 + 18 * pi}" font-size="13" '
-                    f'fill="{color}">{phase}</text>')
-    return _svg_frame(body, "reduction ratio r", "seconds")
+    series = [(phase, [(rec.r, rec.seconds) for rec in records if rec.phase == phase])
+              for phase in sorted({rec.phase for rec in records})]
+    return _plot(series, max_s, "seconds", radius=4, joined=False)

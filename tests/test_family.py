@@ -364,6 +364,16 @@ def test_train_init_continues_and_follows_lr_schedule(small_train):
     assert np.array_equal(first.weights, train(small_train, Hyperparams(epochs=2)).weights)
 
 
+@pytest.mark.parametrize("init_classes, hash_bits", [(3, 4), (3, 16), (2, 8)])
+def test_train_refuses_an_init_of_another_shape(init_classes, hash_bits):
+    dataset = generate_synthetic(60, seed=1)
+    init = train(generate_synthetic(60, init_classes, seed=1), Hyperparams(hash_bits=8, epochs=1))
+    hp = Hyperparams(hash_bits=hash_bits, epochs=1)
+    with pytest.raises(ValueError, match=re.escape(f"{init.weights.shape}") + ".*"
+                       + re.escape(f"{(3, hp.dim)}")):
+        train(dataset, hp, init=init)
+
+
 def test_train_null_matches_training_on_null_view(small_train, fast_hp):
     null = train_null(small_train, fast_hp)
     assert not null.weights.any()

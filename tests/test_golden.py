@@ -22,6 +22,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+from cjk import ASTRAL, CJK, translate_corpus
 from pvireduce.cli import main
 
 GOLDEN = Path(__file__).resolve().with_name("golden.json")
@@ -38,6 +39,14 @@ GENS = (
     ("gen", "--n", "150", "--seed", "12", "--out", "gen_test/test.jsonl"),
     ("gen", "--n", "200", "--seed", "13", "--mix", "0.2,0.3,0.5", "--format", "tsv",
      "--out", "gen_tsv/data.tsv"),
+)
+# cjk*/ and astral/ hold gen's corpora mapped onto ideographs (see cjk.py)
+DERIVED = (
+    ("cjk/train.jsonl", "gen/train.jsonl", CJK),
+    ("cjk/test.jsonl", "gen_test/test.jsonl", CJK),
+    ("cjk_tsv/data.tsv", "gen_tsv/data.tsv", CJK),
+    ("astral/train.jsonl", "gen/train.jsonl", ASTRAL),
+    ("astral/test.jsonl", "gen_test/test.jsonl", ASTRAL),
 )
 # crlf/ and bom/ hold copies of gen's files with CRLF line ends and a byte-order mark
 RUNS = (
@@ -61,6 +70,16 @@ RUNS = (
     (*_CURRICULUM, "--ordering", "easy_first", "--seeds", "2", "--out-dir", "curr_easy"),
     (*_CURRICULUM, "--ordering", "hard_first", "--warm-start", "--out-dir", "curr_hard"),
     (*_CURRICULUM, "--ordering", "original", "--out-dir", "curr_original"),
+    ("pvi", "--train", "cjk/train.jsonl", "--on", "cjk/test.jsonl", "--out-dir", "pvi_cjk",
+     *_TRAIN),
+    ("pvi", "--train", "cjk_tsv/data.tsv", "--format", "tsv", "--out-dir", "pvi_cjk_tsv",
+     *_TRAIN),
+    ("pvi", "--train", "astral/train.jsonl", "--on", "astral/test.jsonl",
+     "--out-dir", "pvi_astral", *_TRAIN),
+    ("sweep", "--train", "cjk/train.jsonl", "--test", "cjk/test.jsonl", "--ratios", "0,0.3,0.6",
+     "--out-dir", "sweep_cjk", *_TRAIN),
+    ("curriculum", "--train", "astral/train.jsonl", "--test", "astral/test.jsonl",
+     "--ratios", "0,0.2", "--ordering", "easy_first", "--out-dir", "curr_astral", *_TRAIN),
 )
 
 
@@ -71,8 +90,8 @@ def _digests(directory: str) -> dict[str, str]:
 
 
 def run_matrix() -> dict[str, str]:
-    """Run GENS, then RUNS, in the current directory; relative path -> SHA-256
-    of every file left behind."""
+    """Run GENS, make the copies, then RUNS, in the current directory; relative
+    path -> SHA-256 of every file left behind."""
     for argv in GENS:
         assert main([*argv, "--no-timing"]) == 0, argv
     for copy, source, convert in (
@@ -80,6 +99,8 @@ def run_matrix() -> dict[str, str]:
             ("bom/test.jsonl", "gen_test/test.jsonl", lambda b: b"\xef\xbb\xbf" + b)):
         Path(copy).parent.mkdir()
         Path(copy).write_bytes(convert(Path(source).read_bytes()))
+    for copy, source, table in DERIVED:
+        translate_corpus(source, copy, table)
     for argv in RUNS:
         assert main([*argv, "--no-timing"]) == 0, argv
     return _digests(".")

@@ -1,3 +1,4 @@
+import hashlib
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -8,8 +9,9 @@ from pvireduce import (bucket_proportions, generate_synthetic, length_stats,
                        static_sweep)
 from pvireduce.corpus import Dataset, LabeledInstance
 from pvireduce.family import Hyperparams
+from pvireduce.reduction import SweepPoint
 from pvireduce.report import (DEFAULT_BUCKET_EDGES, ReportError, RuntimeLog,
-                              bucket_labels, emit_accuracy_plot,
+                              RuntimeRecord, bucket_labels, emit_accuracy_plot,
                               emit_runtime_plot, write_bucket_csv,
                               write_length_stats_csv)
 
@@ -173,3 +175,27 @@ def test_runtime_plot_is_valid_xml():
     assert len(circles) == 6
     assert ">train_cm<" in svg and ">train_eim<" in svg
     assert emit_runtime_plot(log.records) == svg
+
+
+# seven variants cycle past the six colours; "single" has one point, so no polyline
+_MANY_VARIANTS = [SweepPoint(r, 100, 0.31 + 0.07 * v + 0.013 * k, 0.33, 0.0, f"v{v}", "pvi", 1)
+                  for v in range(7) for k, r in enumerate((0.6, 0.0, 0.3))]
+_MANY_VARIANTS.append(SweepPoint(0.1, 90, 0.5, 0.33, 0.0, "single", "pvi", 1))
+_FOUR_PHASES = [RuntimeRecord("original", r, phase, seconds)
+                for r, seconds in ((0.3, 1.25), (0.0, 2.5), (0.9, 0.125))
+                for phase in ("train_eim", "pvi_compute", "train_cm", "evaluate")]
+_ZERO_SECONDS = [RuntimeRecord("original", r, "train_cm", 0.0) for r in (0.0, 0.3)]
+
+
+@pytest.mark.parametrize("emit, points, digest", [
+    (emit_accuracy_plot, _MANY_VARIANTS,
+     "b2a564fb77fa1a264d1c09775178da3a45ce3138104f5cc3a816a61195b1fcb4"),
+    (emit_accuracy_plot, [], "b73ab27c9bac12c3573633d852156440a1da25cffe21e10cb5a88ef35ff6a99b"),
+    (emit_runtime_plot, _FOUR_PHASES,
+     "aac92e156e4c20a6a96b348abfc3707599a060f6f84ee104926438a8820a3fb5"),
+    (emit_runtime_plot, [], "c53c47da6de4d1c1f963a225f427d757abb2bef3280ccd2d1f5bda5e45ed62f7"),
+    (emit_runtime_plot, _ZERO_SECONDS,
+     "b99331be0a65439cf71d99db970d8749695681b81d9724881ecfd855480e5126"),
+])
+def test_plot_bytes_are_pinned(emit, points, digest):
+    assert hashlib.sha256(emit(points).encode()).hexdigest() == digest
