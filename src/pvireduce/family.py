@@ -4,17 +4,20 @@ Deterministic end to end: feature hashing uses CRC32 with fixed field salts,
 training is plain mini-batch gradient descent with a seeded shuffle, and the
 whole pipeline runs in float64 on a single thread. Featurization hashes each
 distinct n-gram once per chunk of 2048 rows, in numpy, and gives the same
-features as hashing every n-gram occurrence. A training step updates
-only the weight columns its batch touches and keeps L2 decay as a lazy
-global scale on the weights; a batch with no features (every null-model
-batch) touches none and updates only the bias. loss_and_grad is the dense
-step it matches.
+features as hashing every n-gram occurrence. A training step gathers (with
+take) and updates only the weight columns its batch touches and keeps L2
+decay as a lazy global scale on the weights; a batch with no features
+(every null-model batch) touches none and updates only the bias. Each
+batch's columns and rows are prepared once per epoch, or once per train
+call when hp.preserve_order makes every epoch walk the same order.
+loss_and_grad is the dense step it matches.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import zlib
 from collections import Counter
 from dataclasses import dataclass, fields, replace
@@ -231,11 +234,12 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 def _cross_entropy(logits: np.ndarray, y: np.ndarray):
     """Mean cross-entropy of softmax(logits) against y, and its gradient in the logits."""
     n = logits.shape[0]
+    rows = np.arange(n)
     probs = _softmax(logits)
-    p_true = probs[np.arange(n), y]
-    loss = -np.mean(np.log(np.clip(p_true, 1e-300, None)))
+    # np.mean's sum and division, without its Python wrappers
+    loss = -(np.add.reduce(np.log(np.maximum(probs[rows, y], 1e-300))) / n)
     delta = probs
-    delta[np.arange(n), y] -= 1.0
+    delta[rows, y] -= 1.0
     delta /= n
     return loss, delta
 
@@ -257,6 +261,11 @@ def loss_and_grad(weights: np.ndarray, bias: np.ndarray, X: sp.csr_matrix,
 _MIN_SCALE = 1e-3
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def train(dataset: Dataset, hp: Hyperparams, init: Model | None = None) -> Model:
     """Mini-batch gradient descent on mean cross-entropy plus 0.5*l2*|W|^2.
 
@@ -264,23 +273,32 @@ def train(dataset: Dataset, hp: Hyperparams, init: Model | None = None) -> Model
     a fresh seeded shuffle, or the dataset's own order when
     hp.preserve_order is set (curriculum training relies on this). With
     `init`, training continues from that model's parameters and its epoch
-    losses are kept in front of the new ones.
+    losses are kept in front of the new ones. A weight matrix larger than
+    the machine's physical memory raises ValueError before it is allocated.
 
     A step reads and writes only the weight columns its batch touches,
-    found by sorting the batch's entries, so its cost does not grow with
-    hash_bits. A batch with no features touches none: its logits are the
-    bias, and it updates only the bias. L2 decay is a lazy global scale,
-    W = scale * V (Bottou 2012): each step, empty or not, multiplies `scale`
-    by (1 - lr*l2), and |V|^2 is kept up to date so the epoch loss keeps its
-    L2 term. With l2 = 0 every step equals loss_and_grad's dense step bit for
-    bit; with l2 > 0 it equals it up to rounding.
+    gathered with take, so its cost does not grow with hash_bits. _batches
+    prepares each batch's touched columns and renumbered rows: once per call
+    under hp.preserve_order, where every epoch walks the same order, and
+    once per epoch, one batch at a time, when shuffled. A batch with no
+    features touches none: its logits are the bias, and it updates only the
+    bias. L2 decay is a lazy global scale, W = scale * V (Bottou 2012): each
+    step, empty or not, multiplies `scale` by (1 - lr*l2), and |V|^2 is kept
+    up to date so the epoch loss keeps its L2 term. With l2 = 0 every step
+    equals loss_and_grad's dense step bit for bit; with l2 > 0 it equals it
+    up to rounding.
     """
     m = len(dataset)
     if m == 0:
         raise ValueError("cannot train on an empty dataset")
+    C = dataset.num_classes
+    need, memory = C * hp.dim * 8, _physical_memory()
+    if need > memory:
+        raise ValueError(f"hash_bits = {hp.hash_bits} needs a {C} x {hp.dim} float64 weight "
+                         f"matrix of {need / 2**30:.1f} GiB, more than this machine's "
+                         f"{memory / 2**30:.1f} GiB of memory")
     X = _features(dataset, hp)
     y = dataset.labels()
-    C = dataset.num_classes
     if init is None:
         V, b, epoch_losses = np.zeros((C, hp.dim)), np.zeros(C), []
     elif init.weights.shape != (C, hp.dim) or init.bias.shape != (C,):
@@ -289,33 +307,20 @@ def train(dataset: Dataset, hp: Hyperparams, init: Model | None = None) -> Model
     else:
         V, b, epoch_losses = init.weights.copy(), init.bias.copy(), list(init.epoch_losses)
     scale, sq_norm = 1.0, float(np.sum(V * V))
-    # slot[c] is column c's position among the columns its batch touches
-    slot = np.zeros(hp.dim, np.int32)
+    # every epoch of an ordered run walks arange(m), so its batches are prepared once
+    kept = list(_batches(X, y, None, hp)) if hp.preserve_order else None
     total_steps = hp.epochs * ((m + hp.batch_size - 1) // hp.batch_size)
     step = 0
     for order in training_order(m, hp):
-        # rows in this epoch's order, so that each batch is a contiguous slice
-        Xe, ye = X[order], y[order]
         total = 0.0
-        for start in range(0, m, hp.batch_size):
-            stop = min(start + hp.batch_size, m)
-            lo, hi = Xe.indptr[start], Xe.indptr[stop]
-            if lo == hi:
+        for start, stop, cols, Xb, XbT, yb in kept or _batches(X, y, order, hp):
+            if cols is None:
                 # no features: the logits are the bias and the weight gradient is zero
                 logits = np.zeros((stop - start, C)) + b
             else:
-                # the batch's rows, with columns renumbered to the distinct ones it touches
-                touched = Xe.indices[lo:hi]
-                # the distinct columns in order; np.unique (numpy >= 2.3) hashes before
-                # it sorts, which is several times slower on a batch's few thousand entries
-                ordered = np.sort(touched)
-                cols = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-                slot[cols] = np.arange(len(cols), dtype=np.int32)
-                Xb = sp.csr_matrix((Xe.data[lo:hi], slot[touched], Xe.indptr[start:stop + 1] - lo),
-                                   shape=(stop - start, len(cols)))
-                Vb = V[:, cols]
+                Vb = V.take(cols, axis=1)
                 logits = Xb @ (scale * Vb).T + b
-            loss, delta = _cross_entropy(logits, ye[start:stop])
+            loss, delta = _cross_entropy(logits, yb)
             loss += 0.5 * hp.l2 * (scale * scale * sq_norm)
             if hp.lr_schedule == "linear":
                 lr = hp.learning_rate * (1.0 - step / total_steps)
@@ -325,10 +330,10 @@ def train(dataset: Dataset, hp: Hyperparams, init: Model | None = None) -> Model
             if scale <= _MIN_SCALE:
                 V *= scale
                 scale, sq_norm = 1.0, float(np.sum(V * V))
-                if lo < hi:
-                    Vb = V[:, cols]
-            if lo < hi:
-                Vb_new = Vb - (lr / scale) * np.asarray(Xb.T @ delta).T
+                if cols is not None:
+                    Vb = V.take(cols, axis=1)
+            if cols is not None:
+                Vb_new = Vb - (lr / scale) * (XbT @ delta).T
                 V[:, cols] = Vb_new
                 sq_norm += float(np.sum(Vb_new * Vb_new) - np.sum(Vb * Vb))
             b -= lr * delta.sum(axis=0)
@@ -336,6 +341,37 @@ def train(dataset: Dataset, hp: Hyperparams, init: Model | None = None) -> Model
             step += 1
         epoch_losses.append(total / m)
     return Model(scale * V, b, C, hp, dataset.provenance_tag, tuple(epoch_losses))
+
+
+def _batches(X: sp.csr_matrix, y: np.ndarray, order, hp: Hyperparams):
+    """One epoch's batches in `order` (None: the rows as they are), one at a time.
+
+    Yields (start, stop, cols, Xb, Xb.T, yb): `cols` are the distinct columns
+    the batch touches, ascending, and Xb holds its rows with each column
+    renumbered to its position in `cols`; Xb.T is a CSC view of the same
+    arrays. A batch with no features has cols = Xb = Xb.T = None.
+    """
+    if order is not None:
+        # rows in this epoch's order, so that each batch is a contiguous slice
+        X, y = X[order], y[order]
+    m = X.shape[0]
+    # slot[c] is column c's position among the columns its batch touches
+    slot = np.zeros(hp.dim, np.int32)
+    for start in range(0, m, hp.batch_size):
+        stop = min(start + hp.batch_size, m)
+        lo, hi = X.indptr[start], X.indptr[stop]
+        if lo == hi:
+            yield start, stop, None, None, None, y[start:stop]
+            continue
+        touched = X.indices[lo:hi]
+        # the distinct columns in order; np.unique (numpy >= 2.3) hashes before
+        # it sorts, which is several times slower on a batch's few thousand entries
+        ordered = np.sort(touched)
+        cols = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+        slot[cols] = np.arange(len(cols), dtype=np.int32)
+        Xb = sp.csr_matrix((X.data[lo:hi], slot[touched], X.indptr[start:stop + 1] - lo),
+                           shape=(stop - start, len(cols)))
+        yield start, stop, cols, Xb, Xb.T, y[start:stop]
 
 
 def train_null(dataset: Dataset, hp: Hyperparams) -> Model:

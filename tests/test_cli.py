@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from pvireduce import cli
+from pvireduce import cli, family
 from pvireduce.cli import main
 from pvireduce.report import RuntimeLog
 
@@ -135,6 +135,19 @@ def test_memory_error_is_a_data_error(tmp_path, capsys, monkeypatch, corpora, me
     err = capsys.readouterr().err
     assert shown in err
     assert "Traceback" not in err
+
+
+def test_weights_larger_than_memory_are_a_data_error(tmp_path, capsys, monkeypatch, corpora):
+    # the memory figure is patched below the default (3, 2**16) matrix, so nothing large
+    # is allocated
+    monkeypatch.setattr(family, "_physical_memory", lambda: 2**20)
+    train, _ = corpora
+    out = tmp_path / "out"
+    assert _run(["pvi", "--train", train, "--out-dir", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: hash_bits = 16 needs a 3 x 65536 float64 weight matrix")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_data_error_leaves_no_partial_files(tmp_path, corpora):

@@ -426,6 +426,10 @@ def _assert_matches(model, reference, atol):
     # 1 - lr*l2 is exactly 0, then negative: the scale is folded into the weights
     ({"learning_rate": 2.0, "l2": 0.5, "lr_schedule": "constant"}, 1e-9),
     ({"learning_rate": 1.5, "l2": 1.0}, 1e-9),
+    # ordered: the batches are prepared once and reused by every epoch
+    ({"l2": 0.0, "preserve_order": True}, 0.0),
+    ({"l2": 1e-3, "preserve_order": True}, 1e-9),
+    ({"learning_rate": 1.5, "l2": 1.0, "preserve_order": True}, 1e-9),
 ])
 def test_train_matches_dense_reference(small_train, kwargs, atol):
     hp = Hyperparams(**kwargs)
@@ -453,6 +457,8 @@ def _with_empty_rows(dataset):
     ({"l2": 0.0, "preserve_order": True}, 0.0),
     # the scale folds on every step, empty batches included
     ({"learning_rate": 2.0, "l2": 0.5, "lr_schedule": "constant"}, 1e-9),
+    ({"learning_rate": 2.0, "l2": 0.5, "lr_schedule": "constant", "preserve_order": True},
+     1e-9),
 ])
 def test_train_with_empty_batches_matches_dense_reference(small_train, batch_size, kwargs,
                                                           atol):
@@ -469,6 +475,111 @@ def test_train_init_matches_dense_reference(small_train, l2, atol):
     hp = Hyperparams(epochs=2, l2=l2)
     _assert_matches(train(small_train, hp, init=first),
                     _dense_train(small_train, hp, init=first), atol)
+
+
+_FOLD = {"learning_rate": 2.0, "l2": 0.5, "lr_schedule": "constant"}
+
+
+@pytest.mark.parametrize("kwargs, atol", [
+    ({"l2": 0.0, "batch_size": 1}, 0.0),
+    ({"l2": 0.0, "batch_size": 3}, 0.0),
+    ({**_FOLD, "batch_size": 1}, 1e-9),
+    ({**_FOLD, "batch_size": 3}, 1e-9),
+    ({"l2": 1e-3}, 1e-9),
+])
+def test_ordered_train_init_matches_dense_reference(small_train, kwargs, atol):
+    # a warm start whose kept batches include ones with no features
+    dataset = _with_empty_rows(small_train)
+    first = train(dataset, Hyperparams(hash_bits=10, epochs=2, l2=1e-3))
+    hp = Hyperparams(hash_bits=10, epochs=2, preserve_order=True, **kwargs)
+    _assert_matches(train(dataset, hp, init=first), _dense_train(dataset, hp, init=first), atol)
+
+
+@pytest.mark.parametrize("kwargs", [{"l2": 1e-3}, {"learning_rate": 1.5, "l2": 1.0},
+                                    {"hash_bits": 10, "batch_size": 3}])
+def test_ordered_batches_prepared_once_match_fresh_ones(small_train, monkeypatch, kwargs):
+    hp = Hyperparams(epochs=3, **kwargs)
+    warm = train(small_train, replace(hp, epochs=1))
+    kept = train(small_train, replace(hp, preserve_order=True), init=warm)
+    # every epoch in the dataset's order, but its batches prepared afresh, as shuffled
+    monkeypatch.setattr(family, "training_order",
+                        lambda m, hp: (np.arange(m) for _ in range(hp.epochs)))
+    fresh = train(small_train, hp, init=warm)
+    _assert_matches(kept, fresh, 0.0)
+
+
+@pytest.mark.parametrize("preserve_order", [False, True])
+def test_train_prepares_batches_once_per_call_ordered_and_per_epoch_shuffled(
+        small_train, monkeypatch, preserve_order):
+    calls, steps, prepared_after = [], [0], []
+    real_batches, real_cross_entropy = family._batches, family._cross_entropy
+
+    def batches(X, y, order, hp):
+        calls.append(order)
+        for batch in real_batches(X, y, order, hp):
+            prepared_after.append(steps[0])
+            yield batch
+
+    def cross_entropy(logits, y):
+        steps[0] += 1
+        return real_cross_entropy(logits, y)
+
+    monkeypatch.setattr(family, "_batches", batches)
+    monkeypatch.setattr(family, "_cross_entropy", cross_entropy)
+    hp = Hyperparams(epochs=3, batch_size=32, preserve_order=preserve_order)
+    train(small_train, hp)
+    per_epoch = -(-len(small_train) // hp.batch_size)
+    assert steps[0] == hp.epochs * per_epoch
+    if preserve_order:
+        # one preparation, in the dataset's own order, before the first step
+        assert len(calls) == 1 and calls[0] is None
+        assert prepared_after == [0] * per_epoch
+    else:
+        assert [order is not None for order in calls] == [True] * hp.epochs
+        # batch i of an epoch is prepared only after batch i - 1's step ran
+        assert prepared_after == list(range(hp.epochs * per_epoch))
+
+
+def _cross_entropy_with_clip_and_mean(logits, y):
+    """_cross_entropy as written with np.clip and np.mean."""
+    n = logits.shape[0]
+    probs = family._softmax(logits)
+    p_true = probs[np.arange(n), y]
+    loss = -np.mean(np.log(np.clip(p_true, 1e-300, None)))
+    delta = probs
+    delta[np.arange(n), y] -= 1.0
+    delta /= n
+    return loss, delta
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 64), classes=st.integers(2, 4), spread=st.sampled_from([1.0, 20.0]),
+       seed=st.integers(0, 2**32 - 1), gap=st.sampled_from([None, 700.0, 800.0]))
+@example(n=9, classes=3, spread=1.0, seed=0, gap=800.0)
+def test_cross_entropy_is_bit_identical_to_clip_and_mean(n, classes, spread, seed, gap):
+    rng = np.random.default_rng(seed)
+    logits = rng.normal(0.0, spread, (n, classes))
+    y = rng.integers(0, classes, n)
+    if gap is not None:
+        # the gold probability of row 0 underflows below the 1e-300 floor
+        logits[0, y[0]] = np.delete(logits[0], y[0]).max() - gap
+        assert family._softmax(logits)[0, y[0]] < 1e-300
+    loss, delta = family._cross_entropy(logits.copy(), y)
+    want_loss, want_delta = _cross_entropy_with_clip_and_mean(logits.copy(), y)
+    assert type(loss) is type(want_loss)
+    assert np.asarray(loss).tobytes() == np.asarray(want_loss).tobytes()
+    assert delta.tobytes() == want_delta.tobytes()
+
+
+def test_train_refuses_weights_larger_than_memory(small_train, monkeypatch):
+    hp = Hyperparams(hash_bits=8, epochs=1)
+    need = small_train.num_classes * hp.dim * 8
+    # the memory figure is patched, so no large matrix is ever asked for
+    monkeypatch.setattr(family, "_physical_memory", lambda: need - 1)
+    with pytest.raises(ValueError, match=r"^hash_bits = 8 needs a 3 x 256 float64"):
+        train(small_train, hp)
+    monkeypatch.setattr(family, "_physical_memory", lambda: need)
+    assert train(small_train, hp).weights.shape == (3, 256)
 
 
 _HYPERPARAMS = st.builds(
