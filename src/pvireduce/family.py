@@ -10,7 +10,10 @@ decay as a lazy global scale on the weights; a batch with no features
 (every null-model batch) touches none and updates only the bias. Each
 batch's columns and rows are prepared once per epoch, or once per train
 call when hp.preserve_order makes every epoch walk the same order.
-loss_and_grad is the dense step it matches.
+loss_and_grad is the dense step it matches. Scoring a dataset with no
+memoized feature matrix featurizes and predicts one 2048-row chunk at a time
+and keeps no matrix. scipy is imported on first use, by the two CSR
+builders, so a run that builds no matrix never loads it.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from collections import Counter
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from .corpus import Dataset, to_null_view
 from .tables import atomic_write_text, f17
@@ -157,10 +159,15 @@ def feature_matrix(dataset: Dataset, hp: Hyperparams) -> sp.csr_matrix:
 
 def _features(dataset: Dataset, hp: Hyperparams) -> sp.csr_matrix:
     """feature_matrix(dataset, hp), built once per dataset and featurization."""
-    key = (hp.hash_bits, tuple(hp.ngram_orders))
+    key = _feature_key(hp)
     if key not in dataset._features:
         dataset._features[key] = feature_matrix(dataset, hp)
     return dataset._features[key]
+
+
+def _feature_key(hp: Hyperparams):
+    """What a Dataset memoizes its feature matrices under: the featurization's settings."""
+    return hp.hash_bits, tuple(hp.ngram_orders)
 
 
 def _hashed_counts(premises, hypotheses, hp: Hyperparams) -> sp.csr_matrix:
@@ -185,6 +192,9 @@ def _hashed_counts(premises, hypotheses, hp: Hyperparams) -> sp.csr_matrix:
         data.append(counts.astype(np.float64))
     # rebinding frees the chunks before scipy copies the indices to int32
     indptr, indices, data = np.concatenate(indptr), np.concatenate(indices), np.concatenate(data)
+    # loaded on first use, so a run that builds no matrix never loads it; here, after the
+    # chunk temporaries are freed, so a run's first featurization never holds both at once
+    import scipy.sparse as sp
     return sp.csr_matrix((data, indices, indptr), shape=(len(premises), hp.dim))
 
 
@@ -266,6 +276,21 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def _zero_weights(C: int, hp: Hyperparams) -> np.ndarray:
+    """A zero (C, 2**hash_bits) float64 weight matrix: train's, load_model's and
+    constant_predictor's one allocation of weights.
+
+    A matrix larger than the machine's physical memory raises ValueError naming
+    hash_bits, before it is allocated.
+    """
+    need, memory = C * hp.dim * 8, _physical_memory()
+    if need > memory:
+        raise ValueError(f"hash_bits = {hp.hash_bits} needs a {C} x {hp.dim} float64 weight "
+                         f"matrix of {need / 2**30:.1f} GiB, more than this machine's "
+                         f"{memory / 2**30:.1f} GiB of memory")
+    return np.zeros((C, hp.dim))
+
+
 def train(dataset: Dataset, hp: Hyperparams, init: Model | None = None) -> Model:
     """Mini-batch gradient descent on mean cross-entropy plus 0.5*l2*|W|^2.
 
@@ -292,20 +317,15 @@ def train(dataset: Dataset, hp: Hyperparams, init: Model | None = None) -> Model
     if m == 0:
         raise ValueError("cannot train on an empty dataset")
     C = dataset.num_classes
-    need, memory = C * hp.dim * 8, _physical_memory()
-    if need > memory:
-        raise ValueError(f"hash_bits = {hp.hash_bits} needs a {C} x {hp.dim} float64 weight "
-                         f"matrix of {need / 2**30:.1f} GiB, more than this machine's "
-                         f"{memory / 2**30:.1f} GiB of memory")
-    X = _features(dataset, hp)
-    y = dataset.labels()
     if init is None:
-        V, b, epoch_losses = np.zeros((C, hp.dim)), np.zeros(C), []
+        V, b, epoch_losses = _zero_weights(C, hp), np.zeros(C), []
     elif init.weights.shape != (C, hp.dim) or init.bias.shape != (C,):
         raise ValueError(f"init model has weights {init.weights.shape} and bias "
                          f"{init.bias.shape}; training here needs {(C, hp.dim)} and {(C,)}")
     else:
         V, b, epoch_losses = init.weights.copy(), init.bias.copy(), list(init.epoch_losses)
+    X = _features(dataset, hp)
+    y = dataset.labels()
     scale, sq_norm = 1.0, float(np.sum(V * V))
     # every epoch of an ordered run walks arange(m), so its batches are prepared once
     kept = list(_batches(X, y, None, hp)) if hp.preserve_order else None
@@ -351,6 +371,8 @@ def _batches(X: sp.csr_matrix, y: np.ndarray, order, hp: Hyperparams):
     renumbered to its position in `cols`; Xb.T is a CSC view of the same
     arrays. A batch with no features has cols = Xb = Xb.T = None.
     """
+    import scipy.sparse as sp
+
     if order is not None:
         # rows in this epoch's order, so that each batch is a contiguous slice
         X, y = X[order], y[order]
@@ -413,6 +435,27 @@ def _gold_log2(model: Model, X: sp.csr_matrix, labels) -> list[float]:
     return [math.log2(max(pk, model.hyperparams.prob_floor)) for pk in p.tolist()]
 
 
+def _gold_log2_rows(model: Model, dataset: Dataset) -> list[float]:
+    """_gold_log2 of every instance, in dataset order.
+
+    A dataset with a memoized feature matrix is scored on it as it is. Any
+    other is featurized and scored one _CHUNK_ROWS slice at a time, and keeps
+    no matrix, so only one slice's rows are alive at once. Each row's
+    prediction reads only that row, so both give the same floats.
+    """
+    labels = dataset.labels()
+    X = dataset._features.get(_feature_key(model.hyperparams))
+    if X is not None:
+        return _gold_log2(model, X, labels)
+    logs = []
+    for lo in range(0, len(dataset), _CHUNK_ROWS):
+        rows = dataset.instances[lo:lo + _CHUNK_ROWS]
+        X = _hashed_counts([inst.premise for inst in rows],
+                           [inst.hypothesis for inst in rows], model.hyperparams)
+        logs += _gold_log2(model, X, labels[lo:lo + _CHUNK_ROWS])
+    return logs
+
+
 def constant_predictor(dist, hp: Hyperparams | None = None) -> Model:
     """Family member that outputs `dist` for every input, null input included.
 
@@ -426,7 +469,7 @@ def constant_predictor(dist, hp: Hyperparams | None = None) -> Model:
     if abs(float(dist.sum()) - 1.0) > 1e-9:
         raise ValueError(f"distribution must sum to 1, got {dist.sum()}")
     C = dist.shape[0]
-    return Model(np.zeros((C, hp.dim)), np.log(dist), C, hp, "constant")
+    return Model(_zero_weights(C, hp), np.log(dist), C, hp, "constant")
 
 
 def evaluate(model: Model, dataset: Dataset) -> EvalReport:
@@ -498,7 +541,7 @@ def load_model(path) -> Model:
         C = payload["num_classes"]
         if type(C) is not int or C < 1:
             raise ValueError(f"num_classes must be an integer >= 1, got {C!r}")
-        W = np.zeros((C, hp.dim))
+        W = _zero_weights(C, hp)
         for c, j, v in payload["weights"]:
             if not all(type(i) is int and 0 <= i < n for i, n in ((c, C), (j, hp.dim))):
                 raise ValueError(f"weight index ({c!r}, {j!r}) is outside "

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Dataset
-from .family import Hyperparams, Model, _features, _gold_log2, log2_prob, train, train_null
+from .family import Hyperparams, Model, _gold_log2_rows, log2_prob, train, train_null
 from .tables import atomic_write_text, read_csv, write_csv
 
 
@@ -41,11 +41,14 @@ def train_scorers(dataset: Dataset, hp: Hyperparams) -> tuple[Model, Model]:
 def compute_pvi(g_cond: Model, g_null: Model, dataset: Dataset) -> tuple[PviRecord, ...]:
     """One record per instance, in dataset order, in one batch pass over the rows.
 
+    The pass reads the dataset's memoized feature matrix when it has one (a
+    training set). Otherwise it featurizes and scores one 2048-row slice at a
+    time and keeps no matrix, so scoring a large held-out set holds one slice.
     cond_log2prob is log2_prob(g_cond, premise, hypothesis, label) and
     null_log2prob is log2_prob(g_null, "", "", label), bit for bit."""
     if g_cond.num_classes != dataset.num_classes or g_null.num_classes != dataset.num_classes:
         raise ValueError("model/dataset class-count mismatch")
-    conds = _gold_log2(g_cond, _features(dataset, g_cond.hyperparams), dataset.labels())
+    conds = _gold_log2_rows(g_cond, dataset)
     null_by_class = [log2_prob(g_null, "", "", c) for c in range(dataset.num_classes)]
     records = []
     for inst, cond in zip(dataset, conds):

@@ -7,6 +7,7 @@ import pytest
 
 from pvireduce import cli, family
 from pvireduce.cli import main
+from pvireduce.corpus import load_dataset
 from pvireduce.report import RuntimeLog
 
 
@@ -148,6 +149,55 @@ def test_weights_larger_than_memory_are_a_data_error(tmp_path, capsys, monkeypat
     assert err.startswith("data error: hash_bits = 16 needs a 3 x 65536 float64 weight matrix")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+# runs main(argv) in a fresh interpreter and prints whether scipy was loaded
+_SCIPY_PROBE = """
+import sys
+import pvireduce, pvireduce.cli
+code = pvireduce.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(code, "scipy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("command, loads_scipy", [
+    ([], False),
+    (["gen", "--n", "30", "--out", "{tmp}/gen/data.jsonl"], False),
+    (["stats", "--data", "{train}", "--out-dir", "{tmp}/stats"], False),
+    (["report", "--sweep-csv", "{sweep_csv}", "--runtime-csv", "{runtime_csv}",
+      "--out-dir", "{tmp}/report"], False),
+    (["pvi", "--train", "{train}", "--epochs", "1", "--out-dir", "{tmp}/pvi"], True),
+], ids=["import", "gen", "stats", "report", "pvi"])
+def test_scipy_loads_only_for_commands_that_build_a_matrix(tmp_path, corpora, sweep_tables,
+                                                           command, loads_scipy):
+    # a fresh interpreter, because this one has imported scipy already
+    paths = {"tmp": tmp_path, "train": corpora[0], "sweep_csv": sweep_tables[0],
+             "runtime_csv": sweep_tables[1]}
+    argv = [arg.format(**paths) for arg in command] + (["--no-timing"] if command else [])
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout.split() == ["0", str(loads_scipy)], proc.stderr
+
+
+@pytest.mark.parametrize("on", [False, True])
+def test_pvi_featurizes_each_scored_set_once(tmp_path, monkeypatch, corpora, on):
+    train, test = corpora
+    featurized = []
+    build = family._hashed_counts
+
+    def spy(premises, hypotheses, hp):
+        featurized.extend(zip(premises, hypotheses))
+        return build(premises, hypotheses, hp)
+
+    monkeypatch.setattr(family, "_hashed_counts", spy)
+    argv = ["pvi", "--train", train, "--epochs", "1", "--out-dir", tmp_path / "pvi"]
+    scored = [train, test] if on else [train]
+    assert _run(argv + (["--on", test] if on else [])) == 0
+    # the null model's rows are empty texts; every other featurized row is a data row
+    rows = [(inst.premise, inst.hypothesis)
+            for path in scored for inst in load_dataset(path, "jsonl")]
+    assert sorted(pair for pair in featurized if pair != ("", "")) == sorted(rows)
 
 
 def test_data_error_leaves_no_partial_files(tmp_path, corpora):

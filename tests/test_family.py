@@ -582,6 +582,23 @@ def test_train_refuses_weights_larger_than_memory(small_train, monkeypatch):
     assert train(small_train, hp).weights.shape == (3, 256)
 
 
+def test_constant_and_loaded_models_refuse_weights_larger_than_memory(tmp_path, monkeypatch):
+    hp = Hyperparams(hash_bits=8)
+    path = tmp_path / "model.json"
+    save_model(constant_predictor([0.25, 0.75], hp), path)
+    need = 2 * hp.dim * 8
+    # the memory figure is patched, so no large matrix is ever asked for
+    monkeypatch.setattr(family, "_physical_memory", lambda: need - 1)
+    named = "hash_bits = 8 needs a 2 x 256 float64 weight matrix"
+    with pytest.raises(ValueError, match=f"^{named}"):
+        constant_predictor([0.25, 0.75], hp)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {named}"):
+        load_model(path)
+    monkeypatch.setattr(family, "_physical_memory", lambda: need)
+    assert constant_predictor([0.25, 0.75], hp).weights.shape == (2, 256)
+    assert load_model(path).weights.shape == (2, 256)
+
+
 _HYPERPARAMS = st.builds(
     Hyperparams,
     hash_bits=st.integers(1, 6),

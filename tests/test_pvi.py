@@ -1,13 +1,15 @@
 import csv
 import math
 import statistics
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from pvireduce import (Hyperparams, compute_pvi, constant_predictor,
+from pvireduce import (Dataset, Hyperparams, compute_pvi, constant_predictor,
                        generate_synthetic, hardest_k, log2_prob, pvi_histogram,
-                       rank_by_difficulty, summarize, to_null_view, train)
+                       rank_by_difficulty, summarize, to_null_view, train, train_scorers)
+from pvireduce import family
 from pvireduce.corpus import synthetic_difficulty_tags
 from pvireduce.family import Model
 from pvireduce.pvi import (PviRecord, read_records_csv, write_records_csv,
@@ -57,6 +59,30 @@ def test_pvi_class_mismatch(hp, small_train):
     g3 = constant_predictor((1 / 3, 1 / 3, 1 / 3), hp)
     with pytest.raises(ValueError):
         compute_pvi(g2, g3, small_train)
+
+
+def _pairs_with_empty_texts():
+    """50 instances; every 5th premise and every 7th hypothesis is empty (both at 0 and 35)."""
+    ds = generate_synthetic(50, 3, (0.5, 0.3, 0.2), seed=5)
+    return Dataset(tuple(replace(inst, premise="" if i % 5 == 0 else inst.premise,
+                                 hypothesis="" if i % 7 == 0 else inst.hypothesis)
+                         for i, inst in enumerate(ds)), ds.num_classes)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 7])
+def test_sliced_scoring_equals_whole_set_scoring(small_train, monkeypatch, chunk_rows):
+    hp = Hyperparams(epochs=2)
+    g_cond, g_null = train_scorers(small_train, hp)
+    monkeypatch.setattr(family, "_CHUNK_ROWS", chunk_rows)
+    fresh = _pairs_with_empty_texts()
+    sliced = compute_pvi(g_cond, g_null, fresh)
+    assert fresh._features == {}  # slicing keeps no matrix on the dataset
+    memoized = _pairs_with_empty_texts()
+    family._features(memoized, hp)
+    assert compute_pvi(g_cond, g_null, memoized) == sliced
+    for inst, rec in zip(fresh, sliced):
+        assert rec.cond_log2prob == log2_prob(g_cond, inst.premise, inst.hypothesis, inst.label)
+        assert rec.null_log2prob == log2_prob(g_null, "", "", inst.label)
 
 
 def test_pvi_identity_field(scored):
