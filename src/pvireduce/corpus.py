@@ -264,13 +264,9 @@ def inject_noise(dataset: Dataset, spec: NoiseSpec) -> Dataset:
     for pos, inst in enumerate(dataset):
         if pos in chosen_pos:
             sub = np.random.default_rng([spec.seed, inst.original_index])
-            out.append(replace(
-                inst,
-                premise=_corrupt_text(inst.premise, sub),
-                hypothesis=_corrupt_text(inst.hypothesis, sub),
-            ))
-        else:
-            out.append(inst)
+            inst = replace(inst, premise=_corrupt_text(inst.premise, sub),
+                           hypothesis=_corrupt_text(inst.hypothesis, sub))
+        out.append(inst)
     return replace(dataset, instances=tuple(out), provenance_tag="noisy")
 
 

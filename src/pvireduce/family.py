@@ -2,18 +2,18 @@
 
 Deterministic end to end: feature hashing uses CRC32 with fixed field salts,
 training is plain mini-batch gradient descent with a seeded shuffle, and the
-whole pipeline runs in float64 on a single thread. Featurization hashes each
-distinct n-gram once per chunk of 2048 rows, in numpy, and gives the same
-features as hashing every n-gram occurrence. A training step gathers (with
-take) and updates only the weight columns its batch touches and keeps L2
-decay as a lazy global scale on the weights; a batch with no features
-(every null-model batch) touches none and updates only the bias. Each
-batch's columns and rows are prepared once per epoch, or once per train
+whole pipeline runs in float64 on a single thread. Featurization yields one
+CSR matrix per chunk of 2048 rows and hashes each distinct n-gram once per
+chunk, in numpy, with the same features as hashing every occurrence.
+feature_matrix stacks the chunks; scoring a dataset with no memoized feature
+matrix predicts each chunk as it comes and keeps none. A training step
+gathers (with take) and updates only the weight columns its batch touches
+and keeps L2 decay as a lazy global scale on the weights; a batch with no
+features (every null-model batch) touches none and updates only the bias.
+Each batch's columns and rows are prepared once per epoch, or once per train
 call when hp.preserve_order makes every epoch walk the same order.
-loss_and_grad is the dense step it matches. Scoring a dataset with no
-memoized feature matrix featurizes and predicts one 2048-row chunk at a time
-and keeps no matrix. scipy is imported on first use, by the two CSR
-builders, so a run that builds no matrix never loads it.
+loss_and_grad is the dense step it matches. scipy is imported on first use,
+by the CSR builders, so a run that builds no matrix never loads it.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .corpus import Dataset, to_null_view
-from .tables import atomic_write_text, f17
+from .tables import atomic_write_text, f17, finite_float
 
 _FIELD_SALTS = {"premise": b"p\x00", "hypothesis": b"h\x00"}
 
@@ -136,8 +136,8 @@ _CHUNK_ROWS = 2048
 _CODE_POINTS = 0x110000
 
 
-def featurize(premise: str, hypothesis: str, hash_bits: int = 16,
-              ngram_orders=(1, 2, 3)) -> dict[int, float]:
+def featurize(premise: str, hypothesis: str, hash_bits: int = Hyperparams.hash_bits,
+              ngram_orders=Hyperparams.ngram_orders) -> dict[int, float]:
     """Sparse count vector of hashed character n-grams of both fields.
 
     Each n-gram of each listed order (a repeated order counts again) adds
@@ -147,14 +147,16 @@ def featurize(premise: str, hypothesis: str, hash_bits: int = 16,
     The arguments are checked as Hyperparams checks its fields.
     """
     hp = Hyperparams(hash_bits=hash_bits, ngram_orders=tuple(ngram_orders))
-    X = _hashed_counts([premise], [hypothesis], hp)
+    X = next(_hashed_counts([premise], [hypothesis], hp))
     return dict(zip(X.indices.tolist(), X.data.tolist()))
 
 
 def feature_matrix(dataset: Dataset, hp: Hyperparams) -> sp.csr_matrix:
     """CSR matrix of featurize() applied to every instance, in dataset order."""
-    return _hashed_counts([inst.premise for inst in dataset],
-                          [inst.hypothesis for inst in dataset], hp)
+    chunks = list(_hashed_counts([inst.premise for inst in dataset],
+                                 [inst.hypothesis for inst in dataset], hp))
+    import scipy.sparse as sp
+    return sp.vstack(chunks, format="csr")
 
 
 def _features(dataset: Dataset, hp: Hyperparams) -> sp.csr_matrix:
@@ -170,32 +172,29 @@ def _feature_key(hp: Hyperparams):
     return hp.hash_bits, tuple(hp.ngram_orders)
 
 
-def _hashed_counts(premises, hypotheses, hp: Hyperparams) -> sp.csr_matrix:
-    """CSR matrix of featurize() over the rows, built in numpy; every feature row's builder.
-
-    Rows go in chunks of _CHUNK_ROWS; each distinct n-gram is hashed once per
-    chunk. Within a row the buckets ascend, and each count is an exact sum of 1.0s.
-    """
+def _hashed_counts(premises, hypotheses, hp: Hyperparams):
+    """featurize() over the rows, built in numpy, as a CSR matrix per _CHUNK_ROWS rows
+    (one 0-row matrix for no rows); every feature row's builder. Each distinct n-gram
+    is hashed once per chunk. Within a row the buckets ascend, and each count is an
+    exact sum of 1.0s."""
     repeats = Counter(hp.ngram_orders)
     mask = hp.dim - 1
     per_field = [(premises, _FIELD_SALTS["premise"]), (hypotheses, _FIELD_SALTS["hypothesis"])]
-    indptr, indices, data = [np.zeros(1, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)]
-    for lo in range(0, len(premises), _CHUNK_ROWS):
+    for lo in range(0, len(premises) or 1, _CHUNK_ROWS):
         n = min(len(premises) - lo, _CHUNK_ROWS)
         # one key per n-gram occurrence: (row in chunk) << hash_bits | bucket
         keys = [np.zeros(0, np.int64)]
         for texts, salt in per_field:
             keys += _gram_keys(texts[lo:lo + n], salt, mask, hp.hash_bits, repeats)
         keys, counts = np.unique(np.concatenate(keys), return_counts=True)
-        indptr.append(indptr[-1][-1] + np.cumsum(np.bincount(keys >> hp.hash_bits, minlength=n)))
-        indices.append(keys & mask)
-        data.append(counts.astype(np.float64))
-    # rebinding frees the chunks before scipy copies the indices to int32
-    indptr, indices, data = np.concatenate(indptr), np.concatenate(indices), np.concatenate(data)
-    # loaded on first use, so a run that builds no matrix never loads it; here, after the
-    # chunk temporaries are freed, so a run's first featurization never holds both at once
-    import scipy.sparse as sp
-    return sp.csr_matrix((data, indices, indptr), shape=(len(premises), hp.dim))
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(keys >> hp.hash_bits, minlength=n))))
+        # loaded on first use, so a run that builds no matrix never loads it; here, after the
+        # n-gram keys are freed, so a run's first featurization never holds both at once
+        import scipy.sparse as sp
+        chunk = sp.csr_matrix((counts.astype(np.float64), keys & mask, indptr), shape=(n, hp.dim))
+        # a suspended generator keeps its locals alive while the caller uses the chunk
+        del keys, counts, indptr
+        yield chunk
 
 
 def _gram_keys(texts, salt: bytes, mask: int, hash_bits: int, repeats):
@@ -291,6 +290,7 @@ def _zero_weights(C: int, hp: Hyperparams) -> np.ndarray:
     return np.zeros((C, hp.dim))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train(dataset: Dataset, hp: Hyperparams, init: Model | None = None) -> Model:
     """Mini-batch gradient descent on mean cross-entropy plus 0.5*l2*|W|^2.
 
@@ -299,7 +299,8 @@ def train(dataset: Dataset, hp: Hyperparams, init: Model | None = None) -> Model
     hp.preserve_order is set (curriculum training relies on this). With
     `init`, training continues from that model's parameters and its epoch
     losses are kept in front of the new ones. A weight matrix larger than
-    the machine's physical memory raises ValueError before it is allocated.
+    the machine's physical memory raises ValueError before it is allocated, and
+    a diverged run (an epoch's mean loss not finite) when that epoch ends.
 
     A step reads and writes only the weight columns its batch touches,
     gathered with take, so its cost does not grow with hash_bits. _batches
@@ -359,6 +360,9 @@ def train(dataset: Dataset, hp: Hyperparams, init: Model | None = None) -> Model
             b -= lr * delta.sum(axis=0)
             total += loss * (stop - start)
             step += 1
+        if not math.isfinite(total / m):
+            raise ValueError(f"training diverged: epoch {len(epoch_losses) + 1} has mean loss "
+                             f"{total / m} (learning_rate {hp.learning_rate!r}, l2 {hp.l2!r})")
         epoch_losses.append(total / m)
     return Model(scale * V, b, C, hp, dataset.provenance_tag, tuple(epoch_losses))
 
@@ -417,7 +421,7 @@ def predict_dist_matrix(model: Model, X: sp.csr_matrix) -> np.ndarray:
 
 def predict_dist(model: Model, premise: str, hypothesis: str) -> np.ndarray:
     """The pair's row of predict_dist_matrix on any feature_matrix, bit for bit."""
-    X = _hashed_counts([premise], [hypothesis], model.hyperparams)
+    X = next(_hashed_counts([premise], [hypothesis], model.hyperparams))
     return predict_dist_matrix(model, X)[0]
 
 
@@ -425,7 +429,7 @@ def log2_prob(model: Model, premise: str, hypothesis: str, label: int) -> float:
     """log2 of the model's probability of the gold label, floored at prob_floor."""
     if not 0 <= label < model.num_classes:
         raise ValueError(f"label {label} out of range")
-    X = _hashed_counts([premise], [hypothesis], model.hyperparams)
+    X = next(_hashed_counts([premise], [hypothesis], model.hyperparams))
     return _gold_log2(model, X, [label])[0]
 
 
@@ -439,20 +443,17 @@ def _gold_log2_rows(model: Model, dataset: Dataset) -> list[float]:
     """_gold_log2 of every instance, in dataset order.
 
     A dataset with a memoized feature matrix is scored on it as it is. Any
-    other is featurized and scored one _CHUNK_ROWS slice at a time, and keeps
-    no matrix, so only one slice's rows are alive at once. Each row's
-    prediction reads only that row, so both give the same floats.
+    other is scored one _hashed_counts chunk at a time, each predicted before
+    the next is built, and keeps no matrix. Each row's prediction reads only
+    that row, so both give the same floats.
     """
-    labels = dataset.labels()
-    X = dataset._features.get(_feature_key(model.hyperparams))
-    if X is not None:
-        return _gold_log2(model, X, labels)
-    logs = []
-    for lo in range(0, len(dataset), _CHUNK_ROWS):
-        rows = dataset.instances[lo:lo + _CHUNK_ROWS]
-        X = _hashed_counts([inst.premise for inst in rows],
-                           [inst.hypothesis for inst in rows], model.hyperparams)
-        logs += _gold_log2(model, X, labels[lo:lo + _CHUNK_ROWS])
+    hp = model.hyperparams
+    X = dataset._features.get(_feature_key(hp))
+    chunks = [X] if X is not None else _hashed_counts(
+        [inst.premise for inst in dataset], [inst.hypothesis for inst in dataset], hp)
+    labels, logs = dataset.labels(), []
+    for X in chunks:
+        logs += _gold_log2(model, X, labels[len(logs):len(logs) + X.shape[0]])
     return logs
 
 
@@ -516,8 +517,9 @@ def load_model(path) -> Model:
     """Read a save_model file, format 2 or the older format 1.
 
     Invalid or too deeply nested JSON, a missing key or mistyped value, a weight
-    outside the num_classes x 2**hash_bits matrix, or a bias whose length is not
-    num_classes raises ValueError naming the path.
+    outside the num_classes x 2**hash_bits matrix, a bias whose length is not
+    num_classes, or a weight, bias entry or epoch loss that is not finite raises
+    ValueError naming the path.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -546,11 +548,11 @@ def load_model(path) -> Model:
             if not all(type(i) is int and 0 <= i < n for i, n in ((c, C), (j, hp.dim))):
                 raise ValueError(f"weight index ({c!r}, {j!r}) is outside "
                                  f"{C} classes x {hp.dim} columns")
-            W[c, j] = float(v)
-        bias = np.array([float(v) for v in payload["bias"]])
+            W[c, j] = finite_float(v)
+        bias = np.array([finite_float(v) for v in payload["bias"]])
         if len(bias) != C:
             raise ValueError(f"bias holds {len(bias)} entries for {C} classes")
-        losses = tuple(float(v) for v in payload["epoch_losses"])
+        losses = tuple(finite_float(v) for v in payload["epoch_losses"])
     except RecursionError:
         raise ValueError(f"{path}: invalid JSON (nested too deeply)") from None
     except json.JSONDecodeError as exc:

@@ -42,8 +42,8 @@ def compute_pvi(g_cond: Model, g_null: Model, dataset: Dataset) -> tuple[PviReco
     """One record per instance, in dataset order, in one batch pass over the rows.
 
     The pass reads the dataset's memoized feature matrix when it has one (a
-    training set). Otherwise it featurizes and scores one 2048-row slice at a
-    time and keeps no matrix, so scoring a large held-out set holds one slice.
+    training set). Otherwise it scores each 2048-row chunk as it is featurized
+    and keeps no matrix, so scoring a large held-out set holds one chunk.
     cond_log2prob is log2_prob(g_cond, premise, hypothesis, label) and
     null_log2prob is log2_prob(g_null, "", "", label), bit for bit."""
     if g_cond.num_classes != dataset.num_classes or g_null.num_classes != dataset.num_classes:

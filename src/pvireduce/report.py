@@ -120,14 +120,12 @@ class RuntimeLog:
     def __init__(self):
         self._records: list[RuntimeRecord] = []
 
-    def record(self, variant: str, r: float, phase: str, seconds: float) -> RuntimeRecord:
+    def record(self, variant: str, r: float, phase: str, seconds: float) -> None:
         if not 0 <= seconds < math.inf:
             raise ValueError(f"seconds must be >= 0 and finite, got {seconds!r}")
         if phase not in PHASES:
             raise ValueError(f"unknown phase {phase!r}")
-        rec = RuntimeRecord(variant, float(r), phase, float(seconds))
-        self._records.append(rec)
-        return rec
+        self._records.append(RuntimeRecord(variant, float(r), phase, float(seconds)))
 
     @property
     def records(self) -> tuple[RuntimeRecord, ...]:
@@ -157,15 +155,14 @@ def _fnum(x: float) -> str:
 
 
 def _scale(v, lo, hi, out_lo, out_hi):
-    if hi == lo:
-        return (out_lo + out_hi) / 2.0
     return out_lo + (v - lo) / (hi - lo) * (out_hi - out_lo)
 
 
 def _plot(series, y_hi: float, y_label: str, radius: int, joined: bool) -> str:
-    """SVG of y against reduction ratio r, one colour per (label, [(r, y), ...])
-    series: a circle per point, a polyline through them when `joined` and there
-    are two or more, and a legend entry."""
+    """SVG of y against reduction ratio r in [0, max(0.9, largest r)], one colour per
+    (label, [(r, y), ...]) series: a circle per point, a polyline through them when
+    `joined` and there are two or more, and a legend entry."""
+    r_hi = max([0.9] + [r for _, points in series for r, _ in points])
     body = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{_W}" height="{_H}">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
@@ -178,7 +175,7 @@ def _plot(series, y_hi: float, y_label: str, radius: int, joined: bool) -> str:
     ]
     for i, (label, points) in enumerate(series):
         color = _COLORS[i % len(_COLORS)]
-        coords = [(_fnum(_scale(r, 0.0, 0.9, _ML, _W - _MR)),
+        coords = [(_fnum(_scale(r, 0.0, r_hi, _ML, _W - _MR)),
                    _fnum(_scale(y, 0.0, y_hi, _H - _MB, _MT))) for r, y in points]
         if joined and len(coords) > 1:
             path = " ".join(f"{x},{y}" for x, y in coords)

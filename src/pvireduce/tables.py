@@ -35,6 +35,13 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
+def finite_float(value) -> float:
+    """float(value), refused with ValueError when that is NaN or infinite."""
+    if not math.isfinite(number := float(value)):
+        raise ValueError(f"{value!r} is not a finite number")
+    return number
+
+
 def write_csv(path, columns, rows) -> None:
     """Header plus rows, LF-terminated, written atomically; floats by f17."""
     buf = io.StringIO()
@@ -68,10 +75,7 @@ def read_csv(path, columns: dict, make=lambda *fields: list(fields)) -> list:
         fields = []
         try:
             for name, value in zip(header, row):
-                field = columns[name](value)
-                if columns[name] is float and not math.isfinite(field):
-                    raise ValueError(f"{value!r} is not a finite number")
-                fields.append(field)
+                fields.append((finite_float if columns[name] is float else columns[name])(value))
             rows.append(make(*fields))
         except ValueError as exc:
             column = f" {name}:" if len(fields) < len(header) else ""

@@ -210,6 +210,23 @@ def test_data_error_leaves_no_partial_files(tmp_path, corpora):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["pvi", "sweep", "curriculum"])
+def test_diverged_training_exits_2_and_leaves_no_partial_files(tmp_path, capsys, corpora,
+                                                               command):
+    train, test = corpora
+    out = tmp_path / "out"
+    out.mkdir()
+    args = [command, "--train", train, "--out-dir", out, "--learning-rate", "1e300",
+            "--epochs", "1", "--no-timing"]
+    if command != "pvi":
+        args += ["--test", test, "--ratios", "0,0.3"]
+    assert _run(args) == 2
+    err = capsys.readouterr().err
+    assert "training diverged: epoch 1" in err and "learning_rate 1e+300" in err
+    assert "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
 def test_no_timing_reruns_are_byte_identical(tmp_path, corpora):
     train, test = corpora
     digests = []

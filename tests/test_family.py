@@ -119,8 +119,29 @@ def test_feature_matrix_with_a_huge_order_finishes(orders):
 
 def test_feature_matrix_matches_reference_across_chunks():
     ds = generate_synthetic(family._CHUNK_ROWS + 300, 3, (0.5, 0.3, 0.2), seed=21)
-    for hp in (Hyperparams(), Hyperparams(hash_bits=32, ngram_orders=(2, 1, 2))):
-        _assert_same_csr(feature_matrix(ds, hp), _reference_feature_matrix(ds, hp))
+    for hp, index_dtype in ((Hyperparams(), np.int32),
+                            (Hyperparams(hash_bits=32, ngram_orders=(2, 1, 2)), np.int64)):
+        got = feature_matrix(ds, hp)
+        # stacking the chunks keeps 32-bit indices wherever the columns fit in them
+        assert got.indices.dtype == got.indptr.dtype == index_dtype
+        _assert_same_csr(got, _reference_feature_matrix(ds, hp))
+
+
+@pytest.mark.parametrize("n, sizes", [(0, [0]), (1, [1]), (6, [3, 3]), (7, [3, 3, 1])])
+def test_hashed_counts_yields_chunks_of_at_most_chunk_rows(monkeypatch, n, sizes):
+    monkeypatch.setattr(family, "_CHUNK_ROWS", 3)
+    hp = Hyperparams(hash_bits=8)
+    texts = [f"row {i}" for i in range(n)]
+    chunks = list(family._hashed_counts(texts, texts, hp))
+    assert [X.shape for X in chunks] == [(k, hp.dim) for k in sizes]
+
+
+def test_hashed_counts_frees_a_chunks_temporaries_before_yielding_it():
+    # a suspended generator keeps its locals alive while the caller predicts
+    texts = [f"row {i}" for i in range(5)]
+    chunks = family._hashed_counts(texts, texts, Hyperparams(hash_bits=8))
+    next(chunks)
+    assert not {"keys", "counts", "indptr"} & set(chunks.gi_frame.f_locals)
 
 
 def test_train_null_view_is_input_independent(fast_hp):
@@ -582,6 +603,16 @@ def test_train_refuses_weights_larger_than_memory(small_train, monkeypatch):
     assert train(small_train, hp).weights.shape == (3, 256)
 
 
+@pytest.mark.parametrize("init_epochs", [0, 2])
+def test_train_refuses_a_run_whose_epoch_loss_is_not_finite(small_train, init_epochs):
+    # numpy's overflow warnings are errors in this suite, so none may escape train
+    init = train(small_train, Hyperparams(epochs=init_epochs)) if init_epochs else None
+    hp = Hyperparams(learning_rate=1e300, l2=1e-3, epochs=3)
+    named = rf"epoch {init_epochs + 1} has mean loss (nan|inf) \(learning_rate 1e\+300, l2 0\.001\)"
+    with pytest.raises(ValueError, match=f"^training diverged: {named}$"):
+        train(small_train, hp, init=init)
+
+
 def test_constant_and_loaded_models_refuse_weights_larger_than_memory(tmp_path, monkeypatch):
     hp = Hyperparams(hash_bits=8)
     path = tmp_path / "model.json"
@@ -765,8 +796,19 @@ def test_load_model_refuses_a_bias_of_another_length(tmp_path, bias):
     (lambda payload: [payload], "expected a JSON object"),
     (lambda payload: {**payload, "num_classes": True}, "num_classes must be an integer >= 1"),
     (lambda payload: {**payload, "preserve_order": 1}, "preserve_order must be true or false"),
+    # json.dumps writes NaN and Infinity, as a hand-edited file may hold them
+    (lambda payload: {**payload, "weights": payload["weights"] + [[0, 3, "nan"]]},
+     "'nan' is not a finite number"),
+    (lambda payload: {**payload, "weights": payload["weights"] + [[1, 2, float("inf")]]},
+     "inf is not a finite number"),
+    (lambda payload: {**payload, "bias": [0.5, float("nan"), 0.25]}, "nan is not a finite number"),
+    (lambda payload: {**payload, "bias": ["0.5", "-Infinity", "0.25"]},
+     "'-Infinity' is not a finite number"),
+    (lambda payload: {**payload, "epoch_losses": [0.75, float("nan")]},
+     "nan is not a finite number"),
 ], ids=["weight_entry_5", "hyperparams_list", "top_level_list", "num_classes_true",
-        "preserve_order_1"])
+        "preserve_order_1", "weight_nan_string", "weight_infinity", "bias_nan",
+        "bias_minus_infinity_string", "epoch_loss_nan"])
 def test_load_model_names_a_value_of_the_wrong_json_type(tmp_path, change, named):
     payload, path = _saved_payload(tmp_path)
     path.write_text(json.dumps(change(payload)))

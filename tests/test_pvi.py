@@ -85,6 +85,29 @@ def test_sliced_scoring_equals_whole_set_scoring(small_train, monkeypatch, chunk
         assert rec.null_log2prob == log2_prob(g_null, "", "", inst.label)
 
 
+def test_unmemoized_scoring_predicts_each_chunk_before_building_the_next(small_train,
+                                                                         monkeypatch):
+    # so only one chunk's feature rows are alive at once, however large the set
+    g_cond = train(small_train, Hyperparams(epochs=1))
+    events = []
+    build, score = family._hashed_counts, family._gold_log2
+
+    def built(*args):
+        for X in build(*args):
+            events.append(("built", X.shape[0]))
+            yield X
+
+    def scored(model, X, labels):
+        events.append(("scored", X.shape[0]))
+        return score(model, X, labels)
+
+    monkeypatch.setattr(family, "_CHUNK_ROWS", 7)
+    monkeypatch.setattr(family, "_hashed_counts", built)
+    monkeypatch.setattr(family, "_gold_log2", scored)
+    family._gold_log2_rows(g_cond, _pairs_with_empty_texts())
+    assert events == [(kind, n) for n in [7] * 7 + [1] for kind in ("built", "scored")]
+
+
 def test_pvi_identity_field(scored):
     records, _, _ = scored
     for rec in records:

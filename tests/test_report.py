@@ -10,7 +10,7 @@ from pvireduce import (bucket_proportions, generate_synthetic, length_stats,
 from pvireduce.corpus import Dataset, LabeledInstance
 from pvireduce.family import Hyperparams
 from pvireduce.reduction import SweepPoint
-from pvireduce.report import (DEFAULT_BUCKET_EDGES, ReportError, RuntimeLog,
+from pvireduce.report import (_ML, _MR, _W, DEFAULT_BUCKET_EDGES, ReportError, RuntimeLog,
                               RuntimeRecord, bucket_labels, emit_accuracy_plot,
                               emit_runtime_plot, write_bucket_csv,
                               write_length_stats_csv)
@@ -199,3 +199,15 @@ _ZERO_SECONDS = [RuntimeRecord("original", r, "train_cm", 0.0) for r in (0.0, 0.
 ])
 def test_plot_bytes_are_pinned(emit, points, digest):
     assert hashlib.sha256(emit(points).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("r_max", [0.95, 0.99])
+def test_plot_points_beyond_r_0_9_stay_inside_the_frame(r_max):
+    ratios = (0.0, 0.3, r_max)
+    sweep = [SweepPoint(r, 100, 0.8 - r / 2, 0.33, 0.0, "original", "pvi", 1) for r in ratios]
+    runtime = [RuntimeRecord("original", r, "train_cm", 1.0 + r) for r in ratios]
+    for svg in (emit_accuracy_plot(sweep), emit_runtime_plot(runtime)):
+        circles = ET.fromstring(svg).findall(".//{http://www.w3.org/2000/svg}circle")
+        xs = [float(circle.get("cx")) for circle in circles]
+        assert len(xs) == 3 and all(_ML <= x <= _W - _MR for x in xs), xs
+        assert max(xs) == _W - _MR
