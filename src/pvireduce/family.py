@@ -3,8 +3,8 @@
 Deterministic end to end: feature hashing uses CRC32 with fixed field salts,
 training is plain mini-batch gradient descent with a seeded shuffle, and the
 whole pipeline runs in float64 on a single thread. Featurization yields one
-CSR matrix per chunk of 2048 rows and hashes each distinct n-gram once per
-chunk, in numpy, with the same features as hashing every occurrence.
+CSR matrix per chunk of 2048 rows and folds every n-gram's CRC32 in numpy, one
+UTF-8 byte at a time, with the same features as zlib.crc32 on each occurrence.
 feature_matrix stacks the chunks; scoring a dataset with no memoized feature
 matrix predicts each chunk as it comes and keeps none. A training step
 gathers (with take) and updates only the weight columns its batch touches
@@ -132,8 +132,9 @@ class EvalReport:
 
 # rows featurized together; bounds the size of one chunk's temporary arrays
 _CHUNK_ROWS = 2048
-# every code point is below this, so (gram id, next code point) packs into one int64
-_CODE_POINTS = 0x110000
+# CRC32's byte table (reflected polynomial 0xEDB88320): zlib.crc32 inverts the register on
+# the way in and out, so from 0xFFFFFFFF it folds byte b into a zero register, giving ~table[b]
+_CRC_TABLE = ~np.array([zlib.crc32(bytes([b]), 0xFFFFFFFF) for b in range(256)], np.uint32)
 
 
 def featurize(premise: str, hypothesis: str, hash_bits: int = Hyperparams.hash_bits,
@@ -174,60 +175,59 @@ def _feature_key(hp: Hyperparams):
 
 def _hashed_counts(premises, hypotheses, hp: Hyperparams):
     """featurize() over the rows, built in numpy, as a CSR matrix per _CHUNK_ROWS rows
-    (one 0-row matrix for no rows); every feature row's builder. Each distinct n-gram
-    is hashed once per chunk. Within a row the buckets ascend, and each count is an
-    exact sum of 1.0s."""
-    repeats = Counter(hp.ngram_orders)
-    mask = hp.dim - 1
-    per_field = [(premises, _FIELD_SALTS["premise"]), (hypotheses, _FIELD_SALTS["hypothesis"])]
+    (one 0-row matrix for no rows); every feature row's builder. Within a row the
+    buckets ascend, and each count is an exact sum of 1.0s."""
     for lo in range(0, len(premises) or 1, _CHUNK_ROWS):
         n = min(len(premises) - lo, _CHUNK_ROWS)
         # one key per n-gram occurrence: (row in chunk) << hash_bits | bucket
         keys = [np.zeros(0, np.int64)]
-        for texts, salt in per_field:
-            keys += _gram_keys(texts[lo:lo + n], salt, mask, hp.hash_bits, repeats)
+        for texts, field in ((premises, "premise"), (hypotheses, "hypothesis")):
+            keys += _gram_keys(texts[lo:lo + n], _FIELD_SALTS[field], hp)
         keys, counts = np.unique(np.concatenate(keys), return_counts=True)
         indptr = np.concatenate(([0], np.cumsum(np.bincount(keys >> hp.hash_bits, minlength=n))))
         # loaded on first use, so a run that builds no matrix never loads it; here, after the
         # n-gram keys are freed, so a run's first featurization never holds both at once
         import scipy.sparse as sp
-        chunk = sp.csr_matrix((counts.astype(np.float64), keys & mask, indptr), shape=(n, hp.dim))
+        chunk = sp.csr_matrix((counts.astype(np.float64), keys & (hp.dim - 1), indptr),
+                              shape=(n, hp.dim))
         # a suspended generator keeps its locals alive while the caller uses the chunk
         del keys, counts, indptr
         yield chunk
 
 
-def _gram_keys(texts, salt: bytes, mask: int, hash_bits: int, repeats):
+def _gram_keys(texts, salt: bytes, hp: Hyperparams):
     """Per listed order some text reaches, an array of (row << hash_bits | bucket),
     one per n-gram.
 
-    Grams are numbered order by order: the id of the k-gram at i is the rank of
-    (id of the (k-1)-gram at i, code point at i+k-1), so one np.unique per order
-    numbers them and equal ids spell equal grams.
+    All grams' CRC32 registers fold at once, a byte at a time (Sarwate, CACM 1988):
+    the k-gram at character i continues the (k-1)-gram's register at i with the
+    UTF-8 bytes of character i+k-1, so each bucket is featurize()'s zlib.crc32.
     """
+    repeats = Counter(hp.ngram_orders)
     lengths = np.fromiter(map(len, texts), np.int64, len(texts))
-    joined = "".join(texts)
-    codes = np.frombuffer(joined.encode("utf-32-le"), np.uint32).astype(np.int64)
-    rows = np.repeat(np.arange(len(texts), dtype=np.int64) << hash_bits, lengths)
+    data = np.frombuffer("".join(texts).encode("utf-8"), np.uint8)
+    # a character starts at every byte that is not a continuation byte (10xxxxxx)
+    starts = np.flatnonzero(data & 0xC0 != 0x80)
+    widths = np.diff(starts, append=len(data))
+    rows = np.repeat(np.arange(len(texts), dtype=np.int64) << hp.hash_bits, lengths)
     # characters from each position to the end of its text, so no gram spans two texts
-    remaining = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(codes))
-    ids = np.zeros(len(codes), np.int64)
-    pos = np.arange(len(codes))
+    remaining = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(starts))
+    pos = np.arange(len(starts))
+    register = np.full(len(starts), zlib.crc32(salt) ^ 0xFFFFFFFF, np.uint32)
     keys = []
     for k in range(1, max(repeats) + 1):
-        pos = pos[remaining[pos] >= k]
+        kept = remaining[pos] >= k
+        pos, register = pos[kept], register[kept]
         if not len(pos):
             break  # no text is k characters long, so none holds a longer gram
-        distinct, ids_k = np.unique(ids[pos] * _CODE_POINTS + codes[pos + k - 1],
-                                    return_inverse=True)
-        ids[pos] = ids_k
+        first, width = starts[pos + k - 1], widths[pos + k - 1]
+        for j in range(int(width.max())):
+            # clamped: a lane narrower than j + 1 bytes reads some byte and keeps its register
+            byte = data[np.minimum(first + j, len(data) - 1)]
+            folded = _CRC_TABLE[(register ^ byte) & 0xFF] ^ (register >> 8)
+            register = np.where(width > j, folded, register)
         if k in repeats:
-            # one position per distinct gram: any occurrence spells the same gram
-            where = np.empty(len(distinct), np.int64)
-            where[ids_k] = pos
-            gram_bucket = np.array([zlib.crc32(salt + joined[i:i + k].encode("utf-8")) & mask
-                                    for i in where.tolist()], np.int64)
-            keys += [rows[pos] | gram_bucket[ids_k]] * repeats[k]
+            keys += [rows[pos] | (~register & (hp.dim - 1))] * repeats[k]
     return keys
 
 
@@ -319,15 +319,17 @@ def train(dataset: Dataset, hp: Hyperparams, init: Model | None = None) -> Model
         raise ValueError("cannot train on an empty dataset")
     C = dataset.num_classes
     if init is None:
-        V, b, epoch_losses = _zero_weights(C, hp), np.zeros(C), []
+        # a fresh V is all +0.0, so its squared norm is too
+        V, b, epoch_losses, sq_norm = _zero_weights(C, hp), np.zeros(C), [], 0.0
     elif init.weights.shape != (C, hp.dim) or init.bias.shape != (C,):
         raise ValueError(f"init model has weights {init.weights.shape} and bias "
                          f"{init.bias.shape}; training here needs {(C, hp.dim)} and {(C,)}")
     else:
         V, b, epoch_losses = init.weights.copy(), init.bias.copy(), list(init.epoch_losses)
+        sq_norm = float(np.sum(V * V))
     X = _features(dataset, hp)
     y = dataset.labels()
-    scale, sq_norm = 1.0, float(np.sum(V * V))
+    scale = 1.0
     # every epoch of an ordered run walks arange(m), so its batches are prepared once
     kept = list(_batches(X, y, None, hp)) if hp.preserve_order else None
     total_steps = hp.epochs * ((m + hp.batch_size - 1) // hp.batch_size)
@@ -364,7 +366,9 @@ def train(dataset: Dataset, hp: Hyperparams, init: Model | None = None) -> Model
             raise ValueError(f"training diverged: epoch {len(epoch_losses) + 1} has mean loss "
                              f"{total / m} (learning_rate {hp.learning_rate!r}, l2 {hp.l2!r})")
         epoch_losses.append(total / m)
-    return Model(scale * V, b, C, hp, dataset.provenance_tag, tuple(epoch_losses))
+    # in place, so a run never holds a second weight matrix
+    V *= scale
+    return Model(V, b, C, hp, dataset.provenance_tag, tuple(epoch_losses))
 
 
 def _batches(X: sp.csr_matrix, y: np.ndarray, order, hp: Hyperparams):
@@ -553,6 +557,9 @@ def load_model(path) -> Model:
         if len(bias) != C:
             raise ValueError(f"bias holds {len(bias)} entries for {C} classes")
         losses = tuple(finite_float(v) for v in payload["epoch_losses"])
+        trained_on = payload.get("trained_on", "")
+        if not isinstance(trained_on, str):
+            raise ValueError(f"trained_on must be a string, got {trained_on!r}")
     except RecursionError:
         raise ValueError(f"{path}: invalid JSON (nested too deeply)") from None
     except json.JSONDecodeError as exc:
@@ -561,4 +568,4 @@ def load_model(path) -> Model:
         raise ValueError(f"{path}: missing key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None
-    return Model(W, bias, C, hp, payload.get("trained_on", ""), losses)
+    return Model(W, bias, C, hp, trained_on, losses)

@@ -4,7 +4,7 @@ The synthetic generator writes lowercase ASCII words joined by spaces and
 hyphens. CJK maps each letter and the hyphen onto a CJK ideograph
 (U+4E00 + 37*i) and drops the spaces, since Chinese text has none. ASTRAL maps
 them into CJK Extension B (U+20000 + i), outside the Basic Multilingual Plane,
-so the featurizer's UTF-32 path meets astral characters. Indices and labels
+so the featurizer meets 4-byte UTF-8 characters. Indices and labels
 stay as they are.
 """
 

@@ -1,9 +1,13 @@
+import hashlib
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 import zlib
 from dataclasses import fields, replace
 from pathlib import Path
@@ -14,6 +18,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
+from cjk import ASTRAL, CJK, translate
 from pvireduce import (Dataset, Hyperparams, LabeledInstance, constant_predictor,
                        evaluate, featurize, generate_synthetic, load_model, log2_prob,
                        predict_dist, save_model, to_null_view, train)
@@ -87,6 +92,10 @@ _TEXT = st.text(st.characters(codec="utf-8"), max_size=10)
 @example(rows=[("a\U0001F600b\U0001F600", ""), ("", ""), ("\U0001F600", "\u00e9\U0001F600")],
          hash_bits=32, orders=[3, 1, 1], chunk_rows=2)
 @example(rows=[("", "")], hash_bits=16, orders=[2], chunk_rows=1)
+# the last and first code point of each UTF-8 width, side by side in every order
+@example(rows=[("\x7f\x80\u07ff\u0800", "\uffff\U00010000\U0010ffff"),
+               ("\U0010ffff\u0800\x7f\U00010000\x80", "\u07ff\uffff")],
+         hash_bits=32, orders=[3, 1, 2], chunk_rows=2)
 def test_feature_matrix_matches_reference(rows, hash_bits, orders, chunk_rows):
     # arbitrary valid Unicode, repeated and unsorted orders, orders longer than
     # the texts, and chunks small enough that rows cross chunk boundaries
@@ -100,6 +109,41 @@ def test_feature_matrix_matches_reference(rows, hash_bits, orders, chunk_rows):
             dict(zip(row.indices.tolist(), row.data.tolist()))
 
 
+def _feature_digests():
+    """sha256 of each feature_matrix array of a small corpus and its CJK and ASTRAL copies."""
+    base = generate_synthetic(300, 3, (0.5, 0.3, 0.2), seed=5)
+    digests = []
+    for ds in (base, translate(base, CJK), translate(base, ASTRAL)):
+        X = feature_matrix(ds, Hyperparams())
+        digests += [hashlib.sha256(getattr(X, name).tobytes()).hexdigest()
+                    for name in ("indptr", "indices", "data")]
+    return digests
+
+
+def test_feature_matrix_does_not_depend_on_the_cpu():
+    # numpy picks each loop by CPU feature; with every target this build dispatches to
+    # disabled, a child runs the baseline loops, as a CPU without those features would.
+    # The names come from the build, because an unknown name raises at import.
+    from numpy._core import _multiarray_umath as umath
+    src = os.path.dirname(os.path.dirname(family.__file__))
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(umath.__cpu_dispatch__),
+               PYTHONPATH=os.pathsep.join([src, str(Path(__file__).parent)]))
+    probe = ("import json, test_family; from numpy._core import _multiarray_umath as umath; "
+             "print(json.dumps([[name for name in umath.__cpu_dispatch__ "
+             "if umath.__cpu_features__[name]], test_family._feature_digests()]))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    enabled, digests = json.loads(proc.stdout)
+    assert enabled == []
+    assert digests == _feature_digests()
+
+
+def test_featurize_refuses_a_lone_surrogate():
+    # load_dataset refuses one first; the featurizer's UTF-8 encode refuses it too
+    with pytest.raises(UnicodeEncodeError):
+        featurize("a\ud800", "b")
+
+
 @pytest.mark.parametrize("orders", [(), (0,), (2, -1)])
 def test_featurize_refuses_orders_below_one(orders):
     with pytest.raises(ValueError, match="ngram_orders"):
@@ -108,7 +152,7 @@ def test_featurize_refuses_orders_below_one(orders):
 
 @pytest.mark.parametrize("orders", [(10**9,), (3, 10**9, 1)])
 def test_feature_matrix_with_a_huge_order_finishes(orders):
-    # no text holds a gram longer than itself, so numbering stops at the longest text
+    # no text holds a gram longer than itself, so hashing stops at the longest text
     ds = generate_synthetic(200, 3, (0.5, 0.3, 0.2), seed=4)
     hp = Hyperparams(hash_bits=12, ngram_orders=orders)
     start = time.perf_counter()
@@ -603,6 +647,20 @@ def test_train_refuses_weights_larger_than_memory(small_train, monkeypatch):
     assert train(small_train, hp).weights.shape == (3, 256)
 
 
+def test_train_holds_one_weight_matrix():
+    # a fresh run's squared norm is 0.0 without a V * V, and V is scaled in place at the end;
+    # scipy, whose first import allocates about 20 MiB, is imported above, outside the trace
+    ds = generate_synthetic(60, 3, (0.5, 0.3, 0.2), seed=1)
+    hp = Hyperparams(hash_bits=20, epochs=2)
+    tracemalloc.start()
+    try:
+        train(ds, hp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * ds.num_classes * hp.dim * 8
+
+
 @pytest.mark.parametrize("init_epochs", [0, 2])
 def test_train_refuses_a_run_whose_epoch_loss_is_not_finite(small_train, init_epochs):
     # numpy's overflow warnings are errors in this suite, so none may escape train
@@ -806,9 +864,11 @@ def test_load_model_refuses_a_bias_of_another_length(tmp_path, bias):
      "'-Infinity' is not a finite number"),
     (lambda payload: {**payload, "epoch_losses": [0.75, float("nan")]},
      "nan is not a finite number"),
+    (lambda payload: {**payload, "trained_on": [1, {"a": 2}]},
+     re.escape("trained_on must be a string, got [1, {'a': 2}]")),
 ], ids=["weight_entry_5", "hyperparams_list", "top_level_list", "num_classes_true",
         "preserve_order_1", "weight_nan_string", "weight_infinity", "bias_nan",
-        "bias_minus_infinity_string", "epoch_loss_nan"])
+        "bias_minus_infinity_string", "epoch_loss_nan", "trained_on_list"])
 def test_load_model_names_a_value_of_the_wrong_json_type(tmp_path, change, named):
     payload, path = _saved_payload(tmp_path)
     path.write_text(json.dumps(change(payload)))
