@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import io
 import json
 import os
 import sys
@@ -26,8 +27,8 @@ import time
 from dataclasses import fields, replace as dc_replace
 
 from . import __version__
-from .corpus import (DataError, NoiseSpec, generate_synthetic, inject_noise,
-                     load_dataset, make_imbalanced, serialize)
+from .corpus import (NoiseSpec, generate_synthetic, inject_noise, load_dataset,
+                     make_imbalanced, serialize)
 from .curriculum import (ORDERINGS, progressive_train, write_stage_csv,
                          write_stage_summary_csv)
 from .family import Hyperparams, save_model
@@ -37,7 +38,7 @@ from .reduction import STRATEGIES, read_sweep_csv, static_sweep, write_sweep_csv
 from .report import (UNITS, RuntimeLog, bucket_proportions, emit_accuracy_plot,
                      emit_runtime_plot, length_stats, write_bucket_csv,
                      write_length_stats_csv)
-from .tables import atomic_write_text
+from .tables import DataError, atomic_write_text, read_text
 
 _HYPERPARAM_NAMES = {f.name for f in fields(Hyperparams)}
 
@@ -63,14 +64,13 @@ def sha256_file(path) -> str:
 # config resolution
 
 def load_config_file(path) -> dict:
-    """The [hyperparams] section as {key: raw string}; no `%` interpolation."""
+    """The [hyperparams] section of read_text(path) as {key: raw string}, lines
+    ending at LF, CR or CRLF; no `%` interpolation."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        read = parser.read(path, encoding="utf-8")
-    except (configparser.Error, UnicodeDecodeError) as exc:
+        parser.read_file(io.StringIO(read_text(path), newline=None), source=str(path))
+    except configparser.Error as exc:
         raise DataError(f"{path}: {exc}") from None
-    if not read:
-        raise DataError(f"config file not found: {path}")
     sections = parser.sections() + ([parser.default_section] if parser.defaults() else [])
     for section in sections:
         if section != "hyperparams":
@@ -113,13 +113,7 @@ def write_manifest(out_dir, args, inputs: dict, hp: Hyperparams | None = None) -
 
 
 def _load(path, fmt):
-    if not os.path.exists(path):
-        raise DataError(f"file not found: {path}")
-    try:
-        ds = load_dataset(path, fmt)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
-    if not ds:
+    if not (ds := load_dataset(path, fmt)):
         raise DataError(f"{path}: the file holds no instances")
     return ds
 
@@ -231,9 +225,6 @@ def cmd_report(args):
                                             ("runtime_csv", args.runtime_csv)) if path}
     if not inputs:
         raise UsageError("report requires --sweep-csv and/or --runtime-csv")
-    for path in inputs.values():
-        if not os.path.exists(path):
-            raise DataError(f"file not found: {path}")
     plots = {}
     if args.sweep_csv:
         plots["accuracy.svg"] = emit_accuracy_plot(read_sweep_csv(args.sweep_csv))

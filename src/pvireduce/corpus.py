@@ -6,20 +6,19 @@ take an explicit seed and are bit-reproducible.
 
 from __future__ import annotations
 
-import codecs
+import io
 import json
 import math
+import re
 import unicodedata
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .tables import atomic_write_text
+from .tables import DataError, atomic_write_text, read_text
 
 DEFAULT_LABELS = ("entailment", "neutral", "contradiction")
-
-class DataError(ValueError):
-    """Malformed dataset content (bad label, missing field, bad line)."""
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def round_half_up(x: float) -> int:
@@ -89,79 +88,66 @@ class NoiseSpec:
 # ---------------------------------------------------------------------------
 # loading / serialization
 
-def _label_index(raw, label_names, lineno: int) -> int:
+def _label_index(raw, label_names) -> int:
     if isinstance(raw, int) and not isinstance(raw, bool):
         if 0 <= raw < len(label_names):
             return raw
-        raise DataError(f"line {lineno}: label {raw} out of range for {len(label_names)} classes")
+        raise DataError(f"label {raw} out of range for {len(label_names)} classes")
     try:
         return label_names.index(raw)
     except ValueError:
-        raise DataError(f"line {lineno}: unknown label {raw!r} (expected one of {list(label_names)})")
-
-
-def _check_no_surrogates(rec: dict, lineno: int) -> None:
-    """DataError naming the line and field if a text holds a lone surrogate,
-    which is not valid Unicode and cannot be encoded as UTF-8."""
-    for key in ("premise", "hypothesis"):
-        try:
-            rec[key].encode("utf-8")
-        except UnicodeEncodeError as exc:
-            raise DataError(f"line {lineno}: field {key!r} holds a lone surrogate "
-                            f"{rec[key][exc.start]!r}, which is not valid Unicode text") from None
+        raise DataError(f"unknown label {raw!r} (expected one of {list(label_names)})")
 
 
 def load_dataset(path, fmt: str = "jsonl", num_classes: int = 3,
                  label_names=DEFAULT_LABELS) -> Dataset:
     """Read a JSONL or TSV dataset; original_index is the 0-based file position.
 
-    Malformed records raise DataError naming the line; they are never dropped
-    silently (use filter_invalid for content-level cleanup). A leading UTF-8
-    byte-order mark is skipped.
+    The file is read by tables.read_text, so a leading UTF-8 byte-order mark
+    is dropped, and a line ends at LF, CR or CRLF only. Malformed records raise
+    DataError naming `<path>:<line>:`; they are never dropped silently (use
+    filter_invalid for content-level cleanup).
     """
     if fmt not in ("jsonl", "tsv"):
         raise ValueError(f"unsupported format {fmt!r}")
     if len(label_names) != num_classes:
         raise ValueError("label_names length must equal num_classes")
-    with open(path, "rb") as fh:
-        # bytes.splitlines splits at LF, CR and CRLF, as text-mode reading does
-        lines = fh.read().removeprefix(codecs.BOM_UTF8).splitlines()
     instances = []
-    for lineno, raw in enumerate(lines, 1):
+    # newline=None ends a line at LF, CR or CRLF, never at U+2028, U+0085 or FF
+    for lineno, text in enumerate(io.StringIO(read_text(path), newline=None), 1):
+        text = text.removesuffix("\n")
         try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DataError(f"line {lineno}: invalid UTF-8 byte {raw[exc.start]:#04x} "
-                            f"({exc.reason})") from None
-        if fmt == "jsonl":
-            if text == "":
-                raise DataError(f"line {lineno}: empty line")
-            try:
-                rec = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"line {lineno}: invalid JSON ({exc.msg})") from None
-            except RecursionError:
-                raise DataError(f"line {lineno}: invalid JSON (nested too deeply)") from None
-            if not isinstance(rec, dict):
-                raise DataError(f"line {lineno}: expected a JSON object")
-            for key in ("premise", "hypothesis", "label"):
-                if key not in rec:
-                    raise DataError(f"line {lineno}: missing field {key!r}")
-            for key in ("premise", "hypothesis"):
-                if not isinstance(rec[key], str):
-                    raise DataError(f"line {lineno}: field {key!r} must be a string, "
-                                    f"got {rec[key]!r}")
-            # a lone surrogate can only come from a JSON \u escape
-            if "\\u" in text:
-                _check_no_surrogates(rec, lineno)
-            premise, hypothesis, raw_label = rec["premise"], rec["hypothesis"], rec["label"]
-        else:
-            parts = text.split("\t")
-            if len(parts) != 3:
-                raise DataError(f"line {lineno}: expected 3 tab-separated columns, "
-                                f"got {len(parts)}")
-            premise, hypothesis, raw_label = parts
-        label = _label_index(raw_label, label_names, lineno)
+            if fmt == "jsonl":
+                if text == "":
+                    raise DataError("empty line")
+                try:
+                    rec = json.loads(text)
+                except json.JSONDecodeError as exc:
+                    raise DataError(f"invalid JSON ({exc.msg})") from None
+                except RecursionError:
+                    raise DataError("invalid JSON (nested too deeply)") from None
+                if not isinstance(rec, dict):
+                    raise DataError("expected a JSON object")
+                for key in ("premise", "hypothesis", "label"):
+                    if key not in rec:
+                        raise DataError(f"missing field {key!r}")
+                for key in ("premise", "hypothesis"):
+                    if not isinstance(rec[key], str):
+                        raise DataError(f"field {key!r} must be a string, got {rec[key]!r}")
+                # a lone surrogate can only come from a JSON \u escape
+                for key in ("premise", "hypothesis") if "\\u" in text else ():
+                    if lone := _SURROGATE.search(rec[key]):
+                        raise DataError(f"field {key!r} holds a lone surrogate {lone[0]!r}, "
+                                        "which is not valid Unicode text")
+                premise, hypothesis, raw_label = rec["premise"], rec["hypothesis"], rec["label"]
+            else:
+                parts = text.split("\t")
+                if len(parts) != 3:
+                    raise DataError(f"expected 3 tab-separated columns, got {len(parts)}")
+                premise, hypothesis, raw_label = parts
+            label = _label_index(raw_label, label_names)
+        except DataError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
         instances.append(LabeledInstance(lineno - 1, premise, hypothesis, label))
     return Dataset(tuple(instances), num_classes, "original", tuple(label_names))
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .corpus import Dataset, to_null_view
-from .tables import atomic_write_text, f17, finite_float
+from .tables import atomic_write_text, f17, finite_float, read_text
 
 _FIELD_SALTS = {"premise": b"p\x00", "hypothesis": b"h\x00"}
 
@@ -518,16 +518,16 @@ def save_model(model: Model, path) -> None:
 
 
 def load_model(path) -> Model:
-    """Read a save_model file, format 2 or the older format 1.
+    """Read a save_model file, format 2 or the older format 1, by tables.read_text.
 
     Invalid or too deeply nested JSON, a missing key or mistyped value, a weight
     outside the num_classes x 2**hash_bits matrix, a bias whose length is not
     num_classes, or a weight, bias entry or epoch loss that is not finite raises
     ValueError naming the path.
     """
+    text = read_text(path)
     try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
+        payload = json.loads(text)
         if not isinstance(payload, dict):
             raise ValueError("expected a JSON object")
         version = payload.get("format_version")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import re
 import statistics
 from dataclasses import dataclass
 
@@ -148,6 +149,8 @@ class RuntimeLog:
 _W, _H = 640, 420
 _ML, _MR, _MT, _MB = 60, 20, 20, 50
 _COLORS = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
+# a character outside XML 1.0's Char production, which no escape can carry
+_NOT_XML = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 
 def _fnum(x: float) -> str:
@@ -161,7 +164,8 @@ def _scale(v, lo, hi, out_lo, out_hi):
 def _plot(series, y_hi: float, y_label: str, radius: int, joined: bool) -> str:
     """SVG of y against reduction ratio r in [0, max(0.9, largest r)], one colour per
     (label, [(r, y), ...]) series: a circle per point, a polyline through them when
-    `joined` and there are two or more, and a legend entry."""
+    `joined` and there are two or more, and a legend entry, escaped; a label with a
+    character XML 1.0 cannot carry (a control other than tab, LF or CR) raises ValueError."""
     r_hi = max([0.9] + [r for _, points in series for r, _ in points])
     body = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{_W}" height="{_H}">',
@@ -174,6 +178,9 @@ def _plot(series, y_hi: float, y_label: str, radius: int, joined: bool) -> str:
         f'transform="rotate(-90 16 {(_MT + _H - _MB) // 2})">{y_label}</text>',
     ]
     for i, (label, points) in enumerate(series):
+        if _NOT_XML.search(label):
+            raise ValueError(f"plot label {label!r} holds a character XML cannot carry")
+        legend = label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         color = _COLORS[i % len(_COLORS)]
         coords = [(_fnum(_scale(r, 0.0, r_hi, _ML, _W - _MR)),
                    _fnum(_scale(y, 0.0, y_hi, _H - _MB, _MT))) for r, y in points]
@@ -183,7 +190,7 @@ def _plot(series, y_hi: float, y_label: str, radius: int, joined: bool) -> str:
         for x, y in coords:
             body.append(f'<circle cx="{x}" cy="{y}" r="{radius}" fill="{color}"/>')
         body.append(f'<text x="{_W - _MR - 140}" y="{_MT + 16 + 18 * i}" font-size="13" '
-                    f'fill="{color}">{label}</text>')
+                    f'fill="{color}">{legend}</text>')
     return "\n".join(body + ["</svg>"]) + "\n"
 
 

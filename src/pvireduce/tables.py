@@ -1,13 +1,34 @@
-"""The one table layer: atomic text output, which makes its directory, and
-typed CSV tables, written with every float by f17 and read with every field
-cast, naming `<path>:<line>:` (and the column of a failed cast) in any error."""
+"""The one file layer: read_text reads every input and atomic_write_text, which
+makes its directory, writes every output. CSV tables are written with floats by f17
+and read with every field cast; a DataError names `<path>:<line>:` and any column."""
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import math
 import os
+
+
+class DataError(ValueError):
+    """Malformed input: a missing file, a bad byte, record or field."""
+
+
+def read_text(path) -> str:
+    """The UTF-8 text of an input file, a leading byte-order mark dropped. A missing
+    file raises DataError `file not found: <path>`, and a byte that is not UTF-8
+    `<path>:<line>: invalid UTF-8 byte 0x..`, lines ending at LF, CR or CRLF."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read().removeprefix(codecs.BOM_UTF8)
+        return raw.decode("utf-8")
+    except FileNotFoundError:
+        raise DataError(f"file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        line = len(raw[:exc.start + 1].splitlines())
+        raise DataError(f"{path}:{line}: invalid UTF-8 byte {raw[exc.start]:#04x} "
+                        f"({exc.reason})") from None
 
 
 def f17(x: float) -> str:
@@ -52,32 +73,26 @@ def write_csv(path, columns, rows) -> None:
 
 
 def read_csv(path, columns: dict, make=lambda *fields: list(fields)) -> list:
-    """make(*fields) per row below the header list(columns), cast by column type;
-    a float field must be finite."""
+    """make(*fields) per row below the header list(columns) of read_text(path),
+    cast by column type; a float field must be finite."""
     header = list(columns)
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = len(raw[:exc.start + 1].splitlines())
-        raise ValueError(f"{path}:{line}: invalid UTF-8 byte {raw[exc.start]:#04x} "
-                         f"({exc.reason})") from None
-    reader = csv.reader(io.StringIO(text, newline=""))
-    found = next(reader, None)
-    if found != header:
-        raise ValueError(f"{path}: expected CSV header {header}, got {found}")
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
     rows = []
-    for row in reader:
-        if len(row) != len(header):
-            raise ValueError(f"{path}:{reader.line_num}: expected {len(header)} "
-                             f"fields, got {len(row)}")
-        fields = []
-        try:
-            for name, value in zip(header, row):
-                fields.append((finite_float if columns[name] is float else columns[name])(value))
-            rows.append(make(*fields))
-        except ValueError as exc:
-            column = f" {name}:" if len(fields) < len(header) else ""
-            raise ValueError(f"{path}:{reader.line_num}:{column} {exc}") from None
+    try:
+        if (found := next(reader, None)) != header:
+            raise DataError(f"{path}: expected CSV header {header}, got {found}")
+        for row in reader:
+            if len(row) != len(header):
+                raise DataError(f"{path}:{reader.line_num}: expected {len(header)} "
+                                f"fields, got {len(row)}")
+            fields = []
+            try:
+                for name, value in zip(header, row):
+                    fields.append((finite_float if columns[name] is float else columns[name])(value))
+                rows.append(make(*fields))
+            except ValueError as exc:
+                column = f" {name}:" if len(fields) < len(header) else ""
+                raise DataError(f"{path}:{reader.line_num}:{column} {exc}") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
     return rows

@@ -108,6 +108,13 @@ def test_config_file_resolution(tmp_path, corpora):
     assert hp["seed"] == 7  # flag beats config
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_config_lines_end_at_lf_cr_or_crlf(tmp_path, newline):
+    cfg = tmp_path / "run.ini"
+    cfg.write_bytes(newline.join(["[hyperparams]", "epochs = 3", "seed = 99", ""]).encode())
+    assert cli.load_config_file(cfg) == {"epochs": "3", "seed": "99"}
+
+
 def test_exit_code_usage_error(capsys):
     assert main(["sweep", "--train", "x"]) == 1  # missing required --test
     assert "usage error" in capsys.readouterr().err
@@ -382,7 +389,7 @@ def test_malformed_input_file_is_named(tmp_path, capsys, corpora, args):
     out = tmp_path / "out"
     argv = [a.format(bad=bad, train=train, test=test) for a in args]
     assert _run(argv + ["--out-dir", out, "--epochs", "1", "--no-timing"]) == 2
-    assert f"data error: {bad}: line 2: invalid JSON" in capsys.readouterr().err
+    assert f"data error: {bad}:2: invalid JSON" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -434,11 +441,18 @@ def test_failed_report_writes_nothing(tmp_path, capsys, corpora):
     assert _run(["sweep", "--train", train, "--test", test, "--out-dir", sweep_dir,
                  "--ratios", "0", "--epochs", "1", "--no-timing"]) == 0
     missing = tmp_path / "missing.csv"
+    huge = tmp_path / "huge.csv"  # a field over the csv module's 131072-character limit
+    huge.write_text((sweep_dir / "sweep.csv").read_text()
+                    .replace("\noriginal,", f"\n{'v' * 200_000},"))
     out = tmp_path / "out"
-    for inputs in (["--sweep-csv", missing],
-                   ["--sweep-csv", sweep_dir / "sweep.csv", "--runtime-csv", missing]):
+    for inputs, named in (
+            (["--sweep-csv", missing], f"file not found: {missing}"),
+            (["--sweep-csv", sweep_dir / "sweep.csv", "--runtime-csv", missing],
+             f"file not found: {missing}"),
+            (["--sweep-csv", huge], f"{huge}:2: field larger than field limit (131072)")):
         assert _run(["report", *inputs, "--out-dir", out, "--no-timing"]) == 2
-        assert f"file not found: {missing}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"data error: {named}" in err and "Traceback" not in err
         assert not out.exists()
 
 
@@ -594,7 +608,7 @@ def test_jsonl_line_nested_too_deeply_is_data_error(tmp_path, capsys):
     out = tmp_path / "out"
     assert _run(["pvi", "--train", deep, "--out-dir", out, "--no-timing"]) == 2
     err = capsys.readouterr().err
-    assert err == f"data error: {deep}: line 1: invalid JSON (nested too deeply)\n"
+    assert err == f"data error: {deep}:1: invalid JSON (nested too deeply)\n"
     assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 import codecs
 import json
+import re
 import sys
 import tempfile
 from dataclasses import replace
@@ -14,8 +15,12 @@ from pvireduce import (Dataset, Hyperparams, LabeledInstance, NoiseSpec,
                        inject_noise, load_dataset, make_imbalanced, serialize,
                        to_null_view, train)
 from pvireduce import family
+from pvireduce.cli import load_config_file
 from pvireduce.corpus import (_EASY_KEYWORDS, DEFAULT_LABELS, DataError,
                               synthetic_difficulty_tags)
+from pvireduce.family import constant_predictor, load_model, save_model
+from pvireduce.reduction import SweepPoint, read_sweep_csv, write_sweep_csv
+from pvireduce.report import RuntimeLog
 
 
 def _write_jsonl(path, rows):
@@ -37,20 +42,25 @@ def test_load_canonical_mapping(tmp_path):
     assert [i.original_index for i in ds] == [0, 1, 2]
 
 
+def _at(path, line: int) -> str:
+    """A regex for the `<path>:<line>` that starts every located error."""
+    return re.escape(f"{path}:{line}")
+
+
 def test_load_unknown_label_names_line(tmp_path):
     path = tmp_path / "d.jsonl"
     _write_jsonl(path, [
         {"premise": "a", "hypothesis": "b", "label": "entailment"},
         {"premise": "c", "hypothesis": "d", "label": "maybe"},
     ])
-    with pytest.raises(DataError, match="line 2"):
+    with pytest.raises(DataError, match=_at(path, 2)):
         load_dataset(path, "jsonl", 3)
 
 
 def test_load_missing_field_names_line(tmp_path):
     path = tmp_path / "d.jsonl"
     _write_jsonl(path, [{"premise": "a", "label": "neutral"}])
-    with pytest.raises(DataError, match="line 1"):
+    with pytest.raises(DataError, match=_at(path, 1)):
         load_dataset(path, "jsonl", 3)
 
 
@@ -225,17 +235,69 @@ def test_difficulty_tags_match_mix():
     assert tags.count("hard") == 200
 
 
-@pytest.mark.parametrize("fmt, body", [
-    ("jsonl", '{"premise": "a b", "hypothesis": "c", "label": "neutral"}\n'
-              '{"premise": "d", "hypothesis": "e", "label": 0}\n'),
-    ("tsv", "a b\tc\tneutral\nd\te\tentailment\n"),
-], ids=["jsonl", "tsv"])
-def test_load_skips_a_utf8_bom(tmp_path, fmt, body):
-    plain, bom = tmp_path / f"plain.{fmt}", tmp_path / f"bom.{fmt}"
-    plain.write_text(body, encoding="utf-8")
-    bom.write_text(body, encoding="utf-8-sig")
+def _input_file(kind, tmp_path):
+    """A valid input file of `kind`, four lines or more: its name, its text, and
+    the function that reads it into a value that compares by content."""
+    if kind in ("jsonl", "tsv"):
+        sample = tmp_path / f"sample.{kind}"
+        serialize(generate_synthetic(4, 3, seed=5), sample, kind)
+        return f"d.{kind}", sample.read_text(encoding="utf-8"), \
+            lambda path: load_dataset(path, kind)
+    sample = tmp_path / "sample"
+    if kind == "sweep_csv":
+        write_sweep_csv([SweepPoint(r, 10, 0.5, 0.25, 0.0, "original", "pvi", 1)
+                         for r in (0.0, 0.3, 0.6, 0.9)], sample)
+        return "sweep.csv", sample.read_text(encoding="utf-8"), read_sweep_csv
+    if kind == "runtime_csv":
+        log = RuntimeLog()
+        for r in (0.0, 0.3, 0.6, 0.9):
+            log.record("original", r, "train_cm", r / 10)
+        log.write_csv(sample)
+        return "runtime.csv", sample.read_text(encoding="utf-8"), \
+            lambda path: RuntimeLog.read_csv(path).records
+    if kind == "model_json":
+        save_model(constant_predictor([0.5, 0.25, 0.25], Hyperparams(hash_bits=4)), sample)
+        text = json.dumps(json.loads(sample.read_text(encoding="utf-8")), indent=1)
+        return "model.json", text + "\n", lambda path: (
+            (m := load_model(path)).weights.tolist(), m.bias.tolist(), m.num_classes,
+            m.hyperparams, m.trained_on, m.epoch_losses)
+    return "run.ini", "[hyperparams]\nepochs = 2\nseed = 3\nbatch_size = 8\n", load_config_file
+
+
+_INPUT_KINDS = ["jsonl", "tsv", "sweep_csv", "runtime_csv", "model_json", "ini_config"]
+
+
+@pytest.mark.parametrize("kind", _INPUT_KINDS)
+def test_load_skips_a_utf8_bom(tmp_path, kind):
+    name, text, read = _input_file(kind, tmp_path)
+    plain, bom = tmp_path / f"plain-{name}", tmp_path / f"bom-{name}"
+    plain.write_text(text, encoding="utf-8")
+    bom.write_text(text, encoding="utf-8-sig")
     assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
-    assert load_dataset(bom, fmt) == load_dataset(plain, fmt)
+    assert read(bom) == read(plain)
+
+
+@pytest.mark.parametrize("kind", _INPUT_KINDS)
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+def test_load_invalid_utf8_names_line(tmp_path, kind, newline):
+    name, text, read = _input_file(kind, tmp_path)
+    lines = text.encode("utf-8").split(b"\n")
+    lines[2] += b"\xff"
+    path = tmp_path / name
+    path.write_bytes(newline.join(lines))
+    with pytest.raises(DataError, match=f"^{_at(path, 3)}: invalid UTF-8 byte 0xff "):
+        read(path)
+
+
+@pytest.mark.parametrize("kind", _INPUT_KINDS)
+def test_load_invalid_utf8_after_a_bom_names_line(tmp_path, kind):
+    name, text, read = _input_file(kind, tmp_path)
+    lines = text.encode("utf-8").split(b"\n")
+    lines[1] = b"\xff" + lines[1]
+    path = tmp_path / name
+    path.write_bytes(codecs.BOM_UTF8 + b"\n".join(lines))
+    with pytest.raises(DataError, match=f"^{_at(path, 2)}: invalid UTF-8 byte 0xff "):
+        read(path)
 
 
 def test_load_jsonl_integer_labels(tmp_path):
@@ -253,7 +315,7 @@ def test_load_jsonl_rejects_bad_label_values(tmp_path, label):
     path = tmp_path / "d.jsonl"
     _write_jsonl(path, [{"premise": "a", "hypothesis": "b", "label": "neutral"},
                         {"premise": "c", "hypothesis": "d", "label": label}])
-    with pytest.raises(DataError, match="line 2"):
+    with pytest.raises(DataError, match=_at(path, 2)):
         load_dataset(path, "jsonl", 3)
 
 
@@ -263,14 +325,14 @@ def test_load_jsonl_rejects_non_string_text(tmp_path, field, value):
     row = {"premise": "a", "hypothesis": "b", "label": "neutral", field: value}
     path = tmp_path / "d.jsonl"
     _write_jsonl(path, [row])
-    with pytest.raises(DataError, match=f"line 1: field '{field}'"):
+    with pytest.raises(DataError, match=_at(path, 1) + f": field '{field}'"):
         load_dataset(path, "jsonl", 3)
 
 
 def test_load_jsonl_rejects_non_object_line(tmp_path):
     path = tmp_path / "d.jsonl"
     path.write_text("5\n", encoding="utf-8")
-    with pytest.raises(DataError, match="line 1"):
+    with pytest.raises(DataError, match=_at(path, 1)):
         load_dataset(path, "jsonl", 3)
 
 
@@ -285,21 +347,8 @@ def test_load_jsonl_rejects_lone_surrogate(tmp_path, field, escape):
     assert load_dataset(path, "jsonl", 3).instances[0].premise == "caf\u00e9 \U0001F600"
     path.write_text(valid + '{"premise": ' + texts["premise"] + ', "hypothesis": '
                     + texts["hypothesis"] + ', "label": 1}\n', encoding="utf-8")
-    with pytest.raises(DataError, match=f"line 2: field '{field}' holds a lone surrogate"):
+    with pytest.raises(DataError, match=_at(path, 2) + f": field '{field}' holds a lone surrogate"):
         load_dataset(path, "jsonl", 3)
-
-
-@pytest.mark.parametrize("fmt, good, bad", [
-    ("jsonl", b'{"premise": "a", "hypothesis": "b", "label": 0}',
-     b'{"premise": "a\xffb", "hypothesis": "b", "label": 0}'),
-    ("tsv", b"a\tb\tneutral", b"a\tb\xc3\tneutral"),
-], ids=["jsonl", "tsv"])
-@pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["lf", "crlf"])
-def test_load_invalid_utf8_names_line(tmp_path, fmt, good, bad, newline):
-    path = tmp_path / f"d.{fmt}"
-    path.write_bytes(newline.join([good, good, bad, good]) + newline)
-    with pytest.raises(DataError, match=r"line 3: invalid UTF-8 byte 0x(ff|c3)"):
-        load_dataset(path, fmt, 3)
 
 
 @pytest.mark.parametrize("fmt, good, bad", [
@@ -316,7 +365,7 @@ def test_load_invalid_utf8_names_line_at_any_line_end(tmp_path, fmt, good, bad,
     path = tmp_path / f"d.{fmt}"
     rows = [good if name == "good" else bad for name in lines.split()]
     path.write_bytes(b"\r".join(rows) + tail)
-    with pytest.raises(DataError, match=rf"line {where}: invalid UTF-8 byte 0x(ff|c3)"):
+    with pytest.raises(DataError, match=_at(path, where) + ": invalid UTF-8 byte 0x(ff|c3)"):
         load_dataset(path, fmt, 3)
 
 
@@ -325,7 +374,8 @@ def test_load_jsonl_refuses_a_line_nested_too_deeply(tmp_path):
     depth = 10 * sys.getrecursionlimit()
     path.write_text('{"premise": "a", "hypothesis": "b", "label": 0}\n'
                     + "[" * depth + "]" * depth + "\n", encoding="utf-8")
-    with pytest.raises(DataError, match=r"^line 2: invalid JSON \(nested too deeply\)$"):
+    with pytest.raises(DataError,
+                       match=f"^{_at(path, 2)}" + r": invalid JSON \(nested too deeply\)$"):
         load_dataset(path, "jsonl", 3)
 
 

@@ -1,5 +1,7 @@
 import hashlib
+import re
 import xml.etree.ElementTree as ET
+from dataclasses import replace as dc_replace
 
 import pytest
 from hypothesis import given, settings
@@ -155,6 +157,12 @@ def test_accuracy_plot_is_valid_xml(sweep_points):
     assert root.tag.endswith("svg")
     circles = root.findall(".//{http://www.w3.org/2000/svg}circle")
     assert len(circles) == len(sweep_points)
+    # a variant is any CSV text: markup is escaped, and what XML cannot carry is refused
+    renamed = [dc_replace(p, variant="a&b<c") for p in sweep_points]
+    root = ET.fromstring(emit_accuracy_plot(renamed))
+    assert "a&b<c" in [t.text for t in root.findall(".//{http://www.w3.org/2000/svg}text")]
+    with pytest.raises(ValueError, match=re.escape(repr("a\x00b"))):
+        emit_accuracy_plot([dc_replace(p, variant="a\x00b") for p in sweep_points])
 
 
 def test_accuracy_plot_legend_and_determinism(sweep_points):

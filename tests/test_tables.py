@@ -1,8 +1,11 @@
+import ast
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pvireduce
 from pvireduce.curriculum import StageReport, read_stage_csv, write_stage_csv
 from pvireduce.pvi import PviRecord, read_records_csv, write_records_csv
 from pvireduce.reduction import SweepPoint, read_sweep_csv, write_sweep_csv
@@ -121,3 +124,29 @@ def test_atomic_write_makes_missing_directories(tmp_path):
     atomic_write_text(path, "x\n")
     assert path.read_text() == "x\n"
     assert [p.name for p in path.parent.iterdir()] == ["out.txt"]
+
+
+def _calls(node, scope="<module>"):
+    """(name of the enclosing function, call) for every call below `node`."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            yield scope, child
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+        yield from _calls(child, inner)
+
+
+def test_files_are_opened_only_by_the_one_reader_and_the_writers():
+    """read_text is the one reader of input files: no other code in the package
+    opens a file, except the atomic writer and the manifest's hash, and cli.py
+    never asks whether a path exists (read_text names a missing file)."""
+    opens, exists = set(), []
+    for path in sorted(Path(pvireduce.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        opens |= {(path.stem, scope) for scope, call in _calls(tree)
+                  if getattr(call.func, "id", getattr(call.func, "attr", None)) == "open"}
+        exists += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                   if path.stem == "cli" and isinstance(node, ast.Attribute)
+                   and ast.unparse(node) == "os.path.exists"]
+    assert opens == {("tables", "read_text"), ("tables", "atomic_write_text"),
+                     ("cli", "sha256_file")}
+    assert exists == []
