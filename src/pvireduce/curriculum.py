@@ -2,7 +2,7 @@
 
 Unlike the static sweep, subsets here stay in difficulty order and are fed
 to the trainer without shuffling, so the model consumes easier instances
-first within every epoch.
+first within every epoch. pvi._tail cuts and lists each stage.
 """
 
 from __future__ import annotations
@@ -12,11 +12,9 @@ from dataclasses import dataclass, replace as dc_replace
 
 from .corpus import Dataset
 from .family import Hyperparams, evaluate, train
-from .pvi import _rank, compute_pvi, records_by_index, train_scorers
-from .reduction import _in_file_order, _timed, check_ratios, retained_count
+from .pvi import _ORDERINGS as ORDERINGS, _rank, _tail, compute_pvi, records_by_index, train_scorers
+from .reduction import _timed, check_ratios, retained_count
 from .tables import read_csv, write_csv
-
-ORDERINGS = {"easy_first": "descending_pvi", "hard_first": "ascending_pvi", "original": None}
 
 
 @dataclass(frozen=True)
@@ -33,23 +31,11 @@ class StageReport:
 
 
 def curriculum_order(train_ds: Dataset, records, ordering: str) -> Dataset:
-    """Rearrange the dataset by score: easy_first = highest score leads."""
-    if ordering not in ORDERINGS:
-        raise ValueError(f"unknown ordering {ordering!r}")
+    """Rearrange the dataset by score: easy_first = highest score leads. `original`
+    returns the dataset as given, which need not be in file order."""
     records = records_by_index(train_ds, records)
-    if ordering == "original":
-        return train_ds
-    return train_ds.take(_rank(records, ORDERINGS[ordering]))
-
-
-def _stage(train_ds: Dataset, records, ranked, r: float, ordering: str) -> Dataset:
-    """stage_subset, given the records by dataset position and their descending_pvi ranking."""
-    kept = ranked[len(ranked) - retained_count(len(ranked), r):]
-    if ordering == "original":
-        return _in_file_order(train_ds, kept)
-    if ordering == "hard_first":
-        kept = _rank(records, ORDERINGS[ordering], kept)
-    return train_ds.take(kept, "subset")
+    positions = _tail(records, _rank(records), len(records), ordering)
+    return train_ds if ordering == "original" else train_ds.take(positions)
 
 
 def stage_subset(train_ds: Dataset, records, r: float, ordering: str) -> Dataset:
@@ -57,10 +43,9 @@ def stage_subset(train_ds: Dataset, records, r: float, ordering: str) -> Dataset
 
     Subsets at larger r nest inside those at smaller r.
     """
-    if ordering not in ORDERINGS:
-        raise ValueError(f"unknown ordering {ordering!r}")
     records = records_by_index(train_ds, records)
-    return _stage(train_ds, records, _rank(records), r, ordering)
+    k = retained_count(len(records), r)
+    return train_ds.take(_tail(records, _rank(records), k, ordering), "subset")
 
 
 def progressive_train(train_ds: Dataset, test_ds: Dataset, hp: Hyperparams,
@@ -73,8 +58,7 @@ def progressive_train(train_ds: Dataset, test_ds: Dataset, hp: Hyperparams,
     warm_start continues each stage from the previous stage's parameters
     instead of reinitializing (off by default). Stages run in `ratios` order.
     """
-    if ordering not in ORDERINGS:
-        raise ValueError(f"unknown ordering {ordering!r}")
+    _tail((), [], 0, ordering)  # refuses an unknown ordering before any training; sorts nothing
     ratios = check_ratios(len(train_ds), ratios)
 
     records = compute_pvi(*train_scorers(train_ds, hp), train_ds)  # by dataset position
@@ -84,7 +68,8 @@ def progressive_train(train_ds: Dataset, test_ds: Dataset, hp: Hyperparams,
     model = None
     reports = []
     for r in ratios:
-        subset = _stage(train_ds, records, ranked, r, ordering)
+        k = retained_count(len(ranked), r)
+        subset = train_ds.take(_tail(records, ranked, k, ordering), "subset")
         model, seconds = _timed(timing, train, subset, stage_hp,
                                 init=model if warm_start else None)
         report = evaluate(model, test_ds)

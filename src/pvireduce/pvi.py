@@ -77,6 +77,21 @@ def _rank(records, order: str = "descending_pvi", positions=None) -> list[int]:
                   key=lambda p: (sign * records[p].pvi, records[p].original_index))
 
 
+_ORDERINGS = ("easy_first", "hard_first", "original")
+
+
+def _tail(records, ranked, k: int, ordering: str) -> list[int]:
+    """The k hardest, the last k of `ranked` (a descending_pvi ranking of positions into
+    `records`), in file order (original), ranking order (easy_first) or ascending PVI,
+    ties by ascending index (hard_first); file order reads only records[p].original_index."""
+    if ordering not in _ORDERINGS:
+        raise ValueError(f"unknown ordering {ordering!r}")
+    kept = ranked[len(ranked) - k:]
+    if ordering == "original":
+        return sorted(kept, key=lambda p: records[p].original_index)
+    return _rank(records, "ascending_pvi", kept) if ordering == "hard_first" and kept else kept
+
+
 def rank_by_difficulty(records, order: str = "descending_pvi") -> tuple[int, ...]:
     """Permutation of original_index; ties break by ascending original_index.
 
@@ -103,8 +118,8 @@ def hardest_k(records, dataset: Dataset, k: int):
     if not 0 <= k <= len(dataset):
         raise ValueError(f"k={k} is outside [0, {len(dataset)}]")
     records = records_by_index(dataset, records)
-    hardest = _rank(records, "ascending_pvi", _rank(records)[len(records) - k:])
-    return [(dataset.instances[p], records[p].pvi) for p in hardest]
+    return [(dataset.instances[p], records[p].pvi)
+            for p in _tail(records, _rank(records), k, "hard_first")]
 
 
 def pvi_histogram(records, num_bins: int, value_range: tuple[float, float]):

@@ -2,6 +2,7 @@
 
 A sweep retrains fresh models over a grid of reduction ratios and records
 test accuracy of both the classifier and the null (label-prior) model.
+pvi._tail cuts each pvi or pvi_balanced subset and lists every subset in file order.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import numpy as np
 
 from .corpus import Dataset
 from .family import Hyperparams, evaluate, train, train_null
-from .pvi import _rank, compute_pvi, records_by_index
+from .pvi import _rank, _tail, compute_pvi, records_by_index
+from .report import _plot_label
 from .tables import read_csv, write_csv
 
 STRATEGIES = ("pvi", "pvi_balanced", "random")
@@ -57,25 +59,20 @@ def check_ratios(m: int, ratios) -> list[float]:
     return checked
 
 
-def _in_file_order(train_ds: Dataset, positions) -> Dataset:
-    index = [inst.original_index for inst in train_ds]
-    return train_ds.take(sorted(positions, key=index.__getitem__), "subset")
-
-
 def _subset(train_ds: Dataset, ranked, r: float, strategy: str = "pvi", seed: int = 0) -> Dataset:
     """The subset `strategy` keeps at ratio r, in file order; `ranked` is the
     descending_pvi ranking of train_ds's positions (unused by random)."""
-    m = len(train_ds)
-    if strategy == "pvi":
-        kept = ranked[m - retained_count(m, r):]
-    elif strategy == "pvi_balanced":
+    m, instances = len(train_ds), train_ds.instances
+    kept, k = ranked, retained_count(m, r)
+    if strategy == "pvi_balanced":
         kept = []
         for c in range(train_ds.num_classes):
-            in_class = [p for p in ranked if train_ds.instances[p].label == c]
-            kept += in_class[len(in_class) - retained_count(len(in_class), r):]
-    else:
-        kept = np.random.default_rng(seed).choice(m, retained_count(m, r), replace=False).tolist()
-    return _in_file_order(train_ds, kept)
+            in_class = [p for p in ranked if instances[p].label == c]
+            kept += _tail(instances, in_class, retained_count(len(in_class), r), "easy_first")
+        k = len(kept)
+    elif strategy == "random":
+        kept = np.random.default_rng(seed).choice(m, k, replace=False).tolist()
+    return train_ds.take(_tail(instances, kept, k, "original"), "subset")
 
 
 def select_subset(train_ds: Dataset, records, r: float) -> Dataset:
@@ -161,7 +158,7 @@ def static_sweep(train_ds: Dataset, test_ds: Dataset, ratios, hp: Hyperparams,
 # ---------------------------------------------------------------------------
 # export
 
-_CSV_COLUMNS = {"variant": str, "strategy": str, "r": float, "subset_size": int,
+_CSV_COLUMNS = {"variant": _plot_label, "strategy": str, "r": float, "subset_size": int,
                 "cm_accuracy": float, "eim_accuracy": float, "train_seconds": float,
                 "seed": int}
 

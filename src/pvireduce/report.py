@@ -16,10 +16,6 @@ UNITS = ("chars", "tokens")
 DEFAULT_BUCKET_EDGES = (10, 15, 20, 25, 30)
 
 
-class ReportError(ValueError):
-    pass
-
-
 def _lengths_by_label(dataset, unit: str) -> dict[int, list[int]]:
     """Hypothesis lengths per label in one pass, ascending by label."""
     if unit not in UNITS:
@@ -48,7 +44,7 @@ class BucketProportions:
 def length_stats(dataset, unit: str = "chars") -> LengthStats:
     """Per-label min/max/median/mean hypothesis length."""
     if len(dataset) == 0:
-        raise ReportError("empty dataset")
+        raise ValueError("empty dataset")
     rows = {}
     for c, lengths in _lengths_by_label(dataset, unit).items():
         rows[c] = {
@@ -72,7 +68,7 @@ def bucket_proportions(dataset, edges=DEFAULT_BUCKET_EDGES,
     """Per-label share of hypotheses in each length interval."""
     edges = tuple(edges)
     if any(b <= a for a, b in zip(edges, edges[1:])):
-        raise ReportError(f"bucket edges must be strictly increasing, got {edges}")
+        raise ValueError(f"bucket edges must be strictly increasing, got {edges}")
     labels = bucket_labels(edges)
     rows = {}
     for c, lengths in _lengths_by_label(dataset, unit).items():
@@ -153,6 +149,13 @@ _COLORS = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
 _NOT_XML = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 
+def _plot_label(text: str) -> str:
+    """`text`, refused with ValueError when it holds a character XML cannot carry."""
+    if _NOT_XML.search(text):
+        raise ValueError(f"plot label {text!r} holds a character XML cannot carry")
+    return text
+
+
 def _fnum(x: float) -> str:
     return format(float(x), ".6g")
 
@@ -178,9 +181,7 @@ def _plot(series, y_hi: float, y_label: str, radius: int, joined: bool) -> str:
         f'transform="rotate(-90 16 {(_MT + _H - _MB) // 2})">{y_label}</text>',
     ]
     for i, (label, points) in enumerate(series):
-        if _NOT_XML.search(label):
-            raise ValueError(f"plot label {label!r} holds a character XML cannot carry")
-        legend = label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        legend = _plot_label(label).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         color = _COLORS[i % len(_COLORS)]
         coords = [(_fnum(_scale(r, 0.0, r_hi, _ML, _W - _MR)),
                    _fnum(_scale(y, 0.0, y_hi, _H - _MB, _MT))) for r, y in points]

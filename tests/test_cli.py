@@ -444,12 +444,17 @@ def test_failed_report_writes_nothing(tmp_path, capsys, corpora):
     huge = tmp_path / "huge.csv"  # a field over the csv module's 131072-character limit
     huge.write_text((sweep_dir / "sweep.csv").read_text()
                     .replace("\noriginal,", f"\n{'v' * 200_000},"))
+    unplottable = tmp_path / "unplottable.csv"  # a variant XML cannot carry
+    unplottable.write_text((sweep_dir / "sweep.csv").read_text()
+                           .replace("\noriginal,", "\na\x01b,"))
     out = tmp_path / "out"
     for inputs, named in (
             (["--sweep-csv", missing], f"file not found: {missing}"),
             (["--sweep-csv", sweep_dir / "sweep.csv", "--runtime-csv", missing],
              f"file not found: {missing}"),
-            (["--sweep-csv", huge], f"{huge}:2: field larger than field limit (131072)")):
+            (["--sweep-csv", huge], f"{huge}:2: field larger than field limit (131072)"),
+            (["--sweep-csv", unplottable], f"{unplottable}:2: variant: plot label 'a\\x01b' "
+                                           "holds a character XML cannot carry")):
         assert _run(["report", *inputs, "--out-dir", out, "--no-timing"]) == 2
         err = capsys.readouterr().err
         assert f"data error: {named}" in err and "Traceback" not in err

@@ -274,6 +274,21 @@ def test_a_ratio_keeping_no_rows_is_refused_before_any_training(monkeypatch, run
     assert calls == []
 
 
+@pytest.mark.parametrize("run", [
+    lambda ds, records: curriculum_order(ds, records, "x"),
+    lambda ds, records: stage_subset(ds, records, 0.3, "x"),
+    lambda ds, records: progressive_train(ds, ds, Hyperparams(epochs=1), ordering="x"),
+], ids=["curriculum_order", "stage_subset", "progressive_train"])
+def test_an_unknown_ordering_is_refused_before_any_training(monkeypatch, run):
+    calls = []
+    for module in (family, pvi, reduction, curriculum):
+        monkeypatch.setattr(module, "train", lambda *args, **kwargs: calls.append(args))
+    ds = generate_synthetic(40, 3, (0.5, 0.3, 0.2), seed=3)
+    with pytest.raises(ValueError, match="unknown ordering 'x'"):
+        run(ds, _records_for(ds))
+    assert calls == []
+
+
 @pytest.fixture
 def sorts(monkeypatch):
     """(order, count) of every call to the one difficulty sort, in call order."""
@@ -354,12 +369,19 @@ def test_subset_rules_match_brute_force_oracles_under_ties(r):
         file_order = sorted(rec.original_index for rec in kept)
         hard_first = [rec.original_index
                       for rec in sorted(kept, key=lambda rec: (rec.pvi, rec.original_index))]
+        ascending = sorted(records, key=lambda rec: (rec.pvi, rec.original_index))
         cases = [
             (select_subset(ds, records, r), file_order),
             (balanced_select(ds, records, r), sorted(rec.original_index for rec in by_class)),
             (stage_subset(ds, records, r, "original"), file_order),
             (stage_subset(ds, records, r, "easy_first"), [rec.original_index for rec in kept]),
             (stage_subset(ds, records, r, "hard_first"), hard_first),
+            # the whole ranking, whatever r; `original` keeps the dataset's own order
+            (curriculum_order(ds, records, "easy_first"),
+             [rec.original_index for rec in _hardest(records, 0.0)]),
+            (curriculum_order(ds, records, "hard_first"),
+             [rec.original_index for rec in ascending]),
+            (curriculum_order(ds, records, "original"), [i.original_index for i in ds]),
         ]
         instances = {i.original_index: i for i in ds}
         for subset, indices in cases:

@@ -12,7 +12,7 @@ from pvireduce import (bucket_proportions, generate_synthetic, length_stats,
 from pvireduce.corpus import Dataset, LabeledInstance
 from pvireduce.family import Hyperparams
 from pvireduce.reduction import SweepPoint
-from pvireduce.report import (_ML, _MR, _W, DEFAULT_BUCKET_EDGES, ReportError, RuntimeLog,
+from pvireduce.report import (_ML, _MR, _W, DEFAULT_BUCKET_EDGES, RuntimeLog,
                               RuntimeRecord, bucket_labels, emit_accuracy_plot,
                               emit_runtime_plot, write_bucket_csv,
                               write_length_stats_csv)
@@ -58,7 +58,7 @@ def test_length_stats_independent_recomputation_oracle():
 
 
 def test_length_stats_empty_raises():
-    with pytest.raises(ReportError):
+    with pytest.raises(ValueError):
         length_stats(Dataset((), 3))
 
 
@@ -75,7 +75,7 @@ def test_bucket_known_values():
 
 def test_bucket_rejects_bad_edges():
     ds = _dataset_from_lengths({0: [5]})
-    with pytest.raises(ReportError):
+    with pytest.raises(ValueError):
         bucket_proportions(ds, edges=(10, 10, 20))
 
 
