@@ -4,12 +4,17 @@ Subcommands: gen, pvi, sweep, curriculum, stats, report. Each takes only the
 flags it reads: --config, --seed, --epochs and --learning-rate belong to the
 training commands (pvi, sweep, curriculum; gen has its own --seed), --format
 to all but report, --out-dir to all but gen, and --jobs and --no-timing to
-all six. Every run writes a JSON manifest next to its outputs: its `config`
-holds every flag given (for the training commands, `hyperparams` stands in
-for --config and the flags named after a hyperparameter), and its
-`input_hashes` the SHA-256 of each input. Rerunning from the manifest
-reproduces the data outputs byte-for-byte (timing fields are the one
-exception, and can be disabled with --no-timing).
+all six.
+
+main is the one frame around every subcommand: it resolves the hyperparameters
+of the training commands, runs the subcommand, which reads its inputs and writes
+its outputs, and then writes the run's manifest.json to --out-dir (for gen,
+next to --out). The manifest's `config` holds every flag given (for the
+training commands, `hyperparams` stands in for --config and the flags named
+after a hyperparameter), and its `input_hashes` the SHA-256 of each file flag
+given: the inputs, and gen's written --out; --config is not hashed. Rerunning
+from the manifest reproduces the data outputs byte-for-byte (timing fields are
+the one exception, and can be disabled with --no-timing).
 
 Exit codes: 0 success, 1 usage error, 2 data error.
 """
@@ -18,13 +23,12 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import hashlib
+import dataclasses
 import io
 import json
 import os
 import sys
 import time
-from dataclasses import fields, replace as dc_replace
 
 from . import __version__
 from .corpus import (NoiseSpec, generate_synthetic, inject_noise, load_dataset,
@@ -38,9 +42,11 @@ from .reduction import STRATEGIES, read_sweep_csv, static_sweep, write_sweep_csv
 from .report import (UNITS, RuntimeLog, bucket_proportions, emit_accuracy_plot,
                      emit_runtime_plot, length_stats, write_bucket_csv,
                      write_length_stats_csv)
-from .tables import DataError, atomic_write_text, read_text
+from .tables import DataError, atomic_write_text, read_text, sha256_file
 
-_HYPERPARAM_NAMES = {f.name for f in fields(Hyperparams)}
+_HYPERPARAM_NAMES = {f.name for f in dataclasses.fields(Hyperparams)}
+# the dests of the flags that name a file; the manifest hashes each one given
+_FILE_FLAGS = ("train", "test", "on", "data", "sweep_csv", "runtime_csv", "out")
 
 
 class UsageError(Exception):
@@ -50,14 +56,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-def sha256_file(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -90,9 +88,12 @@ def resolve_hyperparams(args) -> Hyperparams:
         raise DataError(f"{args.config}: {exc}" if config else str(exc)) from None
 
 
-def write_manifest(out_dir, args, inputs: dict, hp: Hyperparams | None = None) -> None:
-    """`config` is every parsed flag but the output directory; with `hp`, its
-    `hyperparams` replace --config and the flags named after its fields."""
+def write_manifest(args, hp: Hyperparams | None) -> None:
+    """manifest.json in --out-dir, or next to gen's --out. `config` is every parsed
+    flag but the output directory; with `hp`, its `hyperparams` replace --config and
+    the flags named after its fields. `input_hashes` hash each _FILE_FLAGS flag given."""
+    out_dir = (args.out_dir if "out_dir" in vars(args)
+               else os.path.dirname(os.path.abspath(args.out)))
     skip = {"func", "command", "out_dir"}
     if hp is not None:
         skip |= {"config"} | _HYPERPARAM_NAMES
@@ -104,7 +105,8 @@ def write_manifest(out_dir, args, inputs: dict, hp: Hyperparams | None = None) -
         "version": __version__,
         "command": args.command,
         "config": config,
-        "input_hashes": {name: sha256_file(path) for name, path in inputs.items()},
+        "input_hashes": {name: sha256_file(path) for name in _FILE_FLAGS
+                         if (path := getattr(args, name, None))},
     }
     if not args.no_timing:
         manifest["wall_clock_utc"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
@@ -118,16 +120,15 @@ def _load(path, fmt):
     return ds
 
 
-def _load_experiment(args):
-    """Hyperparameters, the training set with --variant applied, and the test set."""
-    hp = resolve_hyperparams(args)
+def _load_experiment(args, hp: Hyperparams):
+    """The training set with --variant applied, and the test set."""
     train_ds = _load(args.train, args.format)
     test_ds = _load(args.test, args.format)
     if args.variant == "noisy":
         train_ds = inject_noise(train_ds, NoiseSpec(args.noise_ratio, hp.seed))
     elif args.variant == "imbalanced":
         train_ds = make_imbalanced(train_ds, tuple(args.keep_fractions), hp.seed)
-    return hp, train_ds, test_ds
+    return train_ds, test_ds
 
 
 def _float_list(raw: str) -> list[float]:
@@ -156,49 +157,37 @@ def _count(raw: str) -> int:
 def cmd_gen(args):
     ds = generate_synthetic(args.n, difficulty_mix=tuple(args.mix), seed=args.seed)
     serialize(ds, args.out, args.format)
-    write_manifest(os.path.dirname(os.path.abspath(args.out)), args, {"out": args.out})
-    return 0
 
 
-def cmd_pvi(args):
-    hp = resolve_hyperparams(args)
+def cmd_pvi(args, hp):
     train_ds = _load(args.train, args.format)
     score_ds = _load(args.on, args.format) if args.on else train_ds
     g_cond, g_null = train_scorers(train_ds, hp)
     records = compute_pvi(g_cond, g_null, score_ds)
-    info = summarize(records)
     write_records_csv(records, os.path.join(args.out_dir, "pvi.csv"))
     write_records_jsonl(records, os.path.join(args.out_dir, "pvi.jsonl"))
-    atomic_write_text(os.path.join(args.out_dir, "summary.json"), json.dumps({
-        "h_v_y": info.h_v_y, "h_v_y_given_x": info.h_v_y_given_x,
-        "i_v": info.i_v, "n": info.n}, indent=2) + "\n")
+    atomic_write_text(os.path.join(args.out_dir, "summary.json"),
+                      json.dumps(dataclasses.asdict(summarize(records)), indent=2) + "\n")
     if args.save_models:
         save_model(g_cond, os.path.join(args.out_dir, "model_cond.json"))
         save_model(g_null, os.path.join(args.out_dir, "model_null.json"))
-    inputs = {"train": args.train}
-    if args.on:
-        inputs["on"] = args.on
-    write_manifest(args.out_dir, args, inputs, hp)
-    return 0
 
 
-def cmd_sweep(args):
-    hp, train_ds, test_ds = _load_experiment(args)
+def cmd_sweep(args, hp):
+    train_ds, test_ds = _load_experiment(args, hp)
     log = RuntimeLog()
     points = static_sweep(train_ds, test_ds, args.ratios, hp, strategy=args.strategy,
                           derived_seeds=args.derived_seeds,
                           timing=not args.no_timing, runtime_log=log)
     write_sweep_csv(points, os.path.join(args.out_dir, "sweep.csv"))
     log.write_csv(os.path.join(args.out_dir, "runtime.csv"))
-    write_manifest(args.out_dir, args, {"train": args.train, "test": args.test}, hp)
-    return 0
 
 
-def cmd_curriculum(args):
-    hp, train_ds, test_ds = _load_experiment(args)
+def cmd_curriculum(args, hp):
+    train_ds, test_ds = _load_experiment(args, hp)
     reports = []
     for i in range(args.seeds):
-        seed_hp = dc_replace(hp, seed=hp.seed + i)
+        seed_hp = dataclasses.replace(hp, seed=hp.seed + i)
         reports += progressive_train(train_ds, test_ds, seed_hp, args.ratios,
                                      ordering=args.ordering,
                                      warm_start=args.warm_start,
@@ -206,8 +195,6 @@ def cmd_curriculum(args):
     write_stage_csv(reports, os.path.join(args.out_dir, "stages.csv"))
     if args.seeds > 1:
         write_stage_summary_csv(reports, os.path.join(args.out_dir, "stages_summary.csv"))
-    write_manifest(args.out_dir, args, {"train": args.train, "test": args.test}, hp)
-    return 0
 
 
 def cmd_stats(args):
@@ -216,14 +203,10 @@ def cmd_stats(args):
     buckets = bucket_proportions(ds, unit=args.unit)
     write_length_stats_csv(stats, os.path.join(args.out_dir, "stats.csv"))
     write_bucket_csv(buckets, os.path.join(args.out_dir, "buckets.csv"))
-    write_manifest(args.out_dir, args, {"data": args.data})
-    return 0
 
 
 def cmd_report(args):
-    inputs = {name: path for name, path in (("sweep_csv", args.sweep_csv),
-                                            ("runtime_csv", args.runtime_csv)) if path}
-    if not inputs:
+    if not (args.sweep_csv or args.runtime_csv):
         raise UsageError("report requires --sweep-csv and/or --runtime-csv")
     plots = {}
     if args.sweep_csv:
@@ -233,8 +216,6 @@ def cmd_report(args):
             RuntimeLog.read_csv(args.runtime_csv).records)
     for name, svg in plots.items():
         atomic_write_text(os.path.join(args.out_dir, name), svg)
-    write_manifest(args.out_dir, args, inputs)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +303,14 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        if "config" in vars(args):  # a training command
+            hp = resolve_hyperparams(args)
+            args.func(args, hp)
+        else:
+            hp = None
+            args.func(args)
+        write_manifest(args, hp)
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -308,6 +308,8 @@ def synthetic_difficulty_tags(num_instances: int, difficulty_mix, seed: int) -> 
     Deterministic function of the generator arguments; exposed so callers can
     recover which instances were built easy/medium/hard.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed!r}")
     fracs = tuple(difficulty_mix)
     # `not ... <=` so that NaN fails too
     if len(fracs) != 3 or not all(f >= 0 for f in fracs) or not abs(sum(fracs) - 1.0) <= 1e-9:

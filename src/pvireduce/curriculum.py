@@ -59,7 +59,7 @@ def progressive_train(train_ds: Dataset, test_ds: Dataset, hp: Hyperparams,
     instead of reinitializing (off by default). Stages run in `ratios` order.
     """
     _tail((), [], 0, ordering)  # refuses an unknown ordering before any training; sorts nothing
-    ratios = check_ratios(len(train_ds), ratios)
+    ratios = check_ratios([len(train_ds)], ratios)
 
     records = compute_pvi(*train_scorers(train_ds, hp), train_ds)  # by dataset position
     ranked = _rank(records)

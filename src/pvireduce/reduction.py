@@ -17,8 +17,8 @@ import numpy as np
 from .corpus import Dataset
 from .family import Hyperparams, evaluate, train, train_null
 from .pvi import _rank, _tail, compute_pvi, records_by_index
-from .report import _plot_label
-from .tables import read_csv, write_csv
+from .report import _plot_label, _ratio
+from .tables import finite_float, read_csv, write_csv
 
 STRATEGIES = ("pvi", "pvi_balanced", "random")
 
@@ -46,13 +46,14 @@ def retained_count(m: int, r: float) -> int:
     return int(math.floor(m * (1 - Fraction(repr(float(r))))))
 
 
-def check_ratios(m: int, ratios) -> list[float]:
-    """The ratios as floats, each checked by retained_count(m, r); one that keeps no row
-    or is given twice is refused. static_sweep and progressive_train call it first."""
+def check_ratios(sizes, ratios) -> list[float]:
+    """The ratios as floats, each checked by retained_count(n, r) for every group size n
+    in `sizes`; one that keeps no row of any group or is given twice is refused.
+    static_sweep and progressive_train call it before any training."""
     checked = []
     for r in map(float, ratios):
-        if retained_count(m, r) == 0:
-            raise ValueError(f"reduction ratio {r} keeps 0 of {m} training instances")
+        if not any(retained_count(n, r) for n in sizes):
+            raise ValueError(f"reduction ratio {r} keeps 0 of {sum(sizes)} training instances")
         if r in checked:
             raise ValueError(f"reduction ratio {r} is repeated")
         checked.append(r)
@@ -120,7 +121,9 @@ def static_sweep(train_ds: Dataset, test_ds: Dataset, ratios, hp: Hyperparams,
         raise ValueError(f"unknown strategy {strategy!r}")
     variant = train_ds.provenance_tag
     # the implicit r = 0 is no repeat of a 0 given in `ratios`
-    ratios = sorted(set(check_ratios(len(train_ds), ratios)) | {0.0})
+    # pvi_balanced keeps floor(n(1 - r)) rows of each class of n
+    sizes = train_ds.class_counts().tolist() if strategy == "pvi_balanced" else [len(train_ds)]
+    ratios = sorted(set(check_ratios(sizes, ratios)) | {0.0})
 
     g_cond, cond_seconds = _timed(timing, train, train_ds, hp)
     g_null, null_seconds = _timed(timing, train_null, train_ds, hp)
@@ -134,10 +137,6 @@ def static_sweep(train_ds: Dataset, test_ds: Dataset, ratios, hp: Hyperparams,
         seed = hp.seed + i if derived_seeds else hp.seed
         point_hp = dc_replace(hp, seed=seed)
         subset = _subset(train_ds, ranked, r, strategy, seed)
-        # per-class floors can still empty a pvi_balanced subset
-        if not subset:
-            raise ValueError(f"reduction ratio {r} keeps 0 of {len(train_ds)} "
-                             "training instances")
         # training is a function of the rows, their order and the hyperparameters
         if point_hp == hp and subset.instances == train_ds.instances:
             cm, cm_seconds, eim, eim_seconds = g_cond, cond_seconds, g_null, null_seconds
@@ -158,8 +157,15 @@ def static_sweep(train_ds: Dataset, test_ds: Dataset, ratios, hp: Hyperparams,
 # ---------------------------------------------------------------------------
 # export
 
-_CSV_COLUMNS = {"variant": _plot_label, "strategy": str, "r": float, "subset_size": int,
-                "cm_accuracy": float, "eim_accuracy": float, "train_seconds": float,
+def _accuracy(value) -> float:
+    """A read accuracy: a finite float in [0, 1]."""
+    if not 0.0 <= (accuracy := finite_float(value)) <= 1.0:
+        raise ValueError(f"accuracy must be in [0, 1], got {accuracy!r}")
+    return accuracy
+
+
+_CSV_COLUMNS = {"variant": _plot_label, "strategy": str, "r": _ratio, "subset_size": int,
+                "cm_accuracy": _accuracy, "eim_accuracy": _accuracy, "train_seconds": float,
                 "seed": int}
 
 

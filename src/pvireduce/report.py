@@ -8,7 +8,7 @@ import re
 import statistics
 from dataclasses import dataclass
 
-from .tables import read_csv, write_csv
+from .tables import finite_float, read_csv, write_csv
 
 UNITS = ("chars", "tokens")
 
@@ -100,7 +100,15 @@ def write_bucket_csv(buckets: BucketProportions, path) -> None:
 
 PHASES = ("pvi_compute", "train_cm", "train_eim", "evaluate")
 
-_RUNTIME_COLUMNS = {"variant": str, "r": float, "phase": str, "seconds": float}
+
+def _ratio(value) -> float:
+    """A read reduction ratio: a finite float in [0, 1), by retained_count's rule."""
+    from .reduction import retained_count  # reduction imports this module
+    retained_count(0, ratio := finite_float(value))
+    return ratio
+
+
+_RUNTIME_COLUMNS = {"variant": str, "r": _ratio, "phase": str, "seconds": float}
 
 
 @dataclass(frozen=True)

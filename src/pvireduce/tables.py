@@ -1,11 +1,13 @@
-"""The one file layer: read_text reads every input and atomic_write_text, which
-makes its directory, writes every output. CSV tables are written with floats by f17
-and read with every field cast; a DataError names `<path>:<line>:` and any column."""
+"""The one file layer: read_text reads every input, sha256_file hashes one for a
+run's manifest, and atomic_write_text, which makes its directory, writes every
+output. CSV tables are written with floats by f17 and read with every field cast;
+a DataError names `<path>:<line>:` and any column."""
 
 from __future__ import annotations
 
 import codecs
 import csv
+import hashlib
 import io
 import math
 import os
@@ -29,6 +31,14 @@ def read_text(path) -> str:
         line = len(raw[:exc.start + 1].splitlines())
         raise DataError(f"{path}:{line}: invalid UTF-8 byte {raw[exc.start]:#04x} "
                         f"({exc.reason})") from None
+
+
+def sha256_file(path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def f17(x: float) -> str:

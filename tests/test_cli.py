@@ -1,7 +1,10 @@
+import argparse
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -134,7 +137,7 @@ def test_exit_code_data_error(tmp_path, capsys):
 ])
 def test_memory_error_is_a_data_error(tmp_path, capsys, monkeypatch, corpora, message, shown):
     # no real allocation: the command raises what numpy raises for one too large
-    def allocate(args):
+    def allocate(args, hp):
         raise MemoryError(message)
 
     monkeypatch.setattr(cli, "cmd_pvi", allocate)
@@ -264,6 +267,12 @@ def test_gen_seed_zero_is_used(tmp_path):
     assert texts["0"] != texts["1"]
     manifest = json.loads((tmp_path / "0" / "manifest.json").read_text())
     assert manifest["config"]["seed"] == 0
+
+
+def test_gen_negative_seed_is_named(tmp_path, capsys):
+    assert _run(["gen", "--n", "10", "--seed", "-1", "--out", tmp_path / "new" / "x.jsonl"]) == 2
+    assert "data error: seed must be >= 0, got -1\n" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("content", ["", "not,the,header\n"])
@@ -447,6 +456,18 @@ def test_failed_report_writes_nothing(tmp_path, capsys, corpora):
     unplottable = tmp_path / "unplottable.csv"  # a variant XML cannot carry
     unplottable.write_text((sweep_dir / "sweep.csv").read_text()
                            .replace("\noriginal,", "\na\x01b,"))
+    # values that would be drawn outside the plot's frame
+    header, row = (sweep_dir / "sweep.csv").read_text().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    off_frame = {}
+    for name, values in (("negative_r", {"r": "-0.5", "cm_accuracy": "1.7"}),
+                         ("negative_accuracy", {"cm_accuracy": "-2"})):
+        off_frame[name] = tmp_path / f"{name}.csv"
+        off_frame[name].write_text(f"{header}\n{','.join({**cells, **values}.values())}\n")
+    runtime_lines = (sweep_dir / "runtime.csv").read_text().splitlines()
+    runtime_lines[1] = runtime_lines[1].replace(",0,", ",-3,")
+    negative_runtime_r = tmp_path / "negative_runtime_r.csv"
+    negative_runtime_r.write_text("\n".join(runtime_lines) + "\n")
     out = tmp_path / "out"
     for inputs, named in (
             (["--sweep-csv", missing], f"file not found: {missing}"),
@@ -454,7 +475,14 @@ def test_failed_report_writes_nothing(tmp_path, capsys, corpora):
              f"file not found: {missing}"),
             (["--sweep-csv", huge], f"{huge}:2: field larger than field limit (131072)"),
             (["--sweep-csv", unplottable], f"{unplottable}:2: variant: plot label 'a\\x01b' "
-                                           "holds a character XML cannot carry")):
+                                           "holds a character XML cannot carry"),
+            (["--sweep-csv", off_frame["negative_r"]],
+             f"{off_frame['negative_r']}:2: r: reduction ratio must be in [0,1), got -0.5"),
+            (["--sweep-csv", off_frame["negative_accuracy"]],
+             f"{off_frame['negative_accuracy']}:2: cm_accuracy: accuracy must be in [0, 1], "
+             "got -2.0"),
+            (["--sweep-csv", sweep_dir / "sweep.csv", "--runtime-csv", negative_runtime_r],
+             f"{negative_runtime_r}:2: r: reduction ratio must be in [0,1), got -3.0")):
         assert _run(["report", *inputs, "--out-dir", out, "--no-timing"]) == 2
         err = capsys.readouterr().err
         assert f"data error: {named}" in err and "Traceback" not in err
@@ -561,6 +589,49 @@ def sweep_tables(tmp_path_factory, corpora):
     assert _run(["sweep", "--train", train, "--test", test, "--out-dir", out,
                  "--ratios", "0,0.3", "--epochs", "1", "--no-timing"]) == 0
     return out / "sweep.csv", out / "runtime.csv"
+
+
+@pytest.mark.parametrize("argv, hashed", [
+    (["pvi", "--train", "{train}"], {"train"}),
+    (["pvi", "--train", "{train}", "--on", "{test}"], {"train", "on"}),
+    (["pvi", "--train", "{train}", "--config", "{ini}"], {"train"}),  # never --config
+    (["sweep", "--train", "{train}", "--test", "{test}", "--ratios", "0"], {"train", "test"}),
+    (["curriculum", "--train", "{train}", "--test", "{test}", "--ratios", "0"],
+     {"train", "test"}),
+    (["stats", "--data", "{train}"], {"data"}),
+    (["report", "--sweep-csv", "{sweep_csv}"], {"sweep_csv"}),
+    (["report", "--sweep-csv", "{sweep_csv}", "--runtime-csv", "{runtime_csv}"],
+     {"sweep_csv", "runtime_csv"}),
+    (["gen", "--n", "10", "--out", "{out}/gen.jsonl"], {"out"}),  # the file it wrote
+])
+def test_manifest_hashes_exactly_the_file_flags_given(tmp_path, corpora, sweep_tables,
+                                                      argv, hashed):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[hyperparams]\nepochs = 1\n")
+    out = tmp_path / "out"
+    names = dict(train=corpora[0], test=corpora[1], ini=ini, out=out,
+                 sweep_csv=sweep_tables[0], runtime_csv=sweep_tables[1])
+    argv = [arg.format(**names) for arg in argv]
+    if argv[0] == "gen":
+        out.mkdir()
+    else:
+        argv += ["--out-dir", str(out)]
+        argv += ["--epochs", "1"] if argv[0] in ("pvi", "sweep", "curriculum") else []
+    assert _run(argv + ["--no-timing"]) == 0
+    hashes = json.loads((out / "manifest.json").read_text())["input_hashes"]
+    assert set(hashes) == hashed
+    for dest in hashed:
+        path = argv[argv.index("--" + dest.replace("_", "-")) + 1]
+        assert hashes[dest] == hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def test_every_file_flag_is_some_subcommands_option():
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    dests = {action.dest for parser in subparsers.choices.values()
+             for action in parser._actions}
+    assert set(cli._FILE_FLAGS) <= dests
+    assert "config" in dests and "config" not in cli._FILE_FLAGS
 
 
 @pytest.mark.parametrize("flag, line, old, new, named", [

@@ -210,6 +210,8 @@ def test_generate_synthetic_guards():
         generate_synthetic(2, 3)
     with pytest.raises(ValueError):
         generate_synthetic(10, 3, (0.5, 0.3, 0.3))
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        generate_synthetic(10, 3, seed=-1)
 
 
 def test_easy_corpus_keyword_rule_oracle():

@@ -260,17 +260,21 @@ def test_static_sweep_rejects_bad_inputs(small_train, small_test):
         static_sweep(small_train, small_test, [0.1], hp, strategy="nope")
 
 
-@pytest.mark.parametrize("run", [
-    lambda ds, hp: static_sweep(ds, ds, [0.3, 0.99], hp, timing=False),
-    lambda ds, hp: progressive_train(ds, ds, hp, [0.0, 0.99], timing=False),
-], ids=["static_sweep", "progressive_train"])
-def test_a_ratio_keeping_no_rows_is_refused_before_any_training(monkeypatch, run):
+@pytest.mark.parametrize("run, ratio", [
+    (lambda ds, hp, r: static_sweep(ds, ds, [0.3, r], hp, timing=False), 0.99),
+    # the whole 40 keeps 2 rows at 0.95, but each class of 13 or 14 keeps none
+    (lambda ds, hp, r: static_sweep(ds, ds, [0.3, r], hp, strategy="pvi_balanced",
+                                    timing=False), 0.95),
+    (lambda ds, hp, r: progressive_train(ds, ds, hp, [0.0, r], timing=False), 0.99),
+], ids=["static_sweep", "static_sweep_pvi_balanced", "progressive_train"])
+def test_a_ratio_keeping_no_rows_is_refused_before_any_training(monkeypatch, run, ratio):
     calls = []
     for module in (family, pvi, reduction, curriculum):
         monkeypatch.setattr(module, "train", lambda *args, **kwargs: calls.append(args))
     ds = generate_synthetic(40, 3, (0.5, 0.3, 0.2), seed=3)
-    with pytest.raises(ValueError, match="reduction ratio 0.99 keeps 0 of 40 training instances"):
-        run(ds, Hyperparams(epochs=1))
+    with pytest.raises(ValueError,
+                       match=f"reduction ratio {ratio} keeps 0 of 40 training instances"):
+        run(ds, Hyperparams(epochs=1), ratio)
     assert calls == []
 
 
