@@ -34,6 +34,7 @@ from .pvi import (
     hardest_k,
     pvi_histogram,
     rank_by_difficulty,
+    retained_count,
     summarize,
     train_scorers,
 )
@@ -41,7 +42,6 @@ from .reduction import (
     SweepPoint,
     balanced_select,
     random_select,
-    retained_count,
     select_subset,
     static_sweep,
 )

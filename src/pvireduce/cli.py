@@ -33,10 +33,9 @@ import time
 from . import __version__
 from .corpus import (NoiseSpec, generate_synthetic, inject_noise, load_dataset,
                      make_imbalanced, serialize)
-from .curriculum import (ORDERINGS, progressive_train, write_stage_csv,
-                         write_stage_summary_csv)
+from .curriculum import progressive_train, write_stage_csv, write_stage_summary_csv
 from .family import Hyperparams, save_model
-from .pvi import (compute_pvi, summarize, train_scorers, write_records_csv,
+from .pvi import (ORDERINGS, compute_pvi, summarize, train_scorers, write_records_csv,
                   write_records_jsonl)
 from .reduction import STRATEGIES, read_sweep_csv, static_sweep, write_sweep_csv
 from .report import (UNITS, RuntimeLog, bucket_proportions, emit_accuracy_plot,

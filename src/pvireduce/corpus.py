@@ -10,6 +10,7 @@ import io
 import json
 import math
 import re
+import sys
 import unicodedata
 from dataclasses import dataclass, field, replace
 
@@ -310,6 +311,8 @@ def synthetic_difficulty_tags(num_instances: int, difficulty_mix, seed: int) -> 
     """
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed!r}")
+    if num_instances > sys.maxsize:  # no list or array can hold that many
+        raise ValueError(f"num_instances must be <= {sys.maxsize}, got {num_instances}")
     fracs = tuple(difficulty_mix)
     # `not ... <=` so that NaN fails too
     if len(fracs) != 3 or not all(f >= 0 for f in fracs) or not abs(sum(fracs) - 1.0) <= 1e-9:

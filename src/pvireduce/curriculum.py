@@ -2,7 +2,7 @@
 
 Unlike the static sweep, subsets here stay in difficulty order and are fed
 to the trainer without shuffling, so the model consumes easier instances
-first within every epoch. pvi._tail cuts and lists each stage.
+first within every epoch. pvi checks, sizes and cuts each stage; this module drives and tabulates.
 """
 
 from __future__ import annotations
@@ -12,8 +12,9 @@ from dataclasses import dataclass, replace as dc_replace
 
 from .corpus import Dataset
 from .family import Hyperparams, evaluate, train
-from .pvi import _ORDERINGS as ORDERINGS, _rank, _tail, compute_pvi, records_by_index, train_scorers
-from .reduction import _timed, check_ratios, retained_count
+from .pvi import (_rank, _ratio, _tail, check_ratios, compute_pvi, records_by_index,
+                  retained_count, train_scorers)
+from .report import _accuracy, _timed
 from .tables import read_csv, write_csv
 
 
@@ -83,8 +84,8 @@ def progressive_train(train_ds: Dataset, test_ds: Dataset, hp: Hyperparams,
 # ---------------------------------------------------------------------------
 # export
 
-_CSV_COLUMNS = {"ordering": str, "r": float, "subset_size": int, "accuracy": float,
-                "precision": float, "recall": float, "f1": float,
+_CSV_COLUMNS = {"ordering": str, "r": _ratio, "subset_size": int, "accuracy": _accuracy,
+                "precision": _accuracy, "recall": _accuracy, "f1": _accuracy,
                 "train_seconds": float, "seed": int}
 
 _SUMMARY_HEADER = ["ordering", "r", "subset_size", "n_seeds",

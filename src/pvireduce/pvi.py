@@ -3,18 +3,21 @@
 The score of an instance is the gain, in bits, of the conditional model's
 log-probability of the gold label over the null model's. Positive = easy,
 negative = hard. Aggregates give the dataset-level information quantities.
+Every cut by score is made here: which ratios are valid, how many rows they keep and which.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .corpus import Dataset
 from .family import Hyperparams, Model, _gold_log2_rows, log2_prob, train, train_null
-from .tables import atomic_write_text, read_csv, write_csv
+from .tables import atomic_write_text, finite_float, read_csv, write_csv
 
 
 @dataclass(frozen=True)
@@ -77,14 +80,41 @@ def _rank(records, order: str = "descending_pvi", positions=None) -> list[int]:
                   key=lambda p: (sign * records[p].pvi, records[p].original_index))
 
 
-_ORDERINGS = ("easy_first", "hard_first", "original")
+ORDERINGS = ("easy_first", "hard_first", "original")
+
+
+def _ratio(value) -> float:
+    """A reduction ratio, a float in [0, 1), -0 read as 0; a table cell must be finite."""
+    r = finite_float(value) if isinstance(value, str) else float(value)
+    if not 0.0 <= r < 1.0:
+        raise ValueError(f"reduction ratio must be in [0,1), got {r}")
+    return r + 0.0  # -0.0 + 0.0 is 0.0
+
+
+def retained_count(m: int, r: float) -> int:
+    """floor(m * (1 - r)), exact for decimal-grid ratios: m=10, r=0.3 gives 7, not the 6
+    that float truncation of 10*0.7 would give."""
+    return int(math.floor(m * (1 - Fraction(repr(_ratio(r))))))
+
+
+def check_ratios(sizes, ratios) -> list[float]:
+    """The ratios by _ratio; one that keeps no row of any group size in `sizes`, or is given
+    twice, is refused. static_sweep and progressive_train call it before any training."""
+    checked = []
+    for r in map(_ratio, ratios):
+        if not any(retained_count(n, r) for n in sizes):
+            raise ValueError(f"reduction ratio {r} keeps 0 of {sum(sizes)} training instances")
+        if r in checked:
+            raise ValueError(f"reduction ratio {r} is repeated")
+        checked.append(r)
+    return checked
 
 
 def _tail(records, ranked, k: int, ordering: str) -> list[int]:
     """The k hardest, the last k of `ranked` (a descending_pvi ranking of positions into
     `records`), in file order (original), ranking order (easy_first) or ascending PVI,
     ties by ascending index (hard_first); file order reads only records[p].original_index."""
-    if ordering not in _ORDERINGS:
+    if ordering not in ORDERINGS:
         raise ValueError(f"unknown ordering {ordering!r}")
     kept = ranked[len(ranked) - k:]
     if ordering == "original":

@@ -2,23 +2,20 @@
 
 A sweep retrains fresh models over a grid of reduction ratios and records
 test accuracy of both the classifier and the null (label-prior) model.
-pvi._tail cuts each pvi or pvi_balanced subset and lists every subset in file order.
+pvi checks, sizes and cuts (_tail, in file order) every subset; this module drives and tabulates.
 """
 
 from __future__ import annotations
 
-import math
-import time
 from dataclasses import dataclass, replace as dc_replace
-from fractions import Fraction
 
 import numpy as np
 
 from .corpus import Dataset
 from .family import Hyperparams, evaluate, train, train_null
-from .pvi import _rank, _tail, compute_pvi, records_by_index
-from .report import _plot_label, _ratio
-from .tables import finite_float, read_csv, write_csv
+from .pvi import _rank, _ratio, _tail, check_ratios, compute_pvi, records_by_index, retained_count
+from .report import _accuracy, _plot_label, _timed
+from .tables import read_csv, write_csv
 
 STRATEGIES = ("pvi", "pvi_balanced", "random")
 
@@ -33,31 +30,6 @@ class SweepPoint:
     variant: str
     strategy: str
     seed: int
-
-
-def retained_count(m: int, r: float) -> int:
-    """floor(m * (1 - r)), evaluated exactly for decimal-grid ratios.
-
-    Uses rational arithmetic so e.g. m=10, r=0.3 gives 7, not the 6 that
-    naive float truncation of 10*0.7 would produce.
-    """
-    if not 0.0 <= r < 1.0:
-        raise ValueError(f"reduction ratio must be in [0,1), got {r}")
-    return int(math.floor(m * (1 - Fraction(repr(float(r))))))
-
-
-def check_ratios(sizes, ratios) -> list[float]:
-    """The ratios as floats, each checked by retained_count(n, r) for every group size n
-    in `sizes`; one that keeps no row of any group or is given twice is refused.
-    static_sweep and progressive_train call it before any training."""
-    checked = []
-    for r in map(float, ratios):
-        if not any(retained_count(n, r) for n in sizes):
-            raise ValueError(f"reduction ratio {r} keeps 0 of {sum(sizes)} training instances")
-        if r in checked:
-            raise ValueError(f"reduction ratio {r} is repeated")
-        checked.append(r)
-    return checked
 
 
 def _subset(train_ds: Dataset, ranked, r: float, strategy: str = "pvi", seed: int = 0) -> Dataset:
@@ -93,14 +65,6 @@ def balanced_select(train_ds: Dataset, records, r: float) -> Dataset:
 def random_select(train_ds: Dataset, r: float, seed: int) -> Dataset:
     """Seeded uniform subset of floor(m(1-r)) instances, in original order."""
     return _subset(train_ds, None, r, "random", seed)
-
-
-def _timed(timing: bool, fn, *args, **kwargs):
-    """fn(*args, **kwargs) and the seconds it took, or 0.0 when timing is off."""
-    now = time.perf_counter if timing else float  # float() is 0.0
-    start = now()
-    result = fn(*args, **kwargs)
-    return result, now() - start
 
 
 def static_sweep(train_ds: Dataset, test_ds: Dataset, ratios, hp: Hyperparams,
@@ -156,13 +120,6 @@ def static_sweep(train_ds: Dataset, test_ds: Dataset, ratios, hp: Hyperparams,
 
 # ---------------------------------------------------------------------------
 # export
-
-def _accuracy(value) -> float:
-    """A read accuracy: a finite float in [0, 1]."""
-    if not 0.0 <= (accuracy := finite_float(value)) <= 1.0:
-        raise ValueError(f"accuracy must be in [0, 1], got {accuracy!r}")
-    return accuracy
-
 
 _CSV_COLUMNS = {"variant": _plot_label, "strategy": str, "r": _ratio, "subset_size": int,
                 "cm_accuracy": _accuracy, "eim_accuracy": _accuracy, "train_seconds": float,

@@ -1,4 +1,4 @@
-"""Dataset statistics, runtime accounting and deterministic SVG plots."""
+"""Dataset statistics, runtime accounting (the run clock, _timed, and its log) and SVG plots."""
 
 from __future__ import annotations
 
@@ -6,8 +6,10 @@ import bisect
 import math
 import re
 import statistics
+import time
 from dataclasses import dataclass
 
+from .pvi import _ratio
 from .tables import finite_float, read_csv, write_csv
 
 UNITS = ("chars", "tokens")
@@ -101,11 +103,12 @@ def write_bucket_csv(buckets: BucketProportions, path) -> None:
 PHASES = ("pvi_compute", "train_cm", "train_eim", "evaluate")
 
 
-def _ratio(value) -> float:
-    """A read reduction ratio: a finite float in [0, 1), by retained_count's rule."""
-    from .reduction import retained_count  # reduction imports this module
-    retained_count(0, ratio := finite_float(value))
-    return ratio
+def _timed(timing: bool, fn, *args, **kwargs):
+    """fn(*args, **kwargs) and the seconds it took, or 0.0 when timing is off."""
+    now = time.perf_counter if timing else float  # float() is 0.0
+    start = now()
+    result = fn(*args, **kwargs)
+    return result, now() - start
 
 
 _RUNTIME_COLUMNS = {"variant": str, "r": _ratio, "phase": str, "seconds": float}
@@ -162,6 +165,13 @@ def _plot_label(text: str) -> str:
     if _NOT_XML.search(text):
         raise ValueError(f"plot label {text!r} holds a character XML cannot carry")
     return text
+
+
+def _accuracy(value) -> float:
+    """A read accuracy: a finite float in [0, 1]."""
+    if not 0.0 <= (accuracy := finite_float(value)) <= 1.0:
+        raise ValueError(f"accuracy must be in [0, 1], got {accuracy!r}")
+    return accuracy
 
 
 def _fnum(x: float) -> str:

@@ -275,6 +275,14 @@ def test_gen_negative_seed_is_named(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_gen_count_no_list_can_hold_is_named(tmp_path, capsys):
+    assert _run(["gen", "--n", 10**20, "--out", tmp_path / "new" / "x.jsonl"]) == 2
+    err = capsys.readouterr().err
+    assert f"data error: num_instances must be <= {sys.maxsize}, got {10**20}\n" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("content", ["", "not,the,header\n"])
 @pytest.mark.parametrize("flag", ["--sweep-csv", "--runtime-csv"])
 def test_report_malformed_csv_is_data_error(tmp_path, capsys, content, flag):
@@ -442,6 +450,22 @@ def test_repeated_ratio_is_refused(tmp_path, capsys, corpora, command, ratios, r
                  "--ratios", ratios, "--epochs", "1", "--no-timing", *extra]) == 2
     assert f"data error: reduction ratio {repeated} is repeated" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, ratios, tables", [
+    ("sweep", "0,0.3", ("sweep.csv", "runtime.csv")),
+    ("curriculum", "0,0.2", ("stages.csv",)),
+])
+def test_negative_zero_ratio_is_read_as_zero(tmp_path, corpora, command, ratios, tables):
+    # the manifest records --ratios as given, so only the data files are compared
+    train, test = corpora
+    written = []
+    for given in (ratios, "-" + ratios):
+        out = tmp_path / given
+        assert _run([command, "--train", train, "--test", test, "--out-dir", out,
+                     f"--ratios={given}", "--epochs", "1", "--no-timing"]) == 0
+        written.append({name: (out / name).read_bytes() for name in tables})
+    assert written[0] == written[1]
 
 
 def test_failed_report_writes_nothing(tmp_path, capsys, corpora):

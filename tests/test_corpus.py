@@ -214,6 +214,13 @@ def test_generate_synthetic_guards():
         generate_synthetic(10, 3, seed=-1)
 
 
+def test_generate_synthetic_refuses_a_count_no_list_can_hold():
+    # refused before anything is allocated
+    with pytest.raises(ValueError, match=rf"^num_instances must be <= {sys.maxsize}, "
+                                         rf"got {10**20}$"):
+        generate_synthetic(10**20, 3)
+
+
 def test_easy_corpus_keyword_rule_oracle():
     # labels of an all-easy corpus must be recoverable by exact keyword match,
     # independently of any trained model

@@ -12,7 +12,7 @@ from pvireduce import (Dataset, Hyperparams, compute_pvi, constant_predictor,
 from pvireduce import family
 from pvireduce.corpus import synthetic_difficulty_tags
 from pvireduce.family import Model
-from pvireduce.pvi import (PviRecord, read_records_csv, write_records_csv,
+from pvireduce.pvi import (PviRecord, check_ratios, read_records_csv, write_records_csv,
                            write_records_jsonl)
 
 
@@ -264,3 +264,14 @@ def test_jsonl_export(tmp_path, scored):
     assert len(rows) == len(records)
     assert rows[0]["original_index"] == records[0].original_index
     assert rows[0]["pvi"] == pytest.approx(records[0].pvi, abs=0)
+
+
+def test_check_ratios_reads_negative_zero_as_zero():
+    (r,) = check_ratios([10], [-0.0])
+    assert r == 0.0 and math.copysign(1, r) == 1
+
+
+@pytest.mark.parametrize("ratio", [float("nan"), float("inf"), 1.0, -0.1])
+def test_check_ratios_names_a_ratio_outside_the_range(ratio):
+    with pytest.raises(ValueError, match=rf"^reduction ratio must be in \[0,1\), got {ratio}$"):
+        check_ratios([10], [ratio])

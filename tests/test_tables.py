@@ -104,6 +104,23 @@ def test_every_reader_refuses_non_finite_floats(tmp_path, write, column, value):
         read(path)
 
 
+# as the sweep and runtime readers do; test_cli.py tests those through `report`
+@pytest.mark.parametrize("write, column, value, named", [
+    (_stages, "r", "5", "reduction ratio must be in [0,1), got 5.0"),
+    (_stages, "accuracy", "7", "accuracy must be in [0, 1], got 7.0"),
+    (_stages, "f1", "-0.25", "accuracy must be in [0, 1], got -0.25"),
+], ids=["stages-r", "stages-accuracy", "stages-f1"])
+def test_stage_reader_refuses_values_outside_the_range(tmp_path, write, column, value, named):
+    path = tmp_path / "t.csv"
+    read = write(path)
+    header, row = (line.split(",") for line in path.read_text().splitlines())
+    row[header.index(column)] = value
+    path.write_text(",".join(header) + "\n" + ",".join(row) + "\n")
+    with pytest.raises(ValueError, match=rf"{re.escape(str(path))}:2: {column}: "
+                                         rf"{re.escape(named)}$"):
+        read(path)
+
+
 @pytest.mark.parametrize("seconds", [float("nan"), float("inf"), -1.0])
 def test_runtime_log_refuses_non_finite_or_negative_seconds(seconds):
     with pytest.raises(ValueError, match="seconds must be >= 0 and finite"):
@@ -126,13 +143,13 @@ def test_atomic_write_makes_missing_directories(tmp_path):
     assert [p.name for p in path.parent.iterdir()] == ["out.txt"]
 
 
-def _calls(node, scope="<module>"):
-    """(name of the enclosing function, call) for every call below `node`."""
+def _scoped(node, kind, scope="<module>"):
+    """(name of the enclosing function, child) for every `kind` node below `node`."""
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.Call):
+        if isinstance(child, kind):
             yield scope, child
         inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
-        yield from _calls(child, inner)
+        yield from _scoped(child, kind, inner)
 
 
 def test_files_are_opened_only_by_the_one_reader_and_the_writers():
@@ -142,7 +159,7 @@ def test_files_are_opened_only_by_the_one_reader_and_the_writers():
     opens, exists = set(), []
     for path in sorted(Path(pvireduce.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        opens |= {(path.stem, scope) for scope, call in _calls(tree)
+        opens |= {(path.stem, scope) for scope, call in _scoped(tree, ast.Call)
                   if getattr(call.func, "id", getattr(call.func, "attr", None)) == "open"}
         exists += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                    if path.stem == "cli" and isinstance(node, ast.Attribute)
@@ -150,3 +167,27 @@ def test_files_are_opened_only_by_the_one_reader_and_the_writers():
     assert opens == {("tables", "read_text"), ("tables", "sha256_file"),
                      ("tables", "atomic_write_text")}
     assert exists == []
+
+
+# each module imports only modules before it, and the two experiment drivers,
+# reduction and curriculum, do not import each other; __init__ re-exports every
+# module but cli, and `from . import x` imports it
+LAYERS = ("tables", "corpus", "family", "pvi", "report", "reduction", "curriculum",
+          "__init__", "cli")
+
+
+def test_the_package_imports_in_one_direction():
+    """No package import inside a function (scipy's lazy imports are not package
+    imports), and each module imports only earlier layers."""
+    rank = {name: i for i, name in enumerate(LAYERS)}
+    found = {}
+    for path in sorted(Path(pvireduce.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found[path.stem] = [(scope, node.module or "__init__")
+                            for scope, node in _scoped(tree, ast.ImportFrom) if node.level]
+    assert set(found) == set(LAYERS)
+    for name, imports in found.items():
+        assert [(scope, module) for scope, module in imports if scope != "<module>"] == [], name
+        assert all(rank[module] < rank[name] for _, module in imports), (name, imports)
+    assert "curriculum" not in {module for _, module in found["reduction"]}
+    assert "reduction" not in {module for _, module in found["curriculum"]}
