@@ -12,10 +12,10 @@ from dataclasses import dataclass, replace as dc_replace
 
 from .corpus import Dataset
 from .family import Hyperparams, evaluate, train
-from .pvi import (_rank, _ratio, _tail, check_ratios, compute_pvi, records_by_index,
-                  retained_count, train_scorers)
-from .report import _accuracy, _timed
-from .tables import read_csv, write_csv
+from .pvi import (_ordering, _rank, _ratio, _tail, check_ratios, compute_pvi,
+                  records_by_index, retained_count, train_scorers)
+from .report import _accuracy, _seconds, _timed
+from .tables import count, finite_float, read_csv, write_csv
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ def progressive_train(train_ds: Dataset, test_ds: Dataset, hp: Hyperparams,
     warm_start continues each stage from the previous stage's parameters
     instead of reinitializing (off by default). Stages run in `ratios` order.
     """
-    _tail((), [], 0, ordering)  # refuses an unknown ordering before any training; sorts nothing
+    _ordering(ordering)  # refused before any training
     ratios = check_ratios([len(train_ds)], ratios)
 
     records = compute_pvi(*train_scorers(train_ds, hp), train_ds)  # by dataset position
@@ -84,13 +84,15 @@ def progressive_train(train_ds: Dataset, test_ds: Dataset, hp: Hyperparams,
 # ---------------------------------------------------------------------------
 # export
 
-_CSV_COLUMNS = {"ordering": str, "r": _ratio, "subset_size": int, "accuracy": _accuracy,
+_CSV_COLUMNS = {"ordering": _ordering, "r": _ratio, "subset_size": count, "accuracy": _accuracy,
                 "precision": _accuracy, "recall": _accuracy, "f1": _accuracy,
-                "train_seconds": float, "seed": int}
+                "train_seconds": _seconds, "seed": count}
 
-_SUMMARY_HEADER = ["ordering", "r", "subset_size", "n_seeds",
-                   "accuracy_mean", "accuracy_std", "precision_mean", "precision_std",
-                   "recall_mean", "recall_std", "f1_mean", "f1_std"]
+_SUMMARY_COLUMNS = {"ordering": _ordering, "r": _ratio, "subset_size": count, "n_seeds": count,
+                    "accuracy_mean": _accuracy, "accuracy_std": finite_float,
+                    "precision_mean": _accuracy, "precision_std": finite_float,
+                    "recall_mean": _accuracy, "recall_std": finite_float,
+                    "f1_mean": _accuracy, "f1_std": finite_float}
 
 
 def write_stage_csv(reports, path) -> None:
@@ -114,8 +116,6 @@ def write_stage_summary_csv(reports, path) -> None:
         row = [ordering, r, size, len(group)]
         for metric in ("accuracy", "precision_micro", "recall_micro", "f1_micro"):
             values = [getattr(s, metric) for s in group]
-            mean = statistics.fmean(values)
-            std = statistics.stdev(values) if len(values) > 1 else 0.0
-            row += [mean, std]
+            row += [statistics.fmean(values), statistics.stdev(values) if len(values) > 1 else 0.0]
         rows.append(row)
-    write_csv(path, _SUMMARY_HEADER, rows)
+    write_csv(path, _SUMMARY_COLUMNS, rows)

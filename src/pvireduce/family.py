@@ -28,9 +28,10 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .corpus import Dataset, to_null_view
-from .tables import atomic_write_text, f17, finite_float, read_text
+from .tables import atomic_write_text, f17, finite_float, one_of, read_text
 
 _FIELD_SALTS = {"premise": b"p\x00", "hypothesis": b"h\x00"}
+_lr_schedule = one_of("lr_schedule", ("linear", "constant"))
 
 
 @dataclass(frozen=True)
@@ -66,8 +67,7 @@ class Hyperparams:
             raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if not 0.0 < self.prob_floor < 1.0:
             raise ValueError(f"prob_floor must be in (0,1), got {self.prob_floor!r}")
-        if self.lr_schedule not in ("linear", "constant"):
-            raise ValueError(f"unknown lr_schedule {self.lr_schedule!r}")
+        _lr_schedule(self.lr_schedule)
 
     @property
     def dim(self) -> int:

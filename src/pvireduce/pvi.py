@@ -17,7 +17,7 @@ import numpy as np
 
 from .corpus import Dataset
 from .family import Hyperparams, Model, _gold_log2_rows, log2_prob, train, train_null
-from .tables import atomic_write_text, finite_float, read_csv, write_csv
+from .tables import atomic_write_text, count, finite_float, one_of, read_csv, write_csv
 
 
 @dataclass(frozen=True)
@@ -70,17 +70,17 @@ def summarize(records) -> InfoSummary:
     return InfoSummary(h_y, h_yx, h_y - h_yx, len(records))
 
 
+ORDERINGS = ("easy_first", "hard_first", "original")
+_ordering = one_of("ordering", ORDERINGS)
+_order = one_of("order", ("descending_pvi", "ascending_pvi"))
+
+
 def _rank(records, order: str = "descending_pvi", positions=None) -> list[int]:
     """Positions into `records` (all, or just `positions`), sorted by score, ties by
     ascending original_index: the one difficulty sort, descending_pvi = easiest first."""
-    if order not in ("descending_pvi", "ascending_pvi"):
-        raise ValueError(f"unknown order {order!r}")
-    sign = -1.0 if order == "descending_pvi" else 1.0
+    sign = -1.0 if _order(order) == "descending_pvi" else 1.0
     return sorted(range(len(records)) if positions is None else positions,
                   key=lambda p: (sign * records[p].pvi, records[p].original_index))
-
-
-ORDERINGS = ("easy_first", "hard_first", "original")
 
 
 def _ratio(value) -> float:
@@ -114,10 +114,8 @@ def _tail(records, ranked, k: int, ordering: str) -> list[int]:
     """The k hardest, the last k of `ranked` (a descending_pvi ranking of positions into
     `records`), in file order (original), ranking order (easy_first) or ascending PVI,
     ties by ascending index (hard_first); file order reads only records[p].original_index."""
-    if ordering not in ORDERINGS:
-        raise ValueError(f"unknown ordering {ordering!r}")
     kept = ranked[len(ranked) - k:]
-    if ordering == "original":
+    if _ordering(ordering) == "original":
         return sorted(kept, key=lambda p: records[p].original_index)
     return _rank(records, "ascending_pvi", kept) if ordering == "hard_first" and kept else kept
 
@@ -165,8 +163,8 @@ def pvi_histogram(records, num_bins: int, value_range: tuple[float, float]):
 # ---------------------------------------------------------------------------
 # export
 
-_CSV_COLUMNS = {"original_index": int, "null_log2prob": float,
-                "cond_log2prob": float, "pvi": float}
+_CSV_COLUMNS = {"original_index": count, "null_log2prob": finite_float,
+                "cond_log2prob": finite_float, "pvi": finite_float}
 
 
 def write_records_csv(records, path) -> None:

@@ -14,10 +14,11 @@ import numpy as np
 from .corpus import Dataset
 from .family import Hyperparams, evaluate, train, train_null
 from .pvi import _rank, _ratio, _tail, check_ratios, compute_pvi, records_by_index, retained_count
-from .report import _accuracy, _plot_label, _timed
-from .tables import read_csv, write_csv
+from .report import _accuracy, _plot_label, _seconds, _timed
+from .tables import count, one_of, read_csv, write_csv
 
 STRATEGIES = ("pvi", "pvi_balanced", "random")
+_strategy = one_of("strategy", STRATEGIES)
 
 
 @dataclass(frozen=True)
@@ -81,8 +82,7 @@ def static_sweep(train_ds: Dataset, test_ds: Dataset, ratios, hp: Hyperparams,
     the training set is in file order. With `derived_seeds`, point i trains
     with seed hp.seed + i instead of the shared seed.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
+    _strategy(strategy)  # refused before any training
     variant = train_ds.provenance_tag
     # the implicit r = 0 is no repeat of a 0 given in `ratios`
     # pvi_balanced keeps floor(n(1 - r)) rows of each class of n
@@ -121,9 +121,9 @@ def static_sweep(train_ds: Dataset, test_ds: Dataset, ratios, hp: Hyperparams,
 # ---------------------------------------------------------------------------
 # export
 
-_CSV_COLUMNS = {"variant": _plot_label, "strategy": str, "r": _ratio, "subset_size": int,
-                "cm_accuracy": _accuracy, "eim_accuracy": _accuracy, "train_seconds": float,
-                "seed": int}
+_CSV_COLUMNS = {"variant": _plot_label, "strategy": _strategy, "r": _ratio, "subset_size": count,
+                "cm_accuracy": _accuracy, "eim_accuracy": _accuracy, "train_seconds": _seconds,
+                "seed": count}
 
 
 def write_sweep_csv(points, path) -> None:

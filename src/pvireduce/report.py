@@ -1,4 +1,4 @@
-"""Dataset statistics, runtime accounting (the run clock, _timed, and its log) and SVG plots."""
+"""Dataset statistics, table cell casters, runtime accounting (_timed and its log), SVG plots."""
 
 from __future__ import annotations
 
@@ -10,9 +10,10 @@ import time
 from dataclasses import dataclass
 
 from .pvi import _ratio
-from .tables import finite_float, read_csv, write_csv
+from .tables import cast_row, count, finite_float, one_of, read_csv, write_csv
 
 UNITS = ("chars", "tokens")
+_unit = one_of("length unit", UNITS)
 
 # upper bounds of the length buckets; the final bucket is open-ended
 DEFAULT_BUCKET_EDGES = (10, 15, 20, 25, 30)
@@ -20,11 +21,10 @@ DEFAULT_BUCKET_EDGES = (10, 15, 20, 25, 30)
 
 def _lengths_by_label(dataset, unit: str) -> dict[int, list[int]]:
     """Hypothesis lengths per label in one pass, ascending by label."""
-    if unit not in UNITS:
-        raise ValueError(f"unknown length unit {unit!r}")
+    chars = _unit(unit) == "chars"
     grouped = {}
     for inst in dataset:
-        n = len(inst.hypothesis) if unit == "chars" else len(inst.hypothesis.split())
+        n = len(inst.hypothesis) if chars else len(inst.hypothesis.split())
         grouped.setdefault(inst.label, []).append(n)
     return dict(sorted(grouped.items()))
 
@@ -87,20 +87,39 @@ def bucket_proportions(dataset, edges=DEFAULT_BUCKET_EDGES,
 
 def write_length_stats_csv(stats: LengthStats, path) -> None:
     keys = ("min", "max", "median", "mean")
-    write_csv(path, ["label", *keys],
+    write_csv(path, {"label": count, **dict.fromkeys(keys, finite_float)},
               ([label] + [stats.rows[label][k] for k in keys] for label in sorted(stats.rows)))
 
 
 def write_bucket_csv(buckets: BucketProportions, path) -> None:
-    write_csv(path, ["label", "edge_label", "proportion"],
+    write_csv(path, {"label": count, "edge_label": str, "proportion": finite_float},
               ([label, edge_label, prop] for label in sorted(buckets.rows)
                for edge_label, prop in zip(buckets.labels, buckets.rows[label])))
 
 
 # ---------------------------------------------------------------------------
-# runtime accounting
+# the casters of experiment table cells, and runtime accounting
+
+# a character outside XML 1.0's Char production, which no escape can carry
+_NOT_XML = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
+
+def _plot_label(text: str) -> str:
+    """`text`, refused with ValueError when it holds a character XML cannot carry."""
+    if _NOT_XML.search(text):
+        raise ValueError(f"plot label {text!r} holds a character XML cannot carry")
+    return text
+
+
+def _accuracy(value) -> float:
+    """An accuracy: a finite float in [0, 1]."""
+    if not 0.0 <= (accuracy := finite_float(value)) <= 1.0:
+        raise ValueError(f"accuracy must be in [0, 1], got {accuracy!r}")
+    return accuracy
+
 
 PHASES = ("pvi_compute", "train_cm", "train_eim", "evaluate")
+_phase = one_of("phase", PHASES)
 
 
 def _timed(timing: bool, fn, *args, **kwargs):
@@ -111,7 +130,14 @@ def _timed(timing: bool, fn, *args, **kwargs):
     return result, now() - start
 
 
-_RUNTIME_COLUMNS = {"variant": str, "r": _ratio, "phase": str, "seconds": float}
+def _seconds(value) -> float:
+    """A duration: a finite float >= 0; a table cell must be finite."""
+    if not 0 <= (s := finite_float(value) if isinstance(value, str) else float(value)) < math.inf:
+        raise ValueError(f"seconds must be >= 0 and finite, got {s!r}")
+    return s
+
+
+_RUNTIME_COLUMNS = {"variant": _plot_label, "r": _ratio, "phase": _phase, "seconds": _seconds}
 
 
 @dataclass(frozen=True)
@@ -129,11 +155,8 @@ class RuntimeLog:
         self._records: list[RuntimeRecord] = []
 
     def record(self, variant: str, r: float, phase: str, seconds: float) -> None:
-        if not 0 <= seconds < math.inf:
-            raise ValueError(f"seconds must be >= 0 and finite, got {seconds!r}")
-        if phase not in PHASES:
-            raise ValueError(f"unknown phase {phase!r}")
-        self._records.append(RuntimeRecord(variant, float(r), phase, float(seconds)))
+        cells = (variant, r, phase, seconds)
+        self._records.append(RuntimeRecord(*cast_row(_RUNTIME_COLUMNS, cells)))
 
     @property
     def records(self) -> tuple[RuntimeRecord, ...]:
@@ -146,7 +169,7 @@ class RuntimeLog:
     @classmethod
     def read_csv(cls, path) -> "RuntimeLog":
         log = cls()
-        read_csv(path, _RUNTIME_COLUMNS, log.record)
+        log._records = read_csv(path, _RUNTIME_COLUMNS, RuntimeRecord)
         return log
 
 
@@ -156,24 +179,6 @@ class RuntimeLog:
 _W, _H = 640, 420
 _ML, _MR, _MT, _MB = 60, 20, 20, 50
 _COLORS = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
-# a character outside XML 1.0's Char production, which no escape can carry
-_NOT_XML = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
-
-
-def _plot_label(text: str) -> str:
-    """`text`, refused with ValueError when it holds a character XML cannot carry."""
-    if _NOT_XML.search(text):
-        raise ValueError(f"plot label {text!r} holds a character XML cannot carry")
-    return text
-
-
-def _accuracy(value) -> float:
-    """A read accuracy: a finite float in [0, 1]."""
-    if not 0.0 <= (accuracy := finite_float(value)) <= 1.0:
-        raise ValueError(f"accuracy must be in [0, 1], got {accuracy!r}")
-    return accuracy
-
-
 def _fnum(x: float) -> str:
     return format(float(x), ".6g")
 

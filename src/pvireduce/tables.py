@@ -1,7 +1,8 @@
 """The one file layer: read_text reads every input, sha256_file hashes one for a
 run's manifest, and atomic_write_text, which makes its directory, writes every
-output. CSV tables are written with floats by f17 and read with every field cast;
-a DataError names `<path>:<line>:` and any column."""
+output. A CSV table's schema maps each column to a caster (a cell's text or a
+program value in, that value or a ValueError out, nothing coerced); write_csv and
+read_csv pass every cell through cast_row, so what one writes the other reads."""
 
 from __future__ import annotations
 
@@ -10,7 +11,9 @@ import csv
 import hashlib
 import io
 import math
+import numbers
 import os
+from types import SimpleNamespace
 
 
 class DataError(ValueError):
@@ -73,18 +76,54 @@ def finite_float(value) -> float:
     return number
 
 
-def write_csv(path, columns, rows) -> None:
-    """Header plus rows, LF-terminated, written atomically; floats by f17."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+def count(value) -> int:
+    """An integer >= 0: a cell's digits or an int, never a float or a bool truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, str, numbers.Integral)) or int(value) < 0:
+        raise ValueError(f"expected an integer >= 0, got {value!r}")
+    return int(value)
+
+
+def one_of(what: str, names: tuple):
+    """The caster that passes a name in `names` and refuses any other: `unknown <what> 'x'`."""
+    def cast(value):
+        if value not in names:
+            raise ValueError(f"unknown {what} {value!r}")
+        return value
+    return cast
+
+
+def cast_row(columns: dict, cells) -> list:
+    """The sequence `cells`, each through its column's caster; a refusal reads `<column>: …`."""
+    if len(cells) != len(columns):
+        raise ValueError(f"expected {len(columns)} fields, got {len(cells)}")
+    row = []
+    for (name, cast), cell in zip(columns.items(), cells):
+        try:
+            row.append(cast(cell))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{name}: {exc}") from None
+    return row
+
+
+def write_csv(path, columns: dict, rows) -> None:
+    """The header list(columns) and each row cast by cast_row(columns), LF-terminated,
+    floats by f17, written atomically once every row is cast. A refused row raises
+    ValueError `<path>: row <n>: <column>: …` (n counts data rows from 1) and writes
+    no file, so whatever write_csv writes, read_csv reads back."""
+    lines = []  # one record each; a CRLF terminator makes csv quote a field holding a CR
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
     writer.writerow(list(columns))
-    writer.writerows([f17(v) if isinstance(v, float) else v for v in row] for row in rows)
-    atomic_write_text(path, buf.getvalue())
+    for n, row in enumerate(rows, 1):
+        try:
+            writer.writerow([f17(v) if isinstance(v, float) else v for v in cast_row(columns, row)])
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {n}: {exc}") from None
+    atomic_write_text(path, "".join(line[:-2] + "\n" for line in lines))
 
 
 def read_csv(path, columns: dict, make=lambda *fields: list(fields)) -> list:
-    """make(*fields) per row below the header list(columns) of read_text(path),
-    cast by column type; a float field must be finite."""
+    """make(*fields) per row below the header list(columns) of read_text(path), the
+    fields cast by cast_row(columns); a refusal raises DataError `<path>:<line>: …`."""
     header = list(columns)
     reader = csv.reader(io.StringIO(read_text(path), newline=""))
     rows = []
@@ -92,17 +131,10 @@ def read_csv(path, columns: dict, make=lambda *fields: list(fields)) -> list:
         if (found := next(reader, None)) != header:
             raise DataError(f"{path}: expected CSV header {header}, got {found}")
         for row in reader:
-            if len(row) != len(header):
-                raise DataError(f"{path}:{reader.line_num}: expected {len(header)} "
-                                f"fields, got {len(row)}")
-            fields = []
             try:
-                for name, value in zip(header, row):
-                    fields.append((finite_float if columns[name] is float else columns[name])(value))
-                rows.append(make(*fields))
+                rows.append(make(*cast_row(columns, row)))
             except ValueError as exc:
-                column = f" {name}:" if len(fields) < len(header) else ""
-                raise DataError(f"{path}:{reader.line_num}:{column} {exc}") from None
+                raise DataError(f"{path}:{reader.line_num}: {exc}") from None
     except csv.Error as exc:
         raise DataError(f"{path}:{reader.line_num}: {exc}") from None
     return rows

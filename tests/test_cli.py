@@ -661,9 +661,14 @@ def test_every_file_flag_is_some_subcommands_option():
 @pytest.mark.parametrize("flag, line, old, new, named", [
     ("--sweep-csv", 2, ",pvi,0,", ",pvi,zero,", ":2: r: could not convert string to float: 'zero'"),
     ("--sweep-csv", 3, ",1\n", ",one\n", ":3: seed: invalid literal for int()"),
-    ("--runtime-csv", 3, "train_cm", "train_xx", ":3: unknown phase 'train_xx'"),
-    ("--runtime-csv", 2, ",0\n", ",-1\n", ":2: seconds must be >= 0"),
+    ("--runtime-csv", 3, "train_cm", "train_xx", ":3: phase: unknown phase 'train_xx'"),
+    ("--runtime-csv", 2, ",0\n", ",-1\n", ":2: seconds: seconds must be >= 0"),
     ("--runtime-csv", 4, ",0,", ",x,", ":4: r: could not convert string to float: 'x'"),
+    ("--sweep-csv", 2, ",pvi,", ",bogus,", ":2: strategy: unknown strategy 'bogus'"),
+    ("--sweep-csv", 2, ",pvi,0,", ",pvi,0,-", ":2: subset_size: expected an integer >= 0, got '-"),
+    ("--sweep-csv", 2, ",0,1\n", ",-3,1\n",
+     ":2: train_seconds: seconds must be >= 0 and finite, got -3.0"),
+    ("--sweep-csv", 2, ",1\n", ",-7\n", ":2: seed: expected an integer >= 0, got '-7'"),
 ])
 def test_report_names_file_line_and_field_of_a_bad_table(tmp_path, capsys, sweep_tables,
                                                          flag, line, old, new, named):

@@ -143,6 +143,10 @@ def test_runtime_log_rejects_bad_records():
         log.record("original", 0.0, "nonsense", 1.0)
     with pytest.raises(ValueError):
         log.record("original", 0.0, "train_cm", -1.0)
+    # a ratio RuntimeLog.read_csv would refuse, in a table the log would write
+    with pytest.raises(ValueError, match=r"^r: reduction ratio must be in \[0,1\), got 5.0$"):
+        log.record("v", 5, "train_cm", 0.0)
+    assert log.records == ()
 
 
 @pytest.fixture(scope="module")

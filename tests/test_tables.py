@@ -1,16 +1,22 @@
 import ast
+import os
 import re
+import tempfile
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pvireduce
-from pvireduce.curriculum import StageReport, read_stage_csv, write_stage_csv
-from pvireduce.pvi import PviRecord, read_records_csv, write_records_csv
-from pvireduce.reduction import SweepPoint, read_sweep_csv, write_sweep_csv
-from pvireduce.report import RuntimeLog
-from pvireduce.tables import atomic_write_text, f17, read_csv, write_csv
+from pvireduce import curriculum, pvi, reduction, report
+from pvireduce.curriculum import (StageReport, read_stage_csv, write_stage_csv,
+                                  write_stage_summary_csv)
+from pvireduce.pvi import ORDERINGS, PviRecord, read_records_csv, write_records_csv
+from pvireduce.reduction import STRATEGIES, SweepPoint, read_sweep_csv, write_sweep_csv
+from pvireduce.report import PHASES, RuntimeLog
+from pvireduce.tables import atomic_write_text, count, f17, finite_float, read_csv, write_csv
 
 
 def test_f17_roundtrips():
@@ -21,7 +27,7 @@ def test_f17_roundtrips():
 
 def test_write_csv_is_lf_and_quotes(tmp_path):
     path = tmp_path / "t.csv"
-    write_csv(path, ["a", "b"], [[1, "x,y"], [2, 'q"']])
+    write_csv(path, {"a": count, "b": str}, [[1, "x,y"], [2, 'q"']])
     assert path.read_bytes() == b'a,b\n1,"x,y"\n2,"q"""\n'
     assert read_csv(path, {"a": str, "b": str}) == [["1", "x,y"], ["2", 'q"']]
 
@@ -48,7 +54,8 @@ def test_atomic_write_replaces_and_keeps_open_permissions(tmp_path):
 
 def test_write_csv_writes_every_float_by_f17(tmp_path):
     path = tmp_path / "t.csv"
-    write_csv(path, ["a", "b", "c", "d"], [[0.3, np.float64(1 / 3), 7, "s"]])
+    write_csv(path, {"a": finite_float, "b": finite_float, "c": count, "d": str},
+              [[0.3, np.float64(1 / 3), 7, "s"]])
     assert path.read_text() == f"a,b,c,d\n{f17(0.3)},{f17(1 / 3)},7,s\n"
 
 
@@ -109,7 +116,12 @@ def test_every_reader_refuses_non_finite_floats(tmp_path, write, column, value):
     (_stages, "r", "5", "reduction ratio must be in [0,1), got 5.0"),
     (_stages, "accuracy", "7", "accuracy must be in [0, 1], got 7.0"),
     (_stages, "f1", "-0.25", "accuracy must be in [0, 1], got -0.25"),
-], ids=["stages-r", "stages-accuracy", "stages-f1"])
+    (_stages, "subset_size", "-5", "expected an integer >= 0, got '-5'"),
+    (_stages, "train_seconds", "-3", "seconds must be >= 0 and finite, got -3.0"),
+    (_stages, "seed", "-7", "expected an integer >= 0, got '-7'"),
+    (_stages, "ordering", "bogus", "unknown ordering 'bogus'"),
+], ids=["stages-r", "stages-accuracy", "stages-f1", "stages-subset_size",
+        "stages-train_seconds", "stages-seed", "stages-ordering"])
 def test_stage_reader_refuses_values_outside_the_range(tmp_path, write, column, value, named):
     path = tmp_path / "t.csv"
     read = write(path)
@@ -127,13 +139,147 @@ def test_runtime_log_refuses_non_finite_or_negative_seconds(seconds):
         RuntimeLog().record("original", 0.0, "train_cm", seconds)
 
 
-@pytest.mark.parametrize("row, named", [("original,0,train_xx,0", "unknown phase 'train_xx'"),
-                                        ("original,0,train_cm,-1", "seconds must be >= 0")])
-def test_runtime_csv_names_the_line_of_a_bad_record(tmp_path, row, named):
+@pytest.mark.parametrize("row, named, column", [
+    ("original,0,train_xx,0", "unknown phase 'train_xx'", "phase"),
+    ("original,0,train_cm,-1", "seconds must be >= 0", "seconds")])
+def test_runtime_csv_names_the_line_of_a_bad_record(tmp_path, row, named, column):
     path = tmp_path / "runtime.csv"
     path.write_text(f"variant,r,phase,seconds\noriginal,0,evaluate,0\n{row}\n")
-    with pytest.raises(ValueError, match=f"{re.escape(str(path))}:3: {named}"):
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}:3: {column}: {named}"):
         RuntimeLog.read_csv(path)
+
+
+_POINT = SweepPoint(0.0, 10, 0.5, 0.25, 0.0, "original", "pvi", 1)
+_STAGE = StageReport(0.0, "easy_first", 10, 0.5, 0.5, 0.5, 0.5, 0.0, 1)
+
+
+# rows that no run writes and each reader refuses: each writer refuses them first
+@pytest.mark.parametrize("write, rows, n, column, named", [
+    (write_sweep_csv, [_POINT, replace(_POINT, subset_size=-5)], 2, "subset_size",
+     "expected an integer >= 0, got -5"),
+    (write_sweep_csv, [_POINT, replace(_POINT, train_seconds=-3.0)], 2, "train_seconds",
+     "seconds must be >= 0 and finite, got -3.0"),
+    (write_sweep_csv, [_POINT, replace(_POINT, strategy="bogus")], 2, "strategy",
+     "unknown strategy 'bogus'"),
+    (write_sweep_csv, [_POINT, replace(_POINT, seed=-7)], 2, "seed",
+     "expected an integer >= 0, got -7"),
+    (write_stage_csv, [replace(_STAGE, accuracy=1.5)], 1, "accuracy",
+     "accuracy must be in [0, 1], got 1.5"),
+    (write_stage_csv, [_STAGE, replace(_STAGE, subset_size=3.7)], 2, "subset_size",
+     "expected an integer >= 0, got 3.7"),
+    (write_stage_csv, [replace(_STAGE, seed=True)], 1, "seed",
+     "expected an integer >= 0, got True"),
+    (write_stage_summary_csv, [replace(_STAGE, accuracy=2)], 1, "accuracy_mean",
+     "accuracy must be in [0, 1], got 2.0"),
+    (write_stage_summary_csv, [replace(_STAGE, ordering="bogus")], 1, "ordering",
+     "unknown ordering 'bogus'"),
+], ids=["sweep-subset_size", "sweep-train_seconds", "sweep-strategy", "sweep-seed",
+        "stages-accuracy", "stages-subset_size", "stages-seed", "summary-accuracy_mean",
+        "summary-ordering"])
+def test_every_writer_refuses_a_row_and_writes_no_file(tmp_path, write, rows, n, column,
+                                                        named):
+    path = tmp_path / "out" / "t.csv"
+    with pytest.raises(ValueError) as refused:
+        write(rows, path)
+    assert str(refused.value) == f"{path}: row {n}: {column}: {named}"
+    assert list(tmp_path.iterdir()) == []
+
+
+# a table's cells: each drawn from its column's domain (text for a text column, a
+# name its caster knows, an integer >= 0, a float in [0, 1]), and then one cell
+# of some rows replaced by any value: an integer < 0, a bool, a float (NaN and
+# infinities too), -0.0, text or a name of another column
+_COUNT = st.integers(0, 2**63)
+_CELLS = {"variant": st.text(), "strategy": st.sampled_from(STRATEGIES),
+          "ordering": st.sampled_from(ORDERINGS), "phase": st.sampled_from(PHASES),
+          "original_index": _COUNT, "subset_size": _COUNT, "seed": _COUNT, "n_seeds": _COUNT}
+_ANY = st.one_of(st.integers(-3, -1), st.booleans(), st.floats(), st.just(-0.0),
+                 st.text(max_size=3), st.sampled_from(STRATEGIES + ORDERINGS + PHASES))
+
+
+def _write_records(rows, path):
+    write_records_csv([PviRecord(*row) for row in rows], path)
+
+
+def _read_records(path):
+    return [list(astuple(rec)) for rec in read_records_csv(path)]
+
+
+def _write_sweep(rows, path):
+    write_sweep_csv([SweepPoint(*row[2:7], *row[:2], row[7]) for row in rows], path)
+
+
+def _read_sweep(path):
+    return [[p.variant, p.strategy, p.r, p.subset_size, p.cm_accuracy, p.eim_accuracy,
+             p.train_seconds, p.seed] for p in read_sweep_csv(path)]
+
+
+def _write_stages(rows, path):
+    write_stage_csv([StageReport(row[1], row[0], *row[2:]) for row in rows], path)
+
+
+def _read_stages(path):
+    return [[s.ordering, s.r, *astuple(s)[2:]] for s in read_stage_csv(path)]
+
+
+def _write_summary(rows, path):
+    write_csv(path, curriculum._SUMMARY_COLUMNS, rows)
+
+
+def _read_summary(path):
+    return read_csv(path, curriculum._SUMMARY_COLUMNS)
+
+
+def _write_runtime(rows, path):
+    log = RuntimeLog()
+    for row in rows:
+        log.record(*row)
+    log.write_csv(path)
+
+
+def _read_runtime(path):
+    return [list(astuple(rec)) for rec in RuntimeLog.read_csv(path).records]
+
+
+@pytest.mark.parametrize("columns, write, read", [
+    (pvi._CSV_COLUMNS, _write_records, _read_records),
+    (reduction._CSV_COLUMNS, _write_sweep, _read_sweep),
+    (curriculum._CSV_COLUMNS, _write_stages, _read_stages),
+    (curriculum._SUMMARY_COLUMNS, _write_summary, _read_summary),
+    (report._RUNTIME_COLUMNS, _write_runtime, _read_runtime),
+], ids=["records", "sweep", "stages", "stage_summary", "runtime"])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_every_table_reads_back_what_it_writes_or_writes_nothing(columns, write, read, data):
+    cells = st.tuples(*(_CELLS.get(name, st.floats(0, 1)) for name in columns)).map(list)
+    rows = data.draw(st.lists(cells, max_size=4))
+    if rows and data.draw(st.booleans()):
+        row = data.draw(st.sampled_from(rows))
+        row[data.draw(st.integers(0, len(columns) - 1))] = data.draw(_ANY)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.csv")
+        try:
+            write(rows, path)
+        except ValueError as exc:
+            # RuntimeLog.record refuses a row before any path is given
+            where = "" if columns is report._RUNTIME_COLUMNS else rf"{re.escape(path)}: row \d+: "
+            assert re.match(rf"{where}({'|'.join(columns)}): ", str(exc)), str(exc)
+            assert os.listdir(tmp) == []
+        else:
+            # a program value reads back equal; text, which every caster also takes
+            # as a cell, reads back as the reader reads that cell
+            assert read(path) == [[cast(cell) if isinstance(cell, str) else cell
+                                   for cast, cell in zip(columns.values(), row)] for row in rows]
+
+
+@pytest.mark.parametrize("variant", ["a\rb", "\r\r"])
+def test_a_text_cell_holding_a_line_break_reads_back(tmp_path, variant):
+    path = tmp_path / "sweep.csv"
+    points = [replace(_POINT, variant=variant), _POINT]
+    write_sweep_csv(points, path)
+    assert read_sweep_csv(path) == points
+    data = path.read_bytes()  # three LF-terminated records, and the variant's line breaks
+    assert (data.count(b"\n"), data.count(b"\r")) == (3 + variant.count("\n"), variant.count("\r"))
 
 
 def test_atomic_write_makes_missing_directories(tmp_path):
