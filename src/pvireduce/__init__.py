@@ -9,6 +9,7 @@ from .corpus import (
     inject_noise,
     load_dataset,
     make_imbalanced,
+    read_instances,
     serialize,
     to_null_view,
 )
@@ -29,12 +30,14 @@ from .family import (
 )
 from .pvi import (
     InfoSummary,
+    PviColumns,
     PviRecord,
     compute_pvi,
     hardest_k,
     pvi_histogram,
     rank_by_difficulty,
     retained_count,
+    score_columns,
     summarize,
     train_scorers,
 )

@@ -32,11 +32,10 @@ import time
 
 from . import __version__
 from .corpus import (NoiseSpec, generate_synthetic, inject_noise, load_dataset,
-                     make_imbalanced, serialize)
+                     make_imbalanced, read_instances, serialize)
 from .curriculum import progressive_train, write_stage_csv, write_stage_summary_csv
 from .family import Hyperparams, save_model
-from .pvi import (ORDERINGS, compute_pvi, summarize, train_scorers, write_records_csv,
-                  write_records_jsonl)
+from .pvi import ORDERINGS, score_columns, train_scorers, write_records_csv, write_records_jsonl
 from .reduction import STRATEGIES, read_sweep_csv, static_sweep, write_sweep_csv
 from .report import (UNITS, RuntimeLog, bucket_proportions, emit_accuracy_plot,
                      emit_runtime_plot, length_stats, write_bucket_csv,
@@ -160,13 +159,17 @@ def cmd_gen(args):
 
 def cmd_pvi(args, hp):
     train_ds = _load(args.train, args.format)
-    score_ds = _load(args.on, args.format) if args.on else train_ds
+    # --on is opened now, so a missing file fails before training, and streamed: each
+    # block is read and scored in turn, so a bad record fails after training
+    scored = read_instances(args.on, args.format) if args.on else train_ds
     g_cond, g_null = train_scorers(train_ds, hp)
-    records = compute_pvi(g_cond, g_null, score_ds)
-    write_records_csv(records, os.path.join(args.out_dir, "pvi.csv"))
-    write_records_jsonl(records, os.path.join(args.out_dir, "pvi.jsonl"))
+    scores = score_columns(g_cond, g_null, scored, train_ds.num_classes)
+    if not len(scores):
+        raise DataError(f"{args.on}: the file holds no instances")
+    write_records_csv(scores.records(), os.path.join(args.out_dir, "pvi.csv"))
+    write_records_jsonl(scores.records(), os.path.join(args.out_dir, "pvi.jsonl"))
     atomic_write_text(os.path.join(args.out_dir, "summary.json"),
-                      json.dumps(dataclasses.asdict(summarize(records)), indent=2) + "\n")
+                      json.dumps(dataclasses.asdict(scores.summary()), indent=2) + "\n")
     if args.save_models:
         save_model(g_cond, os.path.join(args.out_dir, "model_cond.json"))
         save_model(g_null, os.path.join(args.out_dir, "model_null.json"))

@@ -6,7 +6,6 @@ take an explicit seed and are bit-reproducible.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import re
@@ -16,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .tables import DataError, atomic_write_text, read_text
+from .tables import DataError, atomic_write_text, read_lines
 
 DEFAULT_LABELS = ("entailment", "neutral", "contradiction")
 _SURROGATE = re.compile("[\ud800-\udfff]")
@@ -102,21 +101,31 @@ def _label_index(raw, label_names) -> int:
 
 def load_dataset(path, fmt: str = "jsonl", num_classes: int = 3,
                  label_names=DEFAULT_LABELS) -> Dataset:
-    """Read a JSONL or TSV dataset; original_index is the 0-based file position.
+    """Read a JSONL or TSV dataset whole: the Dataset of read_instances(path, fmt,
+    label_names), so original_index is the 0-based file position."""
+    if len(label_names) != num_classes:
+        raise ValueError("label_names length must equal num_classes")
+    return Dataset(tuple(read_instances(path, fmt, label_names)), num_classes, "original",
+                   tuple(label_names))
 
-    The file is read by tables.read_text, so a leading UTF-8 byte-order mark
-    is dropped, and a line ends at LF, CR or CRLF only. Malformed records raise
-    DataError naming `<path>:<line>:`; they are never dropped silently (use
-    filter_invalid for content-level cleanup).
+
+def read_instances(path, fmt: str = "jsonl", label_names=DEFAULT_LABELS):
+    """Each record of a JSONL or TSV file as a LabeledInstance, in file order, parsed
+    as it is read: the one parser of dataset files. original_index is the 0-based
+    line number.
+
+    The file is opened now and read by tables.read_lines, so a leading UTF-8
+    byte-order mark is dropped, and a line ends at LF, CR or CRLF only. A malformed
+    record raises DataError naming `<path>:<line>:` when the generator reaches it;
+    none is dropped silently (use filter_invalid for content-level cleanup).
     """
     if fmt not in ("jsonl", "tsv"):
         raise ValueError(f"unsupported format {fmt!r}")
-    if len(label_names) != num_classes:
-        raise ValueError("label_names length must equal num_classes")
-    instances = []
-    # newline=None ends a line at LF, CR or CRLF, never at U+2028, U+0085 or FF
-    for lineno, text in enumerate(io.StringIO(read_text(path), newline=None), 1):
-        text = text.removesuffix("\n")
+    return _parse(read_lines(path), path, fmt, tuple(label_names))
+
+
+def _parse(lines, path, fmt: str, label_names):
+    for lineno, text in enumerate(lines, 1):
         try:
             if fmt == "jsonl":
                 if text == "":
@@ -149,8 +158,7 @@ def load_dataset(path, fmt: str = "jsonl", num_classes: int = 3,
             label = _label_index(raw_label, label_names)
         except DataError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from None
-        instances.append(LabeledInstance(lineno - 1, premise, hypothesis, label))
-    return Dataset(tuple(instances), num_classes, "original", tuple(label_names))
+        yield LabeledInstance(lineno - 1, premise, hypothesis, label)
 
 
 def serialize(dataset: Dataset, path, fmt: str = "jsonl") -> None:

@@ -15,7 +15,7 @@ from .family import Hyperparams, evaluate, train
 from .pvi import (_ordering, _rank, _ratio, _tail, check_ratios, compute_pvi,
                   records_by_index, retained_count, train_scorers)
 from .report import _accuracy, _seconds, _timed
-from .tables import count, finite_float, read_csv, write_csv
+from .tables import cast_row, count, finite_float, read_csv, write_csv
 
 
 @dataclass(frozen=True)
@@ -95,10 +95,19 @@ _SUMMARY_COLUMNS = {"ordering": _ordering, "r": _ratio, "subset_size": count, "n
                     "f1_mean": _accuracy, "f1_std": finite_float}
 
 
+# what grouping and averaging read of a report: its key, cast as write_stage_csv casts
+# it, and finite metrics; _SUMMARY_COLUMNS then checks each mean
+_REPORT_COLUMNS = {"ordering": _ordering, "r": _ratio, "subset_size": count,
+                   **dict.fromkeys(("accuracy", "precision", "recall", "f1"), finite_float)}
+
+
+def _stage_cells(s: StageReport) -> list:
+    return [s.ordering, s.r, s.subset_size, s.accuracy, s.precision_micro, s.recall_micro,
+            s.f1_micro, s.train_seconds, s.seed]
+
+
 def write_stage_csv(reports, path) -> None:
-    write_csv(path, _CSV_COLUMNS,
-              ([s.ordering, s.r, s.subset_size, s.accuracy, s.precision_micro,
-                s.recall_micro, s.f1_micro, s.train_seconds, s.seed] for s in reports))
+    write_csv(path, _CSV_COLUMNS, map(_stage_cells, reports))
 
 
 def read_stage_csv(path) -> list[StageReport]:
@@ -107,15 +116,20 @@ def read_stage_csv(path) -> list[StageReport]:
 
 
 def write_stage_summary_csv(reports, path) -> None:
-    """Mean and standard deviation over seeds, one row per (ordering, r)."""
-    groups: dict[tuple, list[StageReport]] = {}
-    for s in reports:
-        groups.setdefault((s.ordering, s.r, s.subset_size), []).append(s)
+    """Mean and standard deviation over seeds, one row per (ordering, r). Each report
+    is cast before any is grouped: a refused one raises ValueError `<path>: row <n>:
+    <column>: …`, n counting the reports from 1, and writes no file."""
+    groups: dict[tuple, list[list[float]]] = {}
+    for n, s in enumerate(reports, 1):
+        try:
+            ordering, r, size, *metrics = cast_row(_REPORT_COLUMNS, _stage_cells(s)[:7])
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {n}: {exc}") from None
+        groups.setdefault((ordering, r, size), []).append(metrics)
     rows = []
     for (ordering, r, size), group in sorted(groups.items()):
         row = [ordering, r, size, len(group)]
-        for metric in ("accuracy", "precision_micro", "recall_micro", "f1_micro"):
-            values = [getattr(s, metric) for s in group]
+        for values in zip(*group):
             row += [statistics.fmean(values), statistics.stdev(values) if len(values) > 1 else 0.0]
         rows.append(row)
     write_csv(path, _SUMMARY_COLUMNS, rows)

@@ -3,10 +3,11 @@
 Deterministic end to end: feature hashing uses CRC32 with fixed field salts,
 training is plain mini-batch gradient descent with a seeded shuffle, and the
 whole pipeline runs in float64 on a single thread. Featurization yields one
-CSR matrix per chunk of 2048 rows and folds every n-gram's CRC32 in numpy, one
-UTF-8 byte at a time, with the same features as zlib.crc32 on each occurrence.
-feature_matrix stacks the chunks; scoring a dataset with no memoized feature
-matrix predicts each chunk as it comes and keeps none. A training step
+CSR matrix per chunk of 512 rows and folds every n-gram's CRC32 in numpy, one
+UTF-8 byte at a time, with the same features as zlib.crc32 on each occurrence;
+one in-place sort of a chunk's n-gram keys counts them. feature_matrix stacks
+the chunks; scoring a dataset with no memoized feature matrix predicts each
+chunk as it comes and keeps none. A training step
 gathers (with take) and updates only the weight columns its batch touches
 and keeps L2 decay as a lazy global scale on the weights; a batch with no
 features (every null-model batch) touches none and updates only the bias.
@@ -24,6 +25,7 @@ import os
 import zlib
 from collections import Counter
 from dataclasses import dataclass, fields, replace
+from itertools import islice
 
 import numpy as np
 
@@ -131,7 +133,7 @@ class EvalReport:
 # featurization
 
 # rows featurized together; bounds the size of one chunk's temporary arrays
-_CHUNK_ROWS = 2048
+_CHUNK_ROWS = 512
 # CRC32's byte table (reflected polynomial 0xEDB88320): zlib.crc32 inverts the register on
 # the way in and out, so from 0xFFFFFFFF it folds byte b into a zero register, giving ~table[b]
 _CRC_TABLE = ~np.array([zlib.crc32(bytes([b]), 0xFFFFFFFF) for b in range(256)], np.uint32)
@@ -183,15 +185,31 @@ def _hashed_counts(premises, hypotheses, hp: Hyperparams):
         keys = [np.zeros(0, np.int64)]
         for texts, field in ((premises, "premise"), (hypotheses, "hypothesis")):
             keys += _gram_keys(texts[lo:lo + n], _FIELD_SALTS[field], hp)
-        keys, counts = np.unique(np.concatenate(keys), return_counts=True)
+        keys = np.concatenate(keys)
+        keys.sort()
+        # each run of equal keys is one feature: its first key, and its length the count
+        first = np.empty(len(keys), bool)
+        first[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        first = np.flatnonzero(first)
+        counts = np.diff(first, append=len(keys)).astype(np.float64)
+        keys = keys[first]
+        del first
         indptr = np.concatenate(([0], np.cumsum(np.bincount(keys >> hp.hash_bits, minlength=n))))
         # loaded on first use, so a run that builds no matrix never loads it; here, after the
         # n-gram keys are freed, so a run's first featurization never holds both at once
         import scipy.sparse as sp
-        chunk = sp.csr_matrix((counts.astype(np.float64), keys & (hp.dim - 1), indptr),
-                              shape=(n, hp.dim))
+        chunk = sp.csr_matrix((counts, keys & (hp.dim - 1), indptr), shape=(n, hp.dim))
         # a suspended generator keeps its locals alive while the caller uses the chunk
         del keys, counts, indptr
+        yield chunk
+
+
+def _chunks(items):
+    """`items`, any iterable, as lists of _CHUNK_ROWS items (the last one shorter),
+    each taken only when the one before it has been used: a streamed set's blocks."""
+    items = iter(items)
+    while chunk := list(islice(items, _CHUNK_ROWS)):
         yield chunk
 
 

@@ -8,16 +8,16 @@ Every cut by score is made here: which ratios are valid, how many rows they keep
 
 from __future__ import annotations
 
-import json
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .corpus import Dataset
-from .family import Hyperparams, Model, _gold_log2_rows, log2_prob, train, train_null
-from .tables import atomic_write_text, count, finite_float, one_of, read_csv, write_csv
+from .family import Hyperparams, Model, _chunks, _gold_log2_rows, log2_prob, train, train_null
+from .tables import count, finite_float, one_of, read_csv, write_csv, write_rows
 
 
 @dataclass(frozen=True)
@@ -45,29 +45,68 @@ def compute_pvi(g_cond: Model, g_null: Model, dataset: Dataset) -> tuple[PviReco
     """One record per instance, in dataset order, in one batch pass over the rows.
 
     The pass reads the dataset's memoized feature matrix when it has one (a
-    training set). Otherwise it scores each 2048-row chunk as it is featurized
+    training set). Otherwise it scores each 512-row chunk as it is featurized
     and keeps no matrix, so scoring a large held-out set holds one chunk.
     cond_log2prob is log2_prob(g_cond, premise, hypothesis, label) and
     null_log2prob is log2_prob(g_null, "", "", label), bit for bit."""
-    if g_cond.num_classes != dataset.num_classes or g_null.num_classes != dataset.num_classes:
+    return tuple(score_columns(g_cond, g_null, dataset, dataset.num_classes).records())
+
+
+@dataclass(frozen=True)
+class PviColumns:
+    """Scores as three columns, 24 bytes a row: what score_columns keeps of a set."""
+    original_index: array  # of int64
+    null_log2prob: array   # of float64
+    cond_log2prob: array   # of float64
+
+    def __len__(self) -> int:
+        return len(self.original_index)
+
+    def records(self):
+        """The records, one at a time, each pvi being cond_log2prob - null_log2prob."""
+        for i, null, cond in zip(self.original_index, self.null_log2prob, self.cond_log2prob):
+            yield PviRecord(i, null, cond, cond - null)
+
+    def summary(self) -> InfoSummary:
+        """summarize(self.records()), read off the columns."""
+        return _summary(self.null_log2prob, self.cond_log2prob)
+
+
+def score_columns(g_cond: Model, g_null: Model, instances, num_classes: int) -> PviColumns:
+    """compute_pvi's scores of `instances` as PviColumns; compute_pvi lists them.
+
+    A Dataset is scored whole. Any other iterable of instances
+    (corpus.read_instances, say) is streamed: each 512-row block is read,
+    featurized and scored before the next is read, so scoring holds one block,
+    and only the columns grow with the set. A malformed record raises when its
+    block is read."""
+    if g_cond.num_classes != num_classes or g_null.num_classes != num_classes:
         raise ValueError("model/dataset class-count mismatch")
-    conds = _gold_log2_rows(g_cond, dataset)
-    null_by_class = [log2_prob(g_null, "", "", c) for c in range(dataset.num_classes)]
-    records = []
-    for inst, cond in zip(dataset, conds):
-        null = null_by_class[inst.label]
-        records.append(PviRecord(inst.original_index, null, cond, cond - null))
-    return tuple(records)
+    null_by_class = [log2_prob(g_null, "", "", c) for c in range(num_classes)]
+    blocks = [instances] if isinstance(instances, Dataset) else \
+        (Dataset(tuple(block), num_classes) for block in _chunks(instances))
+    columns = PviColumns(array("q"), array("d"), array("d"))
+    for ds in blocks:
+        if ds.num_classes != num_classes:
+            raise ValueError("model/dataset class-count mismatch")
+        columns.original_index.extend(inst.original_index for inst in ds)
+        columns.null_log2prob.extend(null_by_class[inst.label] for inst in ds)
+        columns.cond_log2prob.extend(_gold_log2_rows(g_cond, ds))
+    return columns
 
 
 def summarize(records) -> InfoSummary:
     """Dataset-level entropies and their difference (mean per-instance score)."""
     records = tuple(records)
-    if not records:
+    return _summary([r.null_log2prob for r in records], [r.cond_log2prob for r in records])
+
+
+def _summary(nulls, conds) -> InfoSummary:
+    if not len(nulls):
         raise ValueError("no records to summarize")
-    h_y = -float(np.mean([r.null_log2prob for r in records]))
-    h_yx = -float(np.mean([r.cond_log2prob for r in records]))
-    return InfoSummary(h_y, h_yx, h_y - h_yx, len(records))
+    h_y = -float(np.mean(nulls))
+    h_yx = -float(np.mean(conds))
+    return InfoSummary(h_y, h_yx, h_y - h_yx, len(nulls))
 
 
 ORDERINGS = ("easy_first", "hard_first", "original")
@@ -167,19 +206,23 @@ _CSV_COLUMNS = {"original_index": count, "null_log2prob": finite_float,
                 "cond_log2prob": finite_float, "pvi": finite_float}
 
 
+def _cells(records):
+    return ([r.original_index, r.null_log2prob, r.cond_log2prob, r.pvi] for r in records)
+
+
 def write_records_csv(records, path) -> None:
-    write_csv(path, _CSV_COLUMNS,
-              ([r.original_index, r.null_log2prob, r.cond_log2prob, r.pvi] for r in records))
+    write_csv(path, _CSV_COLUMNS, _cells(records))
 
 
 def read_records_csv(path) -> tuple[PviRecord, ...]:
     return tuple(read_csv(path, _CSV_COLUMNS, PviRecord))
 
 
+# json.dumps's line for a record: its text of an int and of a finite float is repr's
+_JSONL_LINE = '{{"original_index": {}, "null_log2prob": {}, "cond_log2prob": {}, "pvi": {}}}\n'
+
+
 def write_records_jsonl(records, path) -> None:
-    atomic_write_text(path, "".join(json.dumps({
-        "original_index": r.original_index,
-        "null_log2prob": float(r.null_log2prob),
-        "cond_log2prob": float(r.cond_log2prob),
-        "pvi": float(r.pvi),
-    }) + "\n" for r in records))
+    """One JSON object a line, each record cast by write_records_csv's schema and
+    written as it comes, so a record the CSV refuses (a NaN, say) is refused here."""
+    write_rows(path, _CSV_COLUMNS, _cells(records), repr, lambda cells: _JSONL_LINE.format(*cells))

@@ -10,7 +10,7 @@ import time
 from dataclasses import dataclass
 
 from .pvi import _ratio
-from .tables import cast_row, count, finite_float, one_of, read_csv, write_csv
+from .tables import cast_row, count, finite_float, one_of, read_csv, str_only, write_csv
 
 UNITS = ("chars", "tokens")
 _unit = one_of("length unit", UNITS)
@@ -92,7 +92,7 @@ def write_length_stats_csv(stats: LengthStats, path) -> None:
 
 
 def write_bucket_csv(buckets: BucketProportions, path) -> None:
-    write_csv(path, {"label": count, "edge_label": str, "proportion": finite_float},
+    write_csv(path, {"label": count, "edge_label": str_only, "proportion": finite_float},
               ([label, edge_label, prop] for label in sorted(buckets.rows)
                for edge_label, prop in zip(buckets.labels, buckets.rows[label])))
 

@@ -1,8 +1,9 @@
-"""The one file layer: read_text reads every input, sha256_file hashes one for a
-run's manifest, and atomic_write_text, which makes its directory, writes every
-output. A CSV table's schema maps each column to a caster (a cell's text or a
-program value in, that value or a ValueError out, nothing coerced); write_csv and
-read_csv pass every cell through cast_row, so what one writes the other reads."""
+"""The one file layer: read_text reads every input whole, read_lines line by line
+with the same rules, sha256_file hashes one for a run's manifest, and
+atomic_write_text, which makes its directory, writes every output, whole or as it
+comes. A table's schema maps each column to a caster (a cell's text or a program
+value in, that value or a ValueError out, nothing coerced); write_rows, write_csv
+and read_csv pass every cell through cast_row, so what one writes the other reads."""
 
 from __future__ import annotations
 
@@ -36,6 +37,33 @@ def read_text(path) -> str:
                         f"({exc.reason})") from None
 
 
+def read_lines(path):
+    """The lines of read_text(path), each without its LF, CR or CRLF, as a generator
+    that decodes the file a few KiB at a time, so a file with any of these line
+    ends is read in flat memory. The file is opened now, so a missing one raises
+    read_text's DataError here, and closing the generator closes it. A byte that
+    is not UTF-8 raises read_text's DataError when the generator reaches it."""
+    lines = _lines(path)
+    next(lines)
+    return lines
+
+
+def _lines(path):
+    try:
+        # newline=None ends a line at LF, CR or CRLF, never at U+2028, U+0085 or FF
+        fh = open(path, encoding="utf-8-sig", newline=None)
+    except FileNotFoundError:
+        raise DataError(f"file not found: {path}") from None
+    with fh:
+        yield  # where read_lines leaves the generator: the file is open
+        try:
+            for line in fh:
+                yield line.removesuffix("\n")
+        except UnicodeDecodeError:
+            read_text(path)  # names the bad byte and its line
+            raise
+
+
 def sha256_file(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -49,23 +77,38 @@ def f17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write via a temp file in the target directory, then rename.
+def atomic_write_text(path, text) -> None:
+    """Write `text`, a str or an iterable of str written piece by piece as it comes,
+    via a temp file in the target directory, then rename.
 
-    The directory is made when missing. The temp file is created by open(),
-    so the result gets the same umask-derived permissions a plain
-    open(path, "w") would give it.
+    The directory is made when missing. If the write fails (an iterable may raise
+    midway), the temp file and every directory made for it are removed, so no
+    file or directory is left. The temp file is created by open(), so the result
+    gets the same umask-derived permissions a plain open(path, "w") would give it.
     """
     directory = os.path.dirname(os.path.abspath(path))
+    made = []
+    parent = directory
+    while not os.path.isdir(parent):
+        made.append(parent)
+        parent = os.path.dirname(parent)
     os.makedirs(directory, exist_ok=True)
     tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
     try:
         with open(tmp, "x", encoding="utf-8") as fh:
-            fh.write(text)
+            if isinstance(text, str):
+                fh.write(text)
+            else:
+                fh.writelines(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        for made_dir in made:  # deepest first; one that something else filled stays
+            try:
+                os.rmdir(made_dir)
+            except OSError:
+                break
         raise
 
 
@@ -83,6 +126,13 @@ def count(value) -> int:
     return int(value)
 
 
+def str_only(value) -> str:
+    """A str, passed as it is; any other value is refused, not turned into text."""
+    if not isinstance(value, str):
+        raise ValueError(f"expected text, got {value!r}")
+    return value
+
+
 def one_of(what: str, names: tuple):
     """The caster that passes a name in `names` and refuses any other: `unknown <what> 'x'`."""
     def cast(value):
@@ -92,33 +142,50 @@ def one_of(what: str, names: tuple):
     return cast
 
 
-def cast_row(columns: dict, cells) -> list:
-    """The sequence `cells`, each through its column's caster; a refusal reads `<column>: …`."""
+def cast_row(columns: dict, cells, to_text=None) -> list:
+    """The sequence `cells`, each through its column's caster and then, given
+    `to_text`, formatted by it; a refusal of either reads `<column>: …`."""
     if len(cells) != len(columns):
         raise ValueError(f"expected {len(columns)} fields, got {len(cells)}")
     row = []
     for (name, cast), cell in zip(columns.items(), cells):
         try:
-            row.append(cast(cell))
+            row.append(cast(cell) if to_text is None else to_text(cast(cell)))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{name}: {exc}") from None
     return row
 
 
+def write_rows(path, columns: dict, rows, to_text, line, head: str = "") -> None:
+    """`head`, then line(cells) for each row, cells = cast_row(columns, row, to_text),
+    written atomically row by row as `rows` yields them. A refused row raises
+    ValueError `<path>: row <n>: <column>: …` (n counts rows from 1) and leaves no
+    file."""
+    def lines():
+        yield head
+        for n, row in enumerate(rows, 1):
+            try:
+                cells = cast_row(columns, row, to_text)
+            except ValueError as exc:
+                raise ValueError(f"{path}: row {n}: {exc}") from None
+            yield line(cells)
+    atomic_write_text(path, lines())
+
+
+def _csv_text(value) -> str:
+    return f17(value) if isinstance(value, float) else str(value)
+
+
 def write_csv(path, columns: dict, rows) -> None:
-    """The header list(columns) and each row cast by cast_row(columns), LF-terminated,
-    floats by f17, written atomically once every row is cast. A refused row raises
-    ValueError `<path>: row <n>: <column>: …` (n counts data rows from 1) and writes
-    no file, so whatever write_csv writes, read_csv reads back."""
-    lines = []  # one record each; a CRLF terminator makes csv quote a field holding a CR
-    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
-    writer.writerow(list(columns))
-    for n, row in enumerate(rows, 1):
-        try:
-            writer.writerow([f17(v) if isinstance(v, float) else v for v in cast_row(columns, row)])
-        except ValueError as exc:
-            raise ValueError(f"{path}: row {n}: {exc}") from None
-    atomic_write_text(path, "".join(line[:-2] + "\n" for line in lines))
+    """The header list(columns) and each row by write_rows, LF-terminated, floats by
+    f17, so whatever write_csv writes, read_csv reads back."""
+    record = []  # a CRLF terminator makes csv quote a field holding a CR
+    writer = csv.writer(SimpleNamespace(write=record.append), lineterminator="\r\n")
+
+    def line(cells):
+        writer.writerow(cells)
+        return record.pop()[:-2] + "\n"
+    write_rows(path, columns, rows, _csv_text, line, line(list(columns)))
 
 
 def read_csv(path, columns: dict, make=lambda *fields: list(fields)) -> list:

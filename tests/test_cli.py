@@ -4,13 +4,16 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from pvireduce import cli, family
 from pvireduce.cli import main
-from pvireduce.corpus import load_dataset
+from pvireduce.corpus import generate_synthetic, load_dataset, serialize
+from pvireduce.family import Hyperparams
+from pvireduce.pvi import train_scorers
 from pvireduce.report import RuntimeLog
 
 
@@ -408,6 +411,57 @@ def test_malformed_input_file_is_named(tmp_path, capsys, corpora, args):
     assert _run(argv + ["--out-dir", out, "--epochs", "1", "--no-timing"]) == 2
     assert f"data error: {bad}:2: invalid JSON" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("last, named", [
+    (b"not json", "invalid JSON (Expecting value)"),
+    (b'{"premise": "a\xffb", "hypothesis": "b", "label": 0}',
+     "invalid UTF-8 byte 0xff (invalid start byte)"),
+], ids=["json", "utf8"])
+def test_pvi_on_names_a_bad_last_line_after_training(tmp_path, capsys, monkeypatch, corpora,
+                                                      last, named):
+    # --on streams in blocks, so its 121st line is read, and refused, after training
+    train, test = corpora
+    on = tmp_path / "on.jsonl"
+    on.write_bytes(test.read_bytes() + last + b"\n")
+    trained = []
+    monkeypatch.setattr(cli, "train_scorers", lambda *a: trained.append(1) or train_scorers(*a))
+    monkeypatch.setattr(family, "_CHUNK_ROWS", 16)
+    out = tmp_path / "out"
+    assert _run(["pvi", "--train", train, "--on", on, "--out-dir", out, "--epochs", "1",
+                 "--no-timing"]) == 2
+    assert f"data error: {on}:121: {named}" in capsys.readouterr().err
+    assert trained == [1]
+    assert not out.exists()
+
+
+def test_pvi_on_names_a_missing_file_before_training(tmp_path, capsys, monkeypatch, corpora):
+    trained = []
+    monkeypatch.setattr(cli, "train_scorers", lambda *a: trained.append(1))
+    missing, out = tmp_path / "missing.jsonl", tmp_path / "out"
+    assert _run(["pvi", "--train", corpora[0], "--on", missing, "--out-dir", out]) == 2
+    assert f"data error: file not found: {missing}" in capsys.readouterr().err
+    assert trained == [] and not out.exists()
+
+
+def test_pvi_on_holds_as_much_for_8k_scored_rows_as_for_2k(tmp_path, monkeypatch, corpora):
+    # streamed, the --on path keeps 24 bytes a row (the scores' three columns) and one
+    # block of rows; holding the rows, their records or an output file's text would
+    # take several hundred bytes a row. The models are trained once, outside the trace.
+    models = train_scorers(load_dataset(corpora[0]), Hyperparams(epochs=1))
+    monkeypatch.setattr(cli, "train_scorers", lambda *a: models)
+    peaks = {}
+    for n in (2000, 8000):
+        on = tmp_path / f"on{n}.jsonl"
+        serialize(generate_synthetic(n, seed=2), on)
+        tracemalloc.start()
+        try:
+            assert _run(["pvi", "--train", corpora[0], "--on", on,
+                         "--out-dir", tmp_path / f"out{n}", "--no-timing"]) == 0
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[8000] - peaks[2000] < 6000 * 64, peaks
 
 
 @pytest.fixture(scope="module")

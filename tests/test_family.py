@@ -180,12 +180,52 @@ def test_hashed_counts_yields_chunks_of_at_most_chunk_rows(monkeypatch, n, sizes
     assert [X.shape for X in chunks] == [(k, hp.dim) for k in sizes]
 
 
+def _unique_counts_csr(premises, hypotheses, hp):
+    """One chunk's CSR as _hashed_counts built it with np.unique(keys, return_counts=True),
+    before its in-place sort: the reference for that dedupe."""
+    keys = [np.zeros(0, np.int64)]
+    for texts, field in ((premises, "premise"), (hypotheses, "hypothesis")):
+        keys += family._gram_keys(texts, family._FIELD_SALTS[field], hp)
+    keys, counts = np.unique(np.concatenate(keys), return_counts=True)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(keys >> hp.hash_bits,
+                                                        minlength=len(premises)))))
+    return sp.csr_matrix((counts.astype(np.float64), keys & (hp.dim - 1), indptr),
+                         shape=(len(premises), hp.dim))
+
+
+# few symbols, so grams repeat: ASCII, CJK ideographs and CJK Extension B (4 UTF-8 bytes)
+_FEW = st.text(st.sampled_from("ab \u4e00\u4e8c\U00020000\U00020001"), max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(_FEW, _FEW), max_size=6),
+       orders=st.lists(st.integers(1, 4), min_size=1, max_size=5),
+       hash_bits=st.sampled_from([2, 16, 32]))
+@example(rows=[], orders=[1], hash_bits=16)
+@example(rows=[("", ""), ("", "")], orders=[2, 2], hash_bits=16)
+@example(rows=[("\u4e00\u4e00\u4e00", "\U00020000\U00020000")], orders=[1, 1, 2], hash_bits=2)
+def test_sorted_dedupe_gives_np_uniques_csr(rows, orders, hash_bits):
+    hp = Hyperparams(hash_bits=hash_bits, ngram_orders=tuple(orders))
+    premises, hypotheses = [p for p, _ in rows], [h for _, h in rows]
+    _assert_same_csr(next(family._hashed_counts(premises, hypotheses, hp)),
+                     _unique_counts_csr(premises, hypotheses, hp))
+
+
+def test_sorted_dedupe_gives_np_uniques_csr_on_cjk_corpora():
+    base = generate_synthetic(300, 3, (0.5, 0.3, 0.2), seed=5)
+    for ds in (base, translate(base, CJK), translate(base, ASTRAL)):
+        premises, hypotheses = [i.premise for i in ds], [i.hypothesis for i in ds]
+        for hp in (Hyperparams(), Hyperparams(hash_bits=8, ngram_orders=(1, 2, 2, 3))):
+            _assert_same_csr(next(family._hashed_counts(premises, hypotheses, hp)),
+                             _unique_counts_csr(premises, hypotheses, hp))
+
+
 def test_hashed_counts_frees_a_chunks_temporaries_before_yielding_it():
     # a suspended generator keeps its locals alive while the caller predicts
     texts = [f"row {i}" for i in range(5)]
     chunks = family._hashed_counts(texts, texts, Hyperparams(hash_bits=8))
     next(chunks)
-    assert not {"keys", "counts", "indptr"} & set(chunks.gi_frame.f_locals)
+    assert not {"keys", "first", "counts", "indptr"} & set(chunks.gi_frame.f_locals)
 
 
 def test_train_null_view_is_input_independent(fast_hp):

@@ -1,10 +1,12 @@
 import csv
+import json
 import math
 import statistics
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pvireduce import (Dataset, Hyperparams, compute_pvi, constant_predictor,
                        generate_synthetic, hardest_k, log2_prob, pvi_histogram,
@@ -12,8 +14,8 @@ from pvireduce import (Dataset, Hyperparams, compute_pvi, constant_predictor,
 from pvireduce import family
 from pvireduce.corpus import synthetic_difficulty_tags
 from pvireduce.family import Model
-from pvireduce.pvi import (PviRecord, check_ratios, read_records_csv, write_records_csv,
-                           write_records_jsonl)
+from pvireduce.pvi import (PviRecord, check_ratios, read_records_csv, score_columns,
+                           write_records_csv, write_records_jsonl)
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +108,44 @@ def test_unmemoized_scoring_predicts_each_chunk_before_building_the_next(small_t
     monkeypatch.setattr(family, "_gold_log2", scored)
     family._gold_log2_rows(g_cond, _pairs_with_empty_texts())
     assert events == [(kind, n) for n in [7] * 7 + [1] for kind in ("built", "scored")]
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 7, 512])
+def test_streamed_scores_equal_compute_pvi(small_train, monkeypatch, chunk_rows):
+    hp = Hyperparams(epochs=2)
+    g_cond, g_null = train_scorers(small_train, hp)
+    monkeypatch.setattr(family, "_CHUNK_ROWS", chunk_rows)
+    want = compute_pvi(g_cond, g_null, _pairs_with_empty_texts())
+    streamed = score_columns(g_cond, g_null, iter(_pairs_with_empty_texts()), 3)
+    assert len(streamed) == len(want)
+    assert tuple(streamed.records()) == want
+    assert streamed.summary() == summarize(want)
+    # a Dataset is scored whole, on its memoized feature matrix
+    whole = score_columns(g_cond, g_null, small_train, 3)
+    assert tuple(whole.records()) == compute_pvi(g_cond, g_null, small_train)
+
+
+def test_streamed_scoring_reads_one_block_ahead_of_what_it_has_scored(small_train,
+                                                                      monkeypatch):
+    g_cond, g_null = train_scorers(small_train, Hyperparams(epochs=1))
+    read, seen = [], []
+
+    def instances():
+        for inst in _pairs_with_empty_texts():
+            read.append(inst.original_index)
+            yield inst
+
+    score = family._gold_log2
+
+    def scored(model, X, labels):
+        seen.append((len(read), X.shape[0]))
+        return score(model, X, labels)
+
+    monkeypatch.setattr(family, "_CHUNK_ROWS", 7)
+    monkeypatch.setattr(family, "_gold_log2", scored)
+    score_columns(g_cond, g_null, instances(), 3)
+    # the null model's three empty rows, then each 7-row block just after it is read
+    assert seen[3:] == [(min(7 * k, 50), n) for k, n in enumerate([7] * 7 + [1], 1)]
 
 
 def test_pvi_identity_field(scored):
@@ -264,6 +304,30 @@ def test_jsonl_export(tmp_path, scored):
     assert len(rows) == len(records)
     assert rows[0]["original_index"] == records[0].original_index
     assert rows[0]["pvi"] == pytest.approx(records[0].pvi, abs=0)
+
+
+_NAMES = [f.name for f in fields(PviRecord)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(0, 2**63), st.floats(), st.floats(), st.floats()),
+                     max_size=4))
+def test_jsonl_lines_are_json_dumps_or_the_record_is_refused(tmp_path_factory, rows):
+    # repr gives json.dumps's text of an int and of a finite float; a non-finite one,
+    # which json.dumps would write as NaN or Infinity, is refused as the CSV refuses it
+    path = tmp_path_factory.mktemp("jsonl") / "out" / "pvi.jsonl"
+    records = [PviRecord(*row) for row in rows]
+    bad = [(n, name) for n, row in enumerate(rows, 1) for name, v in zip(_NAMES, row)
+           if isinstance(v, float) and not math.isfinite(v)]
+    if not bad:
+        write_records_jsonl(records, path)
+        assert path.read_text() == "".join(json.dumps(dict(zip(_NAMES, astuple(r)))) + "\n"
+                                           for r in records)
+    else:
+        n, name = bad[0]
+        with pytest.raises(ValueError, match=f"^{path}: row {n}: {name}: .* is not a finite"):
+            write_records_jsonl(records, path)
+        assert not path.parent.exists()
 
 
 def test_check_ratios_reads_negative_zero_as_zero():

@@ -1,4 +1,6 @@
 import ast
+import codecs
+import io
 import os
 import re
 import tempfile
@@ -7,16 +9,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pvireduce
-from pvireduce import curriculum, pvi, reduction, report
+from pvireduce import curriculum, pvi, reduction, report, tables
 from pvireduce.curriculum import (StageReport, read_stage_csv, write_stage_csv,
                                   write_stage_summary_csv)
 from pvireduce.pvi import ORDERINGS, PviRecord, read_records_csv, write_records_csv
 from pvireduce.reduction import STRATEGIES, SweepPoint, read_sweep_csv, write_sweep_csv
-from pvireduce.report import PHASES, RuntimeLog
-from pvireduce.tables import atomic_write_text, count, f17, finite_float, read_csv, write_csv
+from pvireduce.report import PHASES, BucketProportions, RuntimeLog, write_bucket_csv
+from pvireduce.tables import (DataError, atomic_write_text, count, f17, finite_float, read_csv,
+                              read_lines, read_text, write_csv)
 
 
 def test_f17_roundtrips():
@@ -289,6 +292,102 @@ def test_atomic_write_makes_missing_directories(tmp_path):
     assert [p.name for p in path.parent.iterdir()] == ["out.txt"]
 
 
+def test_atomic_write_of_a_failing_iterable_leaves_no_file_or_made_directory(tmp_path):
+    def pieces():
+        yield "one\n"
+        raise ValueError("refused midway")
+    (tmp_path / "kept").mkdir()
+    for path in (tmp_path / "a" / "b" / "out.txt", tmp_path / "kept" / "out.txt"):
+        with pytest.raises(ValueError, match="refused midway"):
+            atomic_write_text(path, pieces())
+    assert [p.name for p in tmp_path.iterdir()] == ["kept"]
+    assert list((tmp_path / "kept").iterdir()) == []
+
+
+def test_a_cell_that_cannot_be_formatted_is_refused_with_its_column(tmp_path):
+    # int's digit limit: the value passes count, and its text fails
+    path = tmp_path / "out" / "pvi.csv"
+    with pytest.raises(ValueError) as refused:
+        write_records_csv([PviRecord(0, -1.0, -0.5, 0.5), PviRecord(10**5000, -1.0, -0.5, 0.5)],
+                          path)
+    assert str(refused.value).startswith(f"{path}: row 2: original_index: Exceeds the limit")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("edge_label", [5, None, b"<=10"])
+def test_the_bucket_table_refuses_an_edge_label_that_is_not_text(tmp_path, edge_label):
+    buckets = BucketProportions("chars", (10,), (edge_label, ">=11"), {0: (0.5, 0.5)})
+    with pytest.raises(ValueError, match=re.escape(f": row 1: edge_label: expected text, "
+                                                   f"got {edge_label!r}")):
+        write_bucket_csv(buckets, tmp_path / "out" / "buckets.csv")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("report, named", [
+    (replace(_STAGE, accuracy=float("nan")), "row 2: accuracy: nan is not a finite number"),
+    (replace(_STAGE, ordering=None), "row 2: ordering: unknown ordering None"),
+], ids=["nan-accuracy", "no-ordering"])
+def test_the_stage_summary_casts_every_report_before_grouping(tmp_path, report, named):
+    path = tmp_path / "out" / "stages_summary.csv"
+    with pytest.raises(ValueError) as refused:
+        write_stage_summary_csv([_STAGE, report], path)
+    assert str(refused.value) == f"{path}: {named}"
+    assert list(tmp_path.iterdir()) == []
+
+
+# lines cut at every kind of line end, next to text that str.splitlines would also
+# cut (U+2028, U+0085, FF), and bytes that are not UTF-8
+_LINE_BYTES = st.lists(st.sampled_from([b"a", b"\xc3\xa9", b"\xe4\xb8\x80", b"\xf0\xa0\x80\x80",
+                                        b"\n", b"\r", b"\r\n", b"\xe2\x80\xa8", b"\xc2\x85",
+                                        b"\x0c", b"\xff", b"\xc3", b"\xf0\xa0"]), max_size=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(parts=_LINE_BYTES, bom=st.booleans(), chunk=st.sampled_from([None, 1, 2, 3, 5]))
+@example(parts=[b"a", b"\r"], bom=True, chunk=None)
+@example(parts=[b"a", b"\xc3", b"\r\n", b"a"], bom=False, chunk=None)
+@example(parts=[b"a", b"\r\n", b"a", b"\r", b"\xff"], bom=True, chunk=1)
+def test_read_lines_reads_what_read_text_reads(tmp_path_factory, parts, bom, chunk):
+    # chunk, when given, is the number of bytes read_lines decodes at a time, so a
+    # chunk can end inside a BOM, a CRLF or a multi-byte character
+    data = (codecs.BOM_UTF8 if bom else b"") + b"".join(parts)
+    path = tmp_path_factory.mktemp("lines") / "d.txt"
+    path.write_bytes(data)
+    try:
+        want = [line.removesuffix("\n") for line in io.StringIO(read_text(path), newline=None)]
+    except DataError as exc:
+        want = str(exc)
+
+    def open_in_chunks(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        if isinstance(fh, io.TextIOWrapper):
+            fh._CHUNK_SIZE = chunk
+        return fh
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk:
+            patch.setattr(tables, "open", open_in_chunks, raising=False)
+        try:
+            got = list(read_lines(path))
+        except DataError as exc:
+            got = str(exc)
+    assert got == want
+
+
+def test_read_lines_names_a_missing_file_when_called(tmp_path):
+    with pytest.raises(DataError, match="^file not found: "):
+        read_lines(tmp_path / "missing.jsonl")
+
+
+def test_closing_an_unread_read_lines_closes_its_file(tmp_path):
+    path = tmp_path / "d.jsonl"
+    path.write_text("a\nb\n")
+    lines = read_lines(path)
+    fh = lines.gi_frame.f_locals["fh"]
+    assert not fh.closed
+    lines.close()
+    assert fh.closed
+
+
 def _scoped(node, kind, scope="<module>"):
     """(name of the enclosing function, child) for every `kind` node below `node`."""
     for child in ast.iter_child_nodes(node):
@@ -299,9 +398,10 @@ def _scoped(node, kind, scope="<module>"):
 
 
 def test_files_are_opened_only_by_the_one_reader_and_the_writers():
-    """tables holds every open in the package: read_text is the one reader of input
-    files, sha256_file the manifest's hash and atomic_write_text the one writer; and
-    cli.py never asks whether a path exists (read_text names a missing file)."""
+    """tables holds every open in the package: read_text and read_lines (by _lines)
+    are the readers of input files, sha256_file the manifest's hash and atomic_write_text the
+    one writer; and cli.py never asks whether a path exists (both readers name a
+    missing file)."""
     opens, exists = set(), []
     for path in sorted(Path(pvireduce.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -310,8 +410,8 @@ def test_files_are_opened_only_by_the_one_reader_and_the_writers():
         exists += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                    if path.stem == "cli" and isinstance(node, ast.Attribute)
                    and ast.unparse(node) == "os.path.exists"]
-    assert opens == {("tables", "read_text"), ("tables", "sha256_file"),
-                     ("tables", "atomic_write_text")}
+    assert opens == {("tables", "read_text"), ("tables", "_lines"),
+                     ("tables", "sha256_file"), ("tables", "atomic_write_text")}
     assert exists == []
 
 
