@@ -37,7 +37,6 @@ from .pvi import (
     pvi_histogram,
     rank_by_difficulty,
     retained_count,
-    score_columns,
     summarize,
     train_scorers,
 )

@@ -35,7 +35,8 @@ from .corpus import (NoiseSpec, generate_synthetic, inject_noise, load_dataset,
                      make_imbalanced, read_instances, serialize)
 from .curriculum import progressive_train, write_stage_csv, write_stage_summary_csv
 from .family import Hyperparams, save_model
-from .pvi import ORDERINGS, score_columns, train_scorers, write_records_csv, write_records_jsonl
+from .pvi import (ORDERINGS, compute_pvi, summarize, train_scorers, write_records_csv,
+                  write_records_jsonl)
 from .reduction import STRATEGIES, read_sweep_csv, static_sweep, write_sweep_csv
 from .report import (UNITS, RuntimeLog, bucket_proportions, emit_accuracy_plot,
                      emit_runtime_plot, length_stats, write_bucket_csv,
@@ -163,13 +164,13 @@ def cmd_pvi(args, hp):
     # block is read and scored in turn, so a bad record fails after training
     scored = read_instances(args.on, args.format) if args.on else train_ds
     g_cond, g_null = train_scorers(train_ds, hp)
-    scores = score_columns(g_cond, g_null, scored, train_ds.num_classes)
+    scores = compute_pvi(g_cond, g_null, scored)
     if not len(scores):
         raise DataError(f"{args.on}: the file holds no instances")
-    write_records_csv(scores.records(), os.path.join(args.out_dir, "pvi.csv"))
-    write_records_jsonl(scores.records(), os.path.join(args.out_dir, "pvi.jsonl"))
+    write_records_csv(scores, os.path.join(args.out_dir, "pvi.csv"))
+    write_records_jsonl(scores, os.path.join(args.out_dir, "pvi.jsonl"))
     atomic_write_text(os.path.join(args.out_dir, "summary.json"),
-                      json.dumps(dataclasses.asdict(scores.summary()), indent=2) + "\n")
+                      json.dumps(dataclasses.asdict(summarize(scores)), indent=2) + "\n")
     if args.save_models:
         save_model(g_cond, os.path.join(args.out_dir, "model_cond.json"))
         save_model(g_null, os.path.join(args.out_dir, "model_null.json"))

@@ -162,28 +162,26 @@ def _parse(lines, path, fmt: str, label_names):
 
 
 def serialize(dataset: Dataset, path, fmt: str = "jsonl") -> None:
-    """Write a dataset back out; inverse of load_dataset on valid data.
+    """Write a dataset back out, a line at a time; inverse of load_dataset on valid data.
 
-    TSV has no escaping, so a text holding a tab, LF or CR is refused and
-    no file is written.
+    TSV has no escaping, so a text holding a tab, LF or CR is refused, and no
+    file, nor any directory made for it, is left.
     """
     if fmt not in ("jsonl", "tsv"):
         raise ValueError(f"unsupported format {fmt!r}")
-    lines = []
-    for inst in dataset:
+
+    def line(inst):
         name = dataset.label_names[inst.label]
         if fmt == "jsonl":
-            lines.append(json.dumps(
-                {"premise": inst.premise, "hypothesis": inst.hypothesis, "label": name},
-                ensure_ascii=False))
-            continue
+            return json.dumps({"premise": inst.premise, "hypothesis": inst.hypothesis,
+                               "label": name}, ensure_ascii=False) + "\n"
         for key, text in (("premise", inst.premise), ("hypothesis", inst.hypothesis),
                           ("label", name)):
             if any(ch in text for ch in "\t\n\r"):
                 raise DataError(f"original_index {inst.original_index}: field {key!r} "
                                 f"holds a tab or line break; TSV cannot encode it")
-        lines.append(f"{inst.premise}\t{inst.hypothesis}\t{name}")
-    atomic_write_text(path, "".join(line + "\n" for line in lines))
+        return f"{inst.premise}\t{inst.hypothesis}\t{name}\n"
+    atomic_write_text(path, map(line, dataset))
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ whole pipeline runs in float64 on a single thread. Featurization yields one
 CSR matrix per chunk of 512 rows and folds every n-gram's CRC32 in numpy, one
 UTF-8 byte at a time, with the same features as zlib.crc32 on each occurrence;
 one in-place sort of a chunk's n-gram keys counts them. feature_matrix stacks
-the chunks; scoring a dataset with no memoized feature matrix predicts each
-chunk as it comes and keeps none. A training step
+the chunks; pvi.compute_pvi featurizes a set with no memoized feature matrix
+one chunk at a time and keeps none. A training step
 gathers (with take) and updates only the weight columns its batch touches
 and keeps L2 decay as a lazy global scale on the weights; a batch with no
 features (every null-model batch) touches none and updates only the bias.
@@ -30,7 +30,7 @@ from itertools import islice
 import numpy as np
 
 from .corpus import Dataset, to_null_view
-from .tables import atomic_write_text, f17, finite_float, one_of, read_text
+from .tables import _numeral, atomic_write_text, f17, finite_float, one_of, read_text
 
 _FIELD_SALTS = {"premise": b"p\x00", "hypothesis": b"h\x00"}
 _lr_schedule = one_of("lr_schedule", ("linear", "constant"))
@@ -103,9 +103,10 @@ class Hyperparams:
 
 
 def _cast(kind, value):
-    """Parse a string as `kind`; take another value only if it is one (or an int for float)."""
+    """Parse a string as `kind`, a number from a plain ASCII numeral; take another value
+    only if it is one (or an int for float)."""
     if isinstance(value, str):
-        return value if kind is str else kind(value)
+        return value if kind is str else _numeral(kind, value)
     if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
         raise TypeError(f"{value!r} is not a {kind.__name__}")
     return kind(value)
@@ -461,24 +462,6 @@ def _gold_log2(model: Model, X: sp.csr_matrix, labels) -> list[float]:
     return [math.log2(max(pk, model.hyperparams.prob_floor)) for pk in p.tolist()]
 
 
-def _gold_log2_rows(model: Model, dataset: Dataset) -> list[float]:
-    """_gold_log2 of every instance, in dataset order.
-
-    A dataset with a memoized feature matrix is scored on it as it is. Any
-    other is scored one _hashed_counts chunk at a time, each predicted before
-    the next is built, and keeps no matrix. Each row's prediction reads only
-    that row, so both give the same floats.
-    """
-    hp = model.hyperparams
-    X = dataset._features.get(_feature_key(hp))
-    chunks = [X] if X is not None else _hashed_counts(
-        [inst.premise for inst in dataset], [inst.hypothesis for inst in dataset], hp)
-    labels, logs = dataset.labels(), []
-    for X in chunks:
-        logs += _gold_log2(model, X, labels[len(logs):len(logs) + X.shape[0]])
-    return logs
-
-
 def constant_predictor(dist, hp: Hyperparams | None = None) -> Model:
     """Family member that outputs `dist` for every input, null input included.
 
@@ -540,7 +523,8 @@ def load_model(path) -> Model:
 
     Invalid or too deeply nested JSON, a missing key or mistyped value, a weight
     outside the num_classes x 2**hash_bits matrix, a bias whose length is not
-    num_classes, or a weight, bias entry or epoch loss that is not finite raises
+    num_classes, or a weight, bias entry or epoch loss that is not finite (a JSON int,
+    float or, as save_model writes it, plain ASCII numeral text; never a bool) raises
     ValueError naming the path.
     """
     text = read_text(path)

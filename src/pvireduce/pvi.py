@@ -2,7 +2,9 @@
 
 The score of an instance is the gain, in bits, of the conditional model's
 log-probability of the gold label over the null model's. Positive = easy,
-negative = hard. Aggregates give the dataset-level information quantities.
+negative = hard. compute_pvi is the one scorer: it streams a Dataset or any
+iterable of instances, a block at a time, into PviColumns, three columns read as a
+sequence of PviRecord, and summarize gives the dataset-level information quantities.
 Every cut by score is made here: which ratios are valid, how many rows they keep and which.
 """
 
@@ -16,7 +18,8 @@ from fractions import Fraction
 import numpy as np
 
 from .corpus import Dataset
-from .family import Hyperparams, Model, _chunks, _gold_log2_rows, log2_prob, train, train_null
+from .family import (Hyperparams, Model, _chunks, _feature_key, _gold_log2, _hashed_counts,
+                     log2_prob, train, train_null)
 from .tables import count, finite_float, one_of, read_csv, write_csv, write_rows
 
 
@@ -41,20 +44,10 @@ def train_scorers(dataset: Dataset, hp: Hyperparams) -> tuple[Model, Model]:
     return train(dataset, hp), train_null(dataset, hp)
 
 
-def compute_pvi(g_cond: Model, g_null: Model, dataset: Dataset) -> tuple[PviRecord, ...]:
-    """One record per instance, in dataset order, in one batch pass over the rows.
-
-    The pass reads the dataset's memoized feature matrix when it has one (a
-    training set). Otherwise it scores each 512-row chunk as it is featurized
-    and keeps no matrix, so scoring a large held-out set holds one chunk.
-    cond_log2prob is log2_prob(g_cond, premise, hypothesis, label) and
-    null_log2prob is log2_prob(g_null, "", "", label), bit for bit."""
-    return tuple(score_columns(g_cond, g_null, dataset, dataset.num_classes).records())
-
-
 @dataclass(frozen=True)
 class PviColumns:
-    """Scores as three columns, 24 bytes a row: what score_columns keeps of a set."""
+    """compute_pvi's scores as three columns, 24 bytes a row, read as a sequence of
+    PviRecord: each record, built on access, has pvi = cond_log2prob - null_log2prob."""
     original_index: array  # of int64
     null_log2prob: array   # of float64
     cond_log2prob: array   # of float64
@@ -62,51 +55,62 @@ class PviColumns:
     def __len__(self) -> int:
         return len(self.original_index)
 
-    def records(self):
-        """The records, one at a time, each pvi being cond_log2prob - null_log2prob."""
+    def __getitem__(self, i: int) -> PviRecord:
+        null, cond = self.null_log2prob[i], self.cond_log2prob[i]
+        return PviRecord(self.original_index[i], null, cond, cond - null)
+
+    def __iter__(self):
         for i, null, cond in zip(self.original_index, self.null_log2prob, self.cond_log2prob):
             yield PviRecord(i, null, cond, cond - null)
 
-    def summary(self) -> InfoSummary:
-        """summarize(self.records()), read off the columns."""
-        return _summary(self.null_log2prob, self.cond_log2prob)
 
-
-def score_columns(g_cond: Model, g_null: Model, instances, num_classes: int) -> PviColumns:
-    """compute_pvi's scores of `instances` as PviColumns; compute_pvi lists them.
-
-    A Dataset is scored whole. Any other iterable of instances
-    (corpus.read_instances, say) is streamed: each 512-row block is read,
-    featurized and scored before the next is read, so scoring holds one block,
-    and only the columns grow with the set. A malformed record raises when its
-    block is read."""
-    if g_cond.num_classes != num_classes or g_null.num_classes != num_classes:
-        raise ValueError("model/dataset class-count mismatch")
-    null_by_class = [log2_prob(g_null, "", "", c) for c in range(num_classes)]
-    blocks = [instances] if isinstance(instances, Dataset) else \
-        (Dataset(tuple(block), num_classes) for block in _chunks(instances))
-    columns = PviColumns(array("q"), array("d"), array("d"))
-    for ds in blocks:
-        if ds.num_classes != num_classes:
-            raise ValueError("model/dataset class-count mismatch")
-        columns.original_index.extend(inst.original_index for inst in ds)
-        columns.null_log2prob.extend(null_by_class[inst.label] for inst in ds)
-        columns.cond_log2prob.extend(_gold_log2_rows(g_cond, ds))
-    return columns
+def compute_pvi(g_cond: Model, g_null: Model, instances) -> PviColumns:
+    """The scores of `instances`, a Dataset or any iterable of instances
+    (corpus.read_instances, say), in order. Each _CHUNK_ROWS block is read and scored
+    before the next is read, on its rows of the dataset's memoized feature matrix when
+    it has one (a training set) and otherwise on one chunk featurized for it, so only
+    the columns grow with the set. cond_log2prob is log2_prob(g_cond, premise,
+    hypothesis, label) and null_log2prob log2_prob(g_null, "", "", label), bit for bit.
+    A label outside the models' classes raises DataError naming its original_index,
+    and a malformed record raises when its block is read."""
+    C = g_cond.num_classes
+    if g_null.num_classes != C:
+        raise ValueError("the conditional and null models differ in class count")
+    hp = g_cond.hyperparams
+    null_by_class = [log2_prob(g_null, "", "", c) for c in range(C)]
+    memo = instances._features.get(_feature_key(hp)) if isinstance(instances, Dataset) else None
+    scores = PviColumns(array("q"), array("d"), array("d"))
+    for block in _chunks(instances):
+        block = Dataset(tuple(block), C)  # refuses a label outside the models' classes
+        labels, done = block.labels(), len(scores)
+        X = memo[done:done + len(block)] if memo is not None else next(_hashed_counts(
+            [inst.premise for inst in block], [inst.hypothesis for inst in block], hp))
+        scores.original_index.extend(inst.original_index for inst in block)
+        scores.null_log2prob.extend(null_by_class[label] for label in labels)
+        scores.cond_log2prob.extend(_gold_log2(g_cond, X, labels))
+    return scores
 
 
 def summarize(records) -> InfoSummary:
-    """Dataset-level entropies and their difference (mean per-instance score)."""
-    records = tuple(records)
-    return _summary([r.null_log2prob for r in records], [r.cond_log2prob for r in records])
-
-
-def _summary(nulls, conds) -> InfoSummary:
+    """Dataset-level entropies and their difference (mean per-instance score): a
+    PviColumns' columns are read as they are, any other iterable's records by their fields."""
+    if not isinstance(records, PviColumns):
+        records = tuple(records)
+    nulls, conds = _column(records, "null_log2prob"), _column(records, "cond_log2prob")
     if not len(nulls):
         raise ValueError("no records to summarize")
     h_y = -float(np.mean(nulls))
     h_yx = -float(np.mean(conds))
     return InfoSummary(h_y, h_yx, h_y - h_yx, len(nulls))
+
+
+def _column(records, name: str):
+    """Each record's field `name`, read once: off a PviColumns' columns as they are."""
+    if not isinstance(records, PviColumns):
+        return [getattr(r, name) for r in records]
+    if name == "pvi":
+        return (np.asarray(records.cond_log2prob) - np.asarray(records.null_log2prob)).tolist()
+    return getattr(records, name)
 
 
 ORDERINGS = ("easy_first", "hard_first", "original")
@@ -118,8 +122,9 @@ def _rank(records, order: str = "descending_pvi", positions=None) -> list[int]:
     """Positions into `records` (all, or just `positions`), sorted by score, ties by
     ascending original_index: the one difficulty sort, descending_pvi = easiest first."""
     sign = -1.0 if _order(order) == "descending_pvi" else 1.0
+    pvi, index = _column(records, "pvi"), _column(records, "original_index")
     return sorted(range(len(records)) if positions is None else positions,
-                  key=lambda p: (sign * records[p].pvi, records[p].original_index))
+                  key=lambda p: (sign * pvi[p], index[p]))
 
 
 def _ratio(value) -> float:
@@ -155,7 +160,7 @@ def _tail(records, ranked, k: int, ordering: str) -> list[int]:
     ties by ascending index (hard_first); file order reads only records[p].original_index."""
     kept = ranked[len(ranked) - k:]
     if _ordering(ordering) == "original":
-        return sorted(kept, key=lambda p: records[p].original_index)
+        return sorted(kept, key=_column(records, "original_index").__getitem__)
     return _rank(records, "ascending_pvi", kept) if ordering == "hard_first" and kept else kept
 
 
@@ -194,7 +199,7 @@ def pvi_histogram(records, num_bins: int, value_range: tuple[float, float]):
     if num_bins < 1:
         raise ValueError("num_bins must be >= 1")
     lo, hi = value_range
-    values = np.clip([r.pvi for r in records], lo, hi)
+    values = np.clip(_column(records, "pvi"), lo, hi)
     counts, edges = np.histogram(values, bins=num_bins, range=(lo, hi))
     return edges, counts
 

@@ -2,8 +2,9 @@
 with the same rules, sha256_file hashes one for a run's manifest, and
 atomic_write_text, which makes its directory, writes every output, whole or as it
 comes. A table's schema maps each column to a caster (a cell's text or a program
-value in, that value or a ValueError out, nothing coerced); write_rows, write_csv
-and read_csv pass every cell through cast_row, so what one writes the other reads."""
+value in, that value or a ValueError out, nothing coerced: a number's text must be
+a plain ASCII numeral); write_rows, write_csv and read_csv pass every cell through
+cast_row, so what one writes the other reads."""
 
 from __future__ import annotations
 
@@ -112,18 +113,29 @@ def atomic_write_text(path, text) -> None:
         raise
 
 
+def _numeral(kind, text: str):
+    """kind(text), kind int or float, for an ASCII numeral with no `_` or surrounding space."""
+    number = kind(text)  # int()'s or float()'s own refusal of a text that is no number
+    if not text.isascii() or "_" in text or text != text.strip():
+        raise ValueError(f"{text!r} is not a plain ASCII numeral")
+    return number
+
+
 def finite_float(value) -> float:
-    """float(value), refused with ValueError when that is NaN or infinite."""
-    if not math.isfinite(number := float(value)):
+    """float(value), refused with ValueError when that is NaN or infinite, when `value`
+    is a bool, or when it is a text that is not a plain ASCII numeral."""
+    number = _numeral(float, value) if isinstance(value, str) else float(value)
+    if not math.isfinite(number) or isinstance(value, bool):
         raise ValueError(f"{value!r} is not a finite number")
     return number
 
 
 def count(value) -> int:
-    """An integer >= 0: a cell's digits or an int, never a float or a bool truncated."""
-    if isinstance(value, bool) or not isinstance(value, (int, str, numbers.Integral)) or int(value) < 0:
+    """An integer >= 0: a cell's plain ASCII numeral or an int, never a truncated float or bool."""
+    number = _numeral(int, value) if isinstance(value, str) else value
+    if isinstance(number, bool) or not isinstance(number, (int, numbers.Integral)) or number < 0:
         raise ValueError(f"expected an integer >= 0, got {value!r}")
-    return int(value)
+    return int(number)
 
 
 def str_only(value) -> str:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from pvireduce import cli, family
+from pvireduce import cli, family, pvi
 from pvireduce.cli import main
 from pvireduce.corpus import generate_synthetic, load_dataset, serialize
 from pvireduce.family import Hyperparams
@@ -203,7 +203,9 @@ def test_pvi_featurizes_each_scored_set_once(tmp_path, monkeypatch, corpora, on)
         featurized.extend(zip(premises, hypotheses))
         return build(premises, hypotheses, hp)
 
-    monkeypatch.setattr(family, "_hashed_counts", spy)
+    # family's featurizes for training, pvi's for scoring a set with no feature matrix
+    for module in (family, pvi):
+        monkeypatch.setattr(module, "_hashed_counts", spy)
     argv = ["pvi", "--train", train, "--epochs", "1", "--out-dir", tmp_path / "pvi"]
     scored = [train, test] if on else [train]
     assert _run(argv + (["--on", test] if on else [])) == 0
@@ -302,6 +304,7 @@ def test_report_malformed_csv_is_data_error(tmp_path, capsys, content, flag):
     ("[hyperparams]\nbatchsize = 8\n", "batchsize"),
     ("[hyperparam]\nepochs = 2\n", "[hyperparam]"),
     ("[DEFAULT]\nepochs = 2\n", "[DEFAULT]"),
+    ("[hyperparams]\nepochs = 1_6\n", "hyperparameter epochs = '1_6' cannot be read as int"),
 ])
 def test_malformed_config_is_data_error(tmp_path, capsys, corpora, content, named):
     train, _ = corpora

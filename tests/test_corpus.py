@@ -434,10 +434,10 @@ def test_serialize_tsv_refuses_unencodable_text(tmp_path, field, char):
     insts = [LabeledInstance(0, "fine", "fine", 0),
              LabeledInstance(7, "fine", "fine", 1)]
     insts[1] = replace(insts[1], **{field: f"a{char}b"})
-    path = tmp_path / "d.tsv"
-    with pytest.raises(DataError, match=f"original_index 7: field '{field}'"):
-        serialize(Dataset(tuple(insts), 3), path, "tsv")
-    assert list(tmp_path.iterdir()) == []
+    for path in (tmp_path / "d.tsv", tmp_path / "missing" / "dir" / "d.tsv"):
+        with pytest.raises(DataError, match=f"original_index 7: field '{field}'"):
+            serialize(Dataset(tuple(insts), 3), path, "tsv")
+        assert list(tmp_path.iterdir()) == []
     serialize(Dataset(tuple(insts), 3), tmp_path / "d.jsonl", "jsonl")
     assert load_dataset(tmp_path / "d.jsonl", "jsonl", 3).instances[1] == \
         replace(insts[1], original_index=1)

@@ -831,6 +831,9 @@ def test_hyperparams_dict_roundtrip():
     ({"seed": -1}, "seed"),
     ({"prob_floor": 1}, "prob_floor"),
     ({"lr_schedule": "cosine"}, "lr_schedule"),
+    ({"epochs": "1_6"}, "epochs"),
+    ({"seed": " 7"}, "seed"),
+    ({"l2": "\u0660.5"}, "l2"),
 ])
 def test_hyperparams_from_dict_refuses_and_names_key(values, key):
     with pytest.raises(ValueError, match=key):
@@ -906,9 +909,15 @@ def test_load_model_refuses_a_bias_of_another_length(tmp_path, bias):
      "nan is not a finite number"),
     (lambda payload: {**payload, "trained_on": [1, {"a": 2}]},
      re.escape("trained_on must be a string, got [1, {'a': 2}]")),
+    # save_model writes each number as text, which must be a plain ASCII numeral
+    (lambda payload: {**payload, "weights": payload["weights"] + [[0, 3, "1_0"]]},
+     "'1_0' is not a plain ASCII numeral"),
+    (lambda payload: {**payload, "bias": [True, -0.5, 0.25]}, "True is not a finite number"),
+    (lambda payload: {**payload, "epoch_losses": [False]}, "False is not a finite number"),
 ], ids=["weight_entry_5", "hyperparams_list", "top_level_list", "num_classes_true",
         "preserve_order_1", "weight_nan_string", "weight_infinity", "bias_nan",
-        "bias_minus_infinity_string", "epoch_loss_nan", "trained_on_list"])
+        "bias_minus_infinity_string", "epoch_loss_nan", "trained_on_list",
+        "weight_underscore_string", "bias_true", "epoch_loss_false"])
 def test_load_model_names_a_value_of_the_wrong_json_type(tmp_path, change, named):
     payload, path = _saved_payload(tmp_path)
     path.write_text(json.dumps(change(payload)))

@@ -14,8 +14,10 @@ from pvireduce import (Dataset, Hyperparams, compute_pvi, constant_predictor,
 from pvireduce import family
 from pvireduce.corpus import synthetic_difficulty_tags
 from pvireduce.family import Model
-from pvireduce.pvi import (PviRecord, check_ratios, read_records_csv, score_columns,
-                           write_records_csv, write_records_jsonl)
+from pvireduce import pvi as pvi_module
+from pvireduce.pvi import (PviRecord, check_ratios, read_records_csv, write_records_csv,
+                           write_records_jsonl)
+from pvireduce.tables import DataError
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +94,7 @@ def test_unmemoized_scoring_predicts_each_chunk_before_building_the_next(small_t
     # so only one chunk's feature rows are alive at once, however large the set
     g_cond = train(small_train, Hyperparams(epochs=1))
     events = []
-    build, score = family._hashed_counts, family._gold_log2
+    build, score = pvi_module._hashed_counts, pvi_module._gold_log2
 
     def built(*args):
         for X in build(*args):
@@ -104,9 +106,9 @@ def test_unmemoized_scoring_predicts_each_chunk_before_building_the_next(small_t
         return score(model, X, labels)
 
     monkeypatch.setattr(family, "_CHUNK_ROWS", 7)
-    monkeypatch.setattr(family, "_hashed_counts", built)
-    monkeypatch.setattr(family, "_gold_log2", scored)
-    family._gold_log2_rows(g_cond, _pairs_with_empty_texts())
+    monkeypatch.setattr(pvi_module, "_hashed_counts", built)
+    monkeypatch.setattr(pvi_module, "_gold_log2", scored)
+    compute_pvi(g_cond, g_cond, _pairs_with_empty_texts())
     assert events == [(kind, n) for n in [7] * 7 + [1] for kind in ("built", "scored")]
 
 
@@ -116,13 +118,13 @@ def test_streamed_scores_equal_compute_pvi(small_train, monkeypatch, chunk_rows)
     g_cond, g_null = train_scorers(small_train, hp)
     monkeypatch.setattr(family, "_CHUNK_ROWS", chunk_rows)
     want = compute_pvi(g_cond, g_null, _pairs_with_empty_texts())
-    streamed = score_columns(g_cond, g_null, iter(_pairs_with_empty_texts()), 3)
+    streamed = compute_pvi(g_cond, g_null, iter(_pairs_with_empty_texts()))
     assert len(streamed) == len(want)
-    assert tuple(streamed.records()) == want
-    assert streamed.summary() == summarize(want)
-    # a Dataset is scored whole, on its memoized feature matrix
-    whole = score_columns(g_cond, g_null, small_train, 3)
-    assert tuple(whole.records()) == compute_pvi(g_cond, g_null, small_train)
+    assert tuple(streamed) == tuple(want)
+    assert summarize(streamed) == summarize(tuple(want))
+    # a Dataset is scored on its memoized feature matrix, as any iterable of its rows is
+    whole = compute_pvi(g_cond, g_null, small_train)
+    assert tuple(whole) == tuple(compute_pvi(g_cond, g_null, iter(small_train)))
 
 
 def test_streamed_scoring_reads_one_block_ahead_of_what_it_has_scored(small_train,
@@ -135,17 +137,41 @@ def test_streamed_scoring_reads_one_block_ahead_of_what_it_has_scored(small_trai
             read.append(inst.original_index)
             yield inst
 
-    score = family._gold_log2
+    score = pvi_module._gold_log2
 
     def scored(model, X, labels):
         seen.append((len(read), X.shape[0]))
         return score(model, X, labels)
 
     monkeypatch.setattr(family, "_CHUNK_ROWS", 7)
-    monkeypatch.setattr(family, "_gold_log2", scored)
-    score_columns(g_cond, g_null, instances(), 3)
+    monkeypatch.setattr(family, "_gold_log2", scored)  # log2_prob's, for the null rows
+    monkeypatch.setattr(pvi_module, "_gold_log2", scored)
+    compute_pvi(g_cond, g_null, instances())
     # the null model's three empty rows, then each 7-row block just after it is read
     assert seen[3:] == [(min(7 * k, 50), n) for k, n in enumerate([7] * 7 + [1], 1)]
+
+
+def test_memoized_dataset_is_scored_without_featurizing(small_train, monkeypatch):
+    hp = Hyperparams(epochs=1)
+    g_cond, g_null = train_scorers(small_train, hp)  # memoizes small_train's matrix
+    want = tuple(compute_pvi(g_cond, g_null, iter(small_train)))
+
+    def refuse(*args):
+        raise AssertionError("a memoized dataset was featurized again")
+
+    monkeypatch.setattr(family, "_CHUNK_ROWS", 7)
+    monkeypatch.setattr(pvi_module, "_hashed_counts", refuse)
+    assert tuple(compute_pvi(g_cond, g_null, small_train)) == want
+
+
+def test_streamed_label_outside_the_models_classes_is_named(small_train, monkeypatch):
+    g_cond, g_null = train_scorers(small_train, Hyperparams(epochs=1))
+    rows = _pairs_with_empty_texts().instances
+    instances = [*rows[:30], replace(rows[30], label=3)]
+    monkeypatch.setattr(family, "_CHUNK_ROWS", 7)
+    with pytest.raises(DataError, match=r"^label 3 out of range for 3 classes "
+                                        r"\(original_index 30\)$"):
+        compute_pvi(g_cond, g_null, iter(instances))
 
 
 def test_pvi_identity_field(scored):
@@ -215,7 +241,7 @@ def test_hardest_k(scored, small_train):
     with pytest.raises(ValueError, match="k=-1"):
         hardest_k(records, small_train, -1)
     with pytest.raises(ValueError, match="records do not cover"):
-        hardest_k(records[1:], small_train, 1)
+        hardest_k(list(records)[1:], small_train, 1)
 
 
 def test_null_term_reads_the_null_model_on_the_empty_input(hp, small_train):
@@ -292,7 +318,7 @@ def test_csv_roundtrip(tmp_path, scored):
     records, _, _ = scored
     path = tmp_path / "pvi.csv"
     write_records_csv(records, path)
-    assert read_records_csv(path) == records
+    assert read_records_csv(path) == tuple(records)
 
 
 def test_jsonl_export(tmp_path, scored):

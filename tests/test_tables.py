@@ -114,6 +114,24 @@ def test_every_reader_refuses_non_finite_floats(tmp_path, write, column, value):
         read(path)
 
 
+# int() or float() reads each of these as a number; a cell must be a plain ASCII numeral
+@pytest.mark.parametrize("write, column, value", [
+    (_records, "original_index", "1_000"), (_records, "original_index", " 7 "),
+    (_records, "original_index", "\u0663"), (_sweep, "seed", "1\u0663"),
+    (_records, "pvi", "1_0.5"), (_stages, "r", "\u0660.3"), (_sweep, "cm_accuracy", " 0.5"),
+    (_runtime, "seconds", "1_0"),
+])
+def test_every_reader_refuses_a_numeral_it_would_coerce(tmp_path, write, column, value):
+    path = tmp_path / "t.csv"
+    read = write(path)
+    header, row = (line.split(",") for line in path.read_text().splitlines())
+    row[header.index(column)] = value
+    path.write_text(",".join(header) + "\n" + ",".join(row) + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=rf"^{re.escape(str(path))}:2: {column}: "
+                                        rf"{re.escape(repr(value))} is not a plain ASCII numeral$"):
+        read(path)
+
+
 # as the sweep and runtime readers do; test_cli.py tests those through `report`
 @pytest.mark.parametrize("write, column, value, named", [
     (_stages, "r", "5", "reduction ratio must be in [0,1), got 5.0"),
