@@ -31,7 +31,7 @@ import sys
 import time
 
 from . import __version__
-from .corpus import (NoiseSpec, generate_synthetic, inject_noise, load_dataset,
+from .corpus import (FORMATS, NoiseSpec, generate_synthetic, inject_noise, load_dataset,
                      make_imbalanced, read_instances, serialize)
 from .curriculum import progressive_train, write_stage_csv, write_stage_summary_csv
 from .family import Hyperparams, save_model
@@ -41,7 +41,7 @@ from .reduction import STRATEGIES, read_sweep_csv, static_sweep, write_sweep_csv
 from .report import (UNITS, RuntimeLog, bucket_proportions, emit_accuracy_plot,
                      emit_runtime_plot, length_stats, write_bucket_csv,
                      write_length_stats_csv)
-from .tables import DataError, atomic_write_text, read_text, sha256_file
+from .tables import DataError, _numeral, atomic_write_text, count, read_text, sha256_file
 
 _HYPERPARAM_NAMES = {f.name for f in dataclasses.fields(Hyperparams)}
 # the dests of the flags that name a file; the manifest hashes each one given
@@ -77,14 +77,20 @@ def load_config_file(path) -> dict:
 
 
 def resolve_hyperparams(args) -> Hyperparams:
-    """The --config file's values, overridden by each flag named after a field."""
+    """The --config file's values, overridden by each flag named after a field. Every
+    Hyperparams check reads one field, so the flags are checked alone first: a refused
+    flag is named as it is, and a refused value of the file after the file's path."""
     config = load_config_file(args.config) if args.config else {}
     flags = {key: value for key, value in vars(args).items()
              if key in _HYPERPARAM_NAMES and value is not None}
     try:
+        Hyperparams.from_dict(flags)
+    except ValueError as exc:
+        raise DataError(str(exc)) from None
+    try:
         return Hyperparams.from_dict({**config, **flags})
     except ValueError as exc:
-        raise DataError(f"{args.config}: {exc}" if config else str(exc)) from None
+        raise DataError(f"{args.config}: {exc}") from None
 
 
 def write_manifest(args, hp: Hyperparams | None) -> None:
@@ -130,19 +136,28 @@ def _load_experiment(args, hp: Hyperparams):
     return train_ds, test_ds
 
 
+def _number(kind):
+    """An argparse type: a plain ASCII numeral read as `kind`, int or float, by the rule
+    of every table cell; argparse names the flag and the kind in a refusal."""
+    def read(raw: str):
+        return _numeral(kind, raw)
+    read.__name__ = kind.__name__
+    return read
+
+
 def _float_list(raw: str) -> list[float]:
     """An argparse type: comma-separated numbers, e.g. "0.5,0.3,0.2"."""
     try:
-        return [float(v) for v in raw.split(",")]
+        return [_numeral(float, v) for v in raw.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float list value: {raw!r} "
                                          "(expected comma-separated numbers)") from None
 
 
 def _count(raw: str) -> int:
-    """An argparse type: an integer >= 1."""
+    """An argparse type: an integer >= 1, read by tables.count."""
     try:
-        value = int(raw)
+        value = count(raw)
     except ValueError:
         value = 0
     if value < 1:
@@ -227,10 +242,10 @@ def cmd_report(args):
 # flags that more than one subcommand takes, by name
 _SHARED_FLAGS = {
     "--config": dict(help="INI file with a [hyperparams] section"),
-    "--seed": dict(type=int, help="base random seed"),
-    "--epochs": dict(type=int),
-    "--learning-rate": dict(type=float, dest="learning_rate"),
-    "--format": dict(choices=["jsonl", "tsv"], default="jsonl"),
+    "--seed": dict(type=_number(int), help="base random seed"),
+    "--epochs": dict(type=_number(int)),
+    "--learning-rate": dict(type=_number(float), dest="learning_rate"),
+    "--format": dict(choices=FORMATS, default="jsonl"),
     "--out-dir": dict(default=".", help="output directory"),
     "--jobs": dict(type=_count, default=1,
                    help="accepted for compatibility (N >= 1); runs are sequential"),
@@ -243,7 +258,7 @@ _TRAINING_FLAGS = ("--config", "--seed", "--epochs", "--learning-rate")
 def _add_variant_flags(parser):
     parser.add_argument("--variant", choices=["original", "imbalanced", "noisy"],
                         default="original")
-    parser.add_argument("--noise-ratio", type=float, default=0.1)
+    parser.add_argument("--noise-ratio", type=_number(float), default=0.1)
     parser.add_argument("--keep-fractions", type=_float_list, default=[1.0, 0.6, 0.3])
 
 
@@ -259,9 +274,9 @@ def build_parser() -> _Parser:
         return p
 
     p = subcommand("gen", cmd_gen, "generate a synthetic corpus", "--format")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_number(int), required=True)
     p.add_argument("--mix", type=_float_list, default=[0.5, 0.3, 0.2])
-    p.add_argument("--seed", type=int, default=1, help="random seed")
+    p.add_argument("--seed", type=_number(int), default=1, help="random seed")
     p.add_argument("--out", required=True)
 
     p = subcommand("pvi", cmd_pvi, "score per-instance difficulty",

@@ -15,9 +15,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .tables import DataError, atomic_write_text, read_lines
+from .tables import DataError, atomic_write_text, one_of, read_lines
 
 DEFAULT_LABELS = ("entailment", "neutral", "contradiction")
+FORMATS = ("jsonl", "tsv")
+_format = one_of("format", FORMATS)
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
 
@@ -119,9 +121,7 @@ def read_instances(path, fmt: str = "jsonl", label_names=DEFAULT_LABELS):
     record raises DataError naming `<path>:<line>:` when the generator reaches it;
     none is dropped silently (use filter_invalid for content-level cleanup).
     """
-    if fmt not in ("jsonl", "tsv"):
-        raise ValueError(f"unsupported format {fmt!r}")
-    return _parse(read_lines(path), path, fmt, tuple(label_names))
+    return _parse(read_lines(path), path, _format(fmt), tuple(label_names))
 
 
 def _parse(lines, path, fmt: str, label_names):
@@ -167,8 +167,7 @@ def serialize(dataset: Dataset, path, fmt: str = "jsonl") -> None:
     TSV has no escaping, so a text holding a tab, LF or CR is refused, and no
     file, nor any directory made for it, is left.
     """
-    if fmt not in ("jsonl", "tsv"):
-        raise ValueError(f"unsupported format {fmt!r}")
+    _format(fmt)
 
     def line(inst):
         name = dataset.label_names[inst.label]

@@ -2,12 +2,12 @@
 
 Deterministic end to end: feature hashing uses CRC32 with fixed field salts,
 training is plain mini-batch gradient descent with a seeded shuffle, and the
-whole pipeline runs in float64 on a single thread. Featurization yields one
-CSR matrix per chunk of 512 rows and folds every n-gram's CRC32 in numpy, one
-UTF-8 byte at a time, with the same features as zlib.crc32 on each occurrence;
-one in-place sort of a chunk's n-gram keys counts them. feature_matrix stacks
-the chunks; pvi.compute_pvi featurizes a set with no memoized feature matrix
-one chunk at a time and keeps none. A training step
+whole pipeline runs in float64 on a single thread. _chunks is the one loop over
+row blocks, 512 rows each; _hashed_counts featurizes one block into a CSR matrix,
+folding every n-gram's CRC32 in numpy, one UTF-8 byte at a time, with the same
+features as zlib.crc32 on each occurrence; one in-place sort of a block's n-gram
+keys counts them. feature_matrix stacks the blocks; pvi.compute_pvi featurizes a
+set with no memoized feature matrix one block at a time and keeps none. A training step
 gathers (with take) and updates only the weight columns its batch touches
 and keeps L2 decay as a lazy global scale on the weights; a batch with no
 features (every null-model batch) touches none and updates only the bias.
@@ -95,7 +95,7 @@ class Hyperparams:
                     cast[key] = tuple(_cast(int, item) for item in items)
                 else:
                     cast[key] = _cast(kinds[key], value)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):  # float() of a huge int overflows
                 kind = "list of ints" if kinds[key] is tuple else kinds[key].__name__
                 raise ValueError(f"hyperparameter {key} = {value!r} "
                                  f"cannot be read as {kind}") from None
@@ -133,7 +133,7 @@ class EvalReport:
 # ---------------------------------------------------------------------------
 # featurization
 
-# rows featurized together; bounds the size of one chunk's temporary arrays
+# rows featurized together; bounds the size of one block's temporary arrays
 _CHUNK_ROWS = 512
 # CRC32's byte table (reflected polynomial 0xEDB88320): zlib.crc32 inverts the register on
 # the way in and out, so from 0xFFFFFFFF it folds byte b into a zero register, giving ~table[b]
@@ -151,16 +151,17 @@ def featurize(premise: str, hypothesis: str, hash_bits: int = Hyperparams.hash_b
     The arguments are checked as Hyperparams checks its fields.
     """
     hp = Hyperparams(hash_bits=hash_bits, ngram_orders=tuple(ngram_orders))
-    X = next(_hashed_counts([premise], [hypothesis], hp))
+    X = _hashed_counts([premise], [hypothesis], hp)
     return dict(zip(X.indices.tolist(), X.data.tolist()))
 
 
 def feature_matrix(dataset: Dataset, hp: Hyperparams) -> sp.csr_matrix:
-    """CSR matrix of featurize() applied to every instance, in dataset order."""
-    chunks = list(_hashed_counts([inst.premise for inst in dataset],
-                                 [inst.hypothesis for inst in dataset], hp))
+    """CSR matrix of featurize() applied to every instance, in dataset order: one block
+    of _chunks at a time (one 0-row block for no rows), stacked."""
+    blocks = [_hashed_counts([r.premise for r in block], [r.hypothesis for r in block], hp)
+              for block in _chunks(dataset)]
     import scipy.sparse as sp
-    return sp.vstack(chunks, format="csr")
+    return sp.vstack(blocks or [_hashed_counts([], [], hp)], format="csr")
 
 
 def _features(dataset: Dataset, hp: Hyperparams) -> sp.csr_matrix:
@@ -176,39 +177,36 @@ def _feature_key(hp: Hyperparams):
     return hp.hash_bits, tuple(hp.ngram_orders)
 
 
-def _hashed_counts(premises, hypotheses, hp: Hyperparams):
-    """featurize() over the rows, built in numpy, as a CSR matrix per _CHUNK_ROWS rows
-    (one 0-row matrix for no rows); every feature row's builder. Within a row the
-    buckets ascend, and each count is an exact sum of 1.0s."""
-    for lo in range(0, len(premises) or 1, _CHUNK_ROWS):
-        n = min(len(premises) - lo, _CHUNK_ROWS)
-        # one key per n-gram occurrence: (row in chunk) << hash_bits | bucket
-        keys = [np.zeros(0, np.int64)]
-        for texts, field in ((premises, "premise"), (hypotheses, "hypothesis")):
-            keys += _gram_keys(texts[lo:lo + n], _FIELD_SALTS[field], hp)
-        keys = np.concatenate(keys)
-        keys.sort()
-        # each run of equal keys is one feature: its first key, and its length the count
-        first = np.empty(len(keys), bool)
-        first[:1] = True
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        first = np.flatnonzero(first)
-        counts = np.diff(first, append=len(keys)).astype(np.float64)
-        keys = keys[first]
-        del first
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(keys >> hp.hash_bits, minlength=n))))
-        # loaded on first use, so a run that builds no matrix never loads it; here, after the
-        # n-gram keys are freed, so a run's first featurization never holds both at once
-        import scipy.sparse as sp
-        chunk = sp.csr_matrix((counts, keys & (hp.dim - 1), indptr), shape=(n, hp.dim))
-        # a suspended generator keeps its locals alive while the caller uses the chunk
-        del keys, counts, indptr
-        yield chunk
+def _hashed_counts(premises, hypotheses, hp: Hyperparams) -> sp.csr_matrix:
+    """featurize() over one block of rows, built in numpy, as one CSR matrix; every
+    feature row's builder. Within a row the buckets ascend, and each count is an exact
+    sum of 1.0s."""
+    # one key per n-gram occurrence: (row in block) << hash_bits | bucket
+    keys = [np.zeros(0, np.int64)]
+    for texts, field in ((premises, "premise"), (hypotheses, "hypothesis")):
+        keys += _gram_keys(texts, _FIELD_SALTS[field], hp)
+    keys = np.concatenate(keys)
+    keys.sort()
+    # each run of equal keys is one feature: its first key, and its length the count
+    first = np.empty(len(keys), bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    first = np.flatnonzero(first)
+    counts = np.diff(first, append=len(keys)).astype(np.float64)
+    keys = keys[first]
+    del first
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(keys >> hp.hash_bits,
+                                                        minlength=len(premises)))))
+    # loaded on first use, so a run that builds no matrix never loads it; here, after the
+    # n-gram keys are freed, so a run's first featurization never holds both at once
+    import scipy.sparse as sp
+    return sp.csr_matrix((counts, keys & (hp.dim - 1), indptr), shape=(len(premises), hp.dim))
 
 
 def _chunks(items):
     """`items`, any iterable, as lists of _CHUNK_ROWS items (the last one shorter),
-    each taken only when the one before it has been used: a streamed set's blocks."""
+    each taken only when the one before it has been used: the one loop over row blocks,
+    feature_matrix's and pvi.compute_pvi's."""
     items = iter(items)
     while chunk := list(islice(items, _CHUNK_ROWS)):
         yield chunk
@@ -444,16 +442,14 @@ def predict_dist_matrix(model: Model, X: sp.csr_matrix) -> np.ndarray:
 
 def predict_dist(model: Model, premise: str, hypothesis: str) -> np.ndarray:
     """The pair's row of predict_dist_matrix on any feature_matrix, bit for bit."""
-    X = next(_hashed_counts([premise], [hypothesis], model.hyperparams))
-    return predict_dist_matrix(model, X)[0]
+    return predict_dist_matrix(model, _hashed_counts([premise], [hypothesis], model.hyperparams))[0]
 
 
 def log2_prob(model: Model, premise: str, hypothesis: str, label: int) -> float:
     """log2 of the model's probability of the gold label, floored at prob_floor."""
     if not 0 <= label < model.num_classes:
         raise ValueError(f"label {label} out of range")
-    X = next(_hashed_counts([premise], [hypothesis], model.hyperparams))
-    return _gold_log2(model, X, [label])[0]
+    return _gold_log2(model, _hashed_counts([premise], [hypothesis], model.hyperparams), [label])[0]
 
 
 def _gold_log2(model: Model, X: sp.csr_matrix, labels) -> list[float]:

@@ -2,9 +2,9 @@
 
 The score of an instance is the gain, in bits, of the conditional model's
 log-probability of the gold label over the null model's. Positive = easy,
-negative = hard. compute_pvi is the one scorer: it streams a Dataset or any
-iterable of instances, a block at a time, into PviColumns, three columns read as a
-sequence of PviRecord, and summarize gives the dataset-level information quantities.
+negative = hard. compute_pvi is the one scorer: it streams a Dataset or any iterable
+of instances, a block at a time, into PviColumns, three columns read as a sequence of
+PviRecord; summarize, every cut and both writers read score fields through _columns.
 Every cut by score is made here: which ratios are valid, how many rows they keep and which.
 """
 
@@ -20,7 +20,7 @@ import numpy as np
 from .corpus import Dataset
 from .family import (Hyperparams, Model, _chunks, _feature_key, _gold_log2, _hashed_counts,
                      log2_prob, train, train_null)
-from .tables import count, finite_float, one_of, read_csv, write_csv, write_rows
+from .tables import DataError, count, finite_float, one_of, read_csv, write_csv, write_rows
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ def train_scorers(dataset: Dataset, hp: Hyperparams) -> tuple[Model, Model]:
 @dataclass(frozen=True)
 class PviColumns:
     """compute_pvi's scores as three columns, 24 bytes a row, read as a sequence of
-    PviRecord: each record, built on access, has pvi = cond_log2prob - null_log2prob."""
+    PviRecord: pvi = cond_log2prob - null_log2prob, a record's or the column, on access."""
     original_index: array  # of int64
     null_log2prob: array   # of float64
     cond_log2prob: array   # of float64
@@ -60,19 +60,23 @@ class PviColumns:
         return PviRecord(self.original_index[i], null, cond, cond - null)
 
     def __iter__(self):
-        for i, null, cond in zip(self.original_index, self.null_log2prob, self.cond_log2prob):
-            yield PviRecord(i, null, cond, cond - null)
+        return map(PviRecord, self.original_index, self.null_log2prob, self.cond_log2prob, self.pvi)
+
+    @property
+    def pvi(self) -> array:
+        return array("d", map(float.__sub__, self.cond_log2prob, self.null_log2prob))
 
 
 def compute_pvi(g_cond: Model, g_null: Model, instances) -> PviColumns:
     """The scores of `instances`, a Dataset or any iterable of instances
-    (corpus.read_instances, say), in order. Each _CHUNK_ROWS block is read and scored
+    (corpus.read_instances, say), in order. Each family._chunks block is read and scored
     before the next is read, on its rows of the dataset's memoized feature matrix when
-    it has one (a training set) and otherwise on one chunk featurized for it, so only
+    it has one (a training set) and otherwise on its own rows featurized for it, so only
     the columns grow with the set. cond_log2prob is log2_prob(g_cond, premise,
     hypothesis, label) and null_log2prob log2_prob(g_null, "", "", label), bit for bit.
     A label outside the models' classes raises DataError naming its original_index,
-    and a malformed record raises when its block is read."""
+    and a malformed record raises when its block is read; so does an original_index
+    that its block repeats, and one repeated across blocks when every block is scored."""
     C = g_cond.num_classes
     if g_null.num_classes != C:
         raise ValueError("the conditional and null models differ in class count")
@@ -83,20 +87,21 @@ def compute_pvi(g_cond: Model, g_null: Model, instances) -> PviColumns:
     for block in _chunks(instances):
         block = Dataset(tuple(block), C)  # refuses a label outside the models' classes
         labels, done = block.labels(), len(scores)
-        X = memo[done:done + len(block)] if memo is not None else next(_hashed_counts(
-            [inst.premise for inst in block], [inst.hypothesis for inst in block], hp))
+        X = memo[done:done + len(block)] if memo is not None else _hashed_counts(
+            [inst.premise for inst in block], [inst.hypothesis for inst in block], hp)
         scores.original_index.extend(inst.original_index for inst in block)
         scores.null_log2prob.extend(null_by_class[label] for label in labels)
         scores.cond_log2prob.extend(_gold_log2(g_cond, X, labels))
+    # sorted, the index column holds a repeat side by side; 8 bytes a row, only for now
+    index = np.sort(scores.original_index)
+    if len(repeats := index[1:][index[1:] == index[:-1]]):
+        raise DataError(f"duplicate original_index {repeats[0]}")
     return scores
 
 
 def summarize(records) -> InfoSummary:
-    """Dataset-level entropies and their difference (mean per-instance score): a
-    PviColumns' columns are read as they are, any other iterable's records by their fields."""
-    if not isinstance(records, PviColumns):
-        records = tuple(records)
-    nulls, conds = _column(records, "null_log2prob"), _column(records, "cond_log2prob")
+    """Dataset-level entropies and their difference (mean per-instance score)."""
+    nulls, conds = _columns(records, "null_log2prob", "cond_log2prob")
     if not len(nulls):
         raise ValueError("no records to summarize")
     h_y = -float(np.mean(nulls))
@@ -104,26 +109,30 @@ def summarize(records) -> InfoSummary:
     return InfoSummary(h_y, h_yx, h_y - h_yx, len(nulls))
 
 
-def _column(records, name: str):
-    """Each record's field `name`, read once: off a PviColumns' columns as they are."""
-    if not isinstance(records, PviColumns):
-        return [getattr(r, name) for r in records]
-    if name == "pvi":
-        return (np.asarray(records.cond_log2prob) - np.asarray(records.null_log2prob)).tolist()
-    return getattr(records, name)
-
-
 ORDERINGS = ("easy_first", "hard_first", "original")
 _ordering = one_of("ordering", ORDERINGS)
 _order = one_of("order", ("descending_pvi", "ascending_pvi"))
 
 
+def _columns(records, *names) -> list:
+    """The records' fields `names`, a column each: the one reader of score fields. A
+    PviColumns' columns are read as they are; any other iterable is read once."""
+    if isinstance(records, PviColumns):
+        return [getattr(records, name) for name in names]
+    records = tuple(records)
+    return [[getattr(r, name) for r in records] for name in names]
+
+
 def _rank(records, order: str = "descending_pvi", positions=None) -> list[int]:
-    """Positions into `records` (all, or just `positions`), sorted by score, ties by
+    """Positions into `records` (all, or just `positions`) by _rank_columns."""
+    return _rank_columns(*_columns(records, "pvi", "original_index"), order, positions)
+
+
+def _rank_columns(pvi, index, order: str, positions=None) -> list[int]:
+    """Positions into the columns (all, or just `positions`), sorted by score, ties by
     ascending original_index: the one difficulty sort, descending_pvi = easiest first."""
     sign = -1.0 if _order(order) == "descending_pvi" else 1.0
-    pvi, index = _column(records, "pvi"), _column(records, "original_index")
-    return sorted(range(len(records)) if positions is None else positions,
+    return sorted(range(len(index)) if positions is None else positions,
                   key=lambda p: (sign * pvi[p], index[p]))
 
 
@@ -160,7 +169,7 @@ def _tail(records, ranked, k: int, ordering: str) -> list[int]:
     ties by ascending index (hard_first); file order reads only records[p].original_index."""
     kept = ranked[len(ranked) - k:]
     if _ordering(ordering) == "original":
-        return sorted(kept, key=_column(records, "original_index").__getitem__)
+        return sorted(kept, key=_columns(records, "original_index")[0].__getitem__)
     return _rank(records, "ascending_pvi", kept) if ordering == "hard_first" and kept else kept
 
 
@@ -169,8 +178,8 @@ def rank_by_difficulty(records, order: str = "descending_pvi") -> tuple[int, ...
 
     descending_pvi puts the easiest (highest-score) instances first.
     """
-    records = tuple(records)
-    return tuple(records[p].original_index for p in _rank(records, order))
+    pvi, index = _columns(records, "pvi", "original_index")
+    return tuple(index[p] for p in _rank_columns(pvi, index, order))
 
 
 def records_by_index(dataset: Dataset, records) -> list[PviRecord]:
@@ -199,7 +208,7 @@ def pvi_histogram(records, num_bins: int, value_range: tuple[float, float]):
     if num_bins < 1:
         raise ValueError("num_bins must be >= 1")
     lo, hi = value_range
-    values = np.clip(_column(records, "pvi"), lo, hi)
+    values = np.clip(*_columns(records, "pvi"), lo, hi)
     counts, edges = np.histogram(values, bins=num_bins, range=(lo, hi))
     return edges, counts
 
@@ -212,7 +221,7 @@ _CSV_COLUMNS = {"original_index": count, "null_log2prob": finite_float,
 
 
 def _cells(records):
-    return ([r.original_index, r.null_log2prob, r.cond_log2prob, r.pvi] for r in records)
+    return zip(*_columns(records, *_CSV_COLUMNS))
 
 
 def write_records_csv(records, path) -> None:

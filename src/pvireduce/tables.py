@@ -123,8 +123,12 @@ def _numeral(kind, text: str):
 
 def finite_float(value) -> float:
     """float(value), refused with ValueError when that is NaN or infinite, when `value`
-    is a bool, or when it is a text that is not a plain ASCII numeral."""
-    number = _numeral(float, value) if isinstance(value, str) else float(value)
+    is a bool or an int beyond float range, or when it is a text that is not a plain
+    ASCII numeral."""
+    try:
+        number = _numeral(float, value) if isinstance(value, str) else float(value)
+    except OverflowError as exc:  # float() of an int beyond float range
+        raise ValueError(str(exc)) from None
     if not math.isfinite(number) or isinstance(value, bool):
         raise ValueError(f"{value!r} is not a finite number")
     return number

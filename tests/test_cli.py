@@ -334,6 +334,55 @@ def test_out_of_range_hyperparams_are_data_errors(tmp_path, capsys, corpora, key
     assert not out.exists()
 
 
+def test_a_bad_flag_is_not_blamed_on_the_config(tmp_path, capsys, corpora):
+    train, _ = corpora
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[hyperparams]\nl2 = 0\n")
+    out = tmp_path / "out"
+    assert _run(["pvi", "--train", train, "--out-dir", out, "--config", cfg,
+                 "--epochs", "0", "--no-timing"]) == 2
+    assert capsys.readouterr().err == "data error: epochs must be >= 1, got 0\n"
+    cfg.write_text("[hyperparams]\nepochs = 0\n")
+    assert _run(["pvi", "--train", train, "--out-dir", out, "--config", cfg,
+                 "--learning-rate", "0.1", "--no-timing"]) == 2
+    assert capsys.readouterr().err == f"data error: {cfg}: epochs must be >= 1, got 0\n"
+    assert not out.exists()
+
+
+# every numeric flag reads a plain ASCII numeral, as a table cell or an INI value does
+_NUMERAL_CASES = [
+    (["gen", "--n", "1_0", "--seed", "\u0663"], "--n", "invalid int value: '1_0'"),
+    (["gen", "--n", "10", "--seed", "\u0663"], "--seed", "invalid int value: '\u0663'"),
+    (["gen", "--n", " 10"], "--n", "invalid int value: ' 10'"),
+    (["gen", "--n", "10", "--mix", "0.5,0.3,0.2_0"], "--mix", "invalid float list value"),
+    (["gen", "--n", "10", "--jobs", "1_0"], "--jobs", "expected an integer >= 1, got '1_0'"),
+    (["pvi", "--train", "{train}", "--epochs", "1_6"], "--epochs", "invalid int value"),
+    (["pvi", "--train", "{train}", "--seed", " 7"], "--seed", "invalid int value"),
+    (["pvi", "--train", "{train}", "--learning-rate", "\u0660.5"], "--learning-rate",
+     "invalid float value"),
+    (["sweep", "--train", "{train}", "--test", "{test}", "--ratios", "0,0.\u0663"], "--ratios",
+     "invalid float list value: '0,0.\u0663'"),
+    (["sweep", "--train", "{train}", "--test", "{test}", "--noise-ratio", "0.1_0"],
+     "--noise-ratio", "invalid float value"),
+    (["sweep", "--train", "{train}", "--test", "{test}", "--keep-fractions", "1, 0.5,0.3"],
+     "--keep-fractions", "invalid float list value"),
+    (["curriculum", "--train", "{train}", "--test", "{test}", "--seeds", "\u0662"], "--seeds",
+     "expected an integer >= 1, got '\u0662'"),
+]
+
+
+@pytest.mark.parametrize("argv, flag, named", _NUMERAL_CASES,
+                         ids=[f"{argv[0]}{flag}" for argv, flag, _ in _NUMERAL_CASES])
+def test_a_numeric_flag_refuses_a_numeral_it_would_coerce(tmp_path, capsys, corpora,
+                                                          argv, flag, named):
+    argv = [arg.format(train=corpora[0], test=corpora[1]) for arg in argv]
+    out = tmp_path / "out"
+    argv += ["--out", out / "g.jsonl"] if argv[0] == "gen" else ["--out-dir", out]
+    assert _run(argv + ["--no-timing"]) == 1
+    assert f"usage error: argument {flag}: {named}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_jobs_below_one_is_usage_error(tmp_path, capsys, corpora, jobs):
     train, test = corpora

@@ -14,7 +14,7 @@ from pvireduce import (Dataset, Hyperparams, LabeledInstance, NoiseSpec,
                        evaluate, filter_invalid, generate_synthetic,
                        inject_noise, load_dataset, make_imbalanced, serialize,
                        to_null_view, train)
-from pvireduce import family
+from pvireduce import cli, family
 from pvireduce.cli import load_config_file
 from pvireduce.corpus import (_EASY_KEYWORDS, DEFAULT_LABELS, DataError,
                               synthetic_difficulty_tags)
@@ -81,6 +81,18 @@ def test_roundtrip_identity(tmp_path, fmt):
     assert len(back) == len(ds)
     for a, b in zip(ds, back):
         assert (a.premise, a.hypothesis, a.label) == (b.premise, b.hypothesis, b.label)
+
+
+def test_an_unknown_format_is_refused_by_reader_writer_and_cli(tmp_path, capsys):
+    path = tmp_path / "d.jsonl"
+    path.write_text('{"premise": "a", "hypothesis": "b", "label": 0}\n')
+    with pytest.raises(ValueError, match="^unknown format 'csv'$"):
+        load_dataset(path, "csv", 3)
+    with pytest.raises(ValueError, match="^unknown format 'csv'$"):
+        serialize(load_dataset(path), tmp_path / "out.csv", "csv")
+    assert not (tmp_path / "out.csv").exists()
+    assert cli.main(["stats", "--data", str(path), "--format", "csv"]) == 1
+    assert "usage error: argument --format: invalid choice: 'csv'" in capsys.readouterr().err
 
 
 def test_filter_invalid():

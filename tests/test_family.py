@@ -171,12 +171,26 @@ def test_feature_matrix_matches_reference_across_chunks():
         _assert_same_csr(got, _reference_feature_matrix(ds, hp))
 
 
+@pytest.mark.parametrize("n", [0, 1, family._CHUNK_ROWS, family._CHUNK_ROWS + 1])
+def test_feature_matrix_matches_reference_at_block_edges(n):
+    ds = generate_synthetic(family._CHUNK_ROWS + 1, 3, (0.5, 0.3, 0.2), seed=22)
+    ds = Dataset(ds.instances[:n], 3)
+    want = _reference_feature_matrix(ds, Hyperparams())
+    # 2**16 columns fit 32-bit indices, so each block and their stack keep them
+    want.indices, want.indptr = want.indices.astype(np.int32), want.indptr.astype(np.int32)
+    _assert_same_csr(feature_matrix(ds, Hyperparams()), want)
+
+
 @pytest.mark.parametrize("n, sizes", [(0, [0]), (1, [1]), (6, [3, 3]), (7, [3, 3, 1])])
 def test_hashed_counts_yields_chunks_of_at_most_chunk_rows(monkeypatch, n, sizes):
+    # feature_matrix featurizes each _chunks block in one call, and no rows as one 0-row block
     monkeypatch.setattr(family, "_CHUNK_ROWS", 3)
     hp = Hyperparams(hash_bits=8)
-    texts = [f"row {i}" for i in range(n)]
-    chunks = list(family._hashed_counts(texts, texts, hp))
+    ds = Dataset(tuple(LabeledInstance(i, f"row {i}", f"row {i}", 0) for i in range(n)), 3)
+    build, chunks = family._hashed_counts, []
+    monkeypatch.setattr(family, "_hashed_counts",
+                        lambda *args: chunks.append(build(*args)) or chunks[-1])
+    feature_matrix(ds, hp)
     assert [X.shape for X in chunks] == [(k, hp.dim) for k in sizes]
 
 
@@ -207,7 +221,7 @@ _FEW = st.text(st.sampled_from("ab \u4e00\u4e8c\U00020000\U00020001"), max_size=
 def test_sorted_dedupe_gives_np_uniques_csr(rows, orders, hash_bits):
     hp = Hyperparams(hash_bits=hash_bits, ngram_orders=tuple(orders))
     premises, hypotheses = [p for p, _ in rows], [h for _, h in rows]
-    _assert_same_csr(next(family._hashed_counts(premises, hypotheses, hp)),
+    _assert_same_csr(family._hashed_counts(premises, hypotheses, hp),
                      _unique_counts_csr(premises, hypotheses, hp))
 
 
@@ -216,16 +230,8 @@ def test_sorted_dedupe_gives_np_uniques_csr_on_cjk_corpora():
     for ds in (base, translate(base, CJK), translate(base, ASTRAL)):
         premises, hypotheses = [i.premise for i in ds], [i.hypothesis for i in ds]
         for hp in (Hyperparams(), Hyperparams(hash_bits=8, ngram_orders=(1, 2, 2, 3))):
-            _assert_same_csr(next(family._hashed_counts(premises, hypotheses, hp)),
+            _assert_same_csr(family._hashed_counts(premises, hypotheses, hp),
                              _unique_counts_csr(premises, hypotheses, hp))
-
-
-def test_hashed_counts_frees_a_chunks_temporaries_before_yielding_it():
-    # a suspended generator keeps its locals alive while the caller predicts
-    texts = [f"row {i}" for i in range(5)]
-    chunks = family._hashed_counts(texts, texts, Hyperparams(hash_bits=8))
-    next(chunks)
-    assert not {"keys", "first", "counts", "indptr"} & set(chunks.gi_frame.f_locals)
 
 
 def test_train_null_view_is_input_independent(fast_hp):
@@ -834,6 +840,7 @@ def test_hyperparams_dict_roundtrip():
     ({"epochs": "1_6"}, "epochs"),
     ({"seed": " 7"}, "seed"),
     ({"l2": "\u0660.5"}, "l2"),
+    ({"learning_rate": 10**400}, "learning_rate"),
 ])
 def test_hyperparams_from_dict_refuses_and_names_key(values, key):
     with pytest.raises(ValueError, match=key):
@@ -914,10 +921,15 @@ def test_load_model_refuses_a_bias_of_another_length(tmp_path, bias):
      "'1_0' is not a plain ASCII numeral"),
     (lambda payload: {**payload, "bias": [True, -0.5, 0.25]}, "True is not a finite number"),
     (lambda payload: {**payload, "epoch_losses": [False]}, "False is not a finite number"),
+    (lambda payload: {**payload, "bias": [10**400, -0.5, 0.25]},
+     "int too large to convert to float"),
+    (lambda payload: {**payload, "hyperparams": {**payload["hyperparams"], "l2": 10**400}},
+     "hyperparameter l2 = 1000"),
 ], ids=["weight_entry_5", "hyperparams_list", "top_level_list", "num_classes_true",
         "preserve_order_1", "weight_nan_string", "weight_infinity", "bias_nan",
         "bias_minus_infinity_string", "epoch_loss_nan", "trained_on_list",
-        "weight_underscore_string", "bias_true", "epoch_loss_false"])
+        "weight_underscore_string", "bias_true", "epoch_loss_false", "bias_int_beyond_float",
+        "l2_int_beyond_float"])
 def test_load_model_names_a_value_of_the_wrong_json_type(tmp_path, change, named):
     payload, path = _saved_payload(tmp_path)
     path.write_text(json.dumps(change(payload)))

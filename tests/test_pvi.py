@@ -97,9 +97,9 @@ def test_unmemoized_scoring_predicts_each_chunk_before_building_the_next(small_t
     build, score = pvi_module._hashed_counts, pvi_module._gold_log2
 
     def built(*args):
-        for X in build(*args):
-            events.append(("built", X.shape[0]))
-            yield X
+        X = build(*args)
+        events.append(("built", X.shape[0]))
+        return X
 
     def scored(model, X, labels):
         events.append(("scored", X.shape[0]))
@@ -172,6 +172,35 @@ def test_streamed_label_outside_the_models_classes_is_named(small_train, monkeyp
     with pytest.raises(DataError, match=r"^label 3 out of range for 3 classes "
                                         r"\(original_index 30\)$"):
         compute_pvi(g_cond, g_null, iter(instances))
+
+
+@pytest.mark.parametrize("n, at", [(11, 10), (family._CHUNK_ROWS + 1, family._CHUNK_ROWS)],
+                         ids=["in_one_block", "across_blocks"])
+def test_a_repeated_original_index_is_refused_wherever_it_falls(small_train, n, at):
+    g_cond, g_null = train_scorers(small_train, Hyperparams(epochs=1))
+    rows = generate_synthetic(n, seed=2).instances
+    instances = [*rows[:at], replace(rows[at], original_index=0), *rows[at + 1:]]
+    for given in (instances, iter(instances)):
+        with pytest.raises(DataError, match=r"^duplicate original_index 0$"):
+            compute_pvi(g_cond, g_null, given)
+
+
+def test_score_writers_and_readers_build_no_record(scored, tmp_path, monkeypatch):
+    # they read a PviColumns' columns as they are, and write what its records hold
+    records = scored[0]
+    record, built = PviRecord, []
+    monkeypatch.setattr(pvi_module, "PviRecord", lambda *f: built.append(f) or record(*f))
+    write_records_csv(records, tmp_path / "pvi.csv")
+    write_records_jsonl(records, tmp_path / "pvi.jsonl")
+    summary, ranked = summarize(records), rank_by_difficulty(records)
+    assert built == []
+    listed = list(records)
+    assert len(built) == len(records)
+    write_records_csv(listed, tmp_path / "listed.csv")
+    write_records_jsonl(listed, tmp_path / "listed.jsonl")
+    for kind in ("csv", "jsonl"):
+        assert (tmp_path / f"pvi.{kind}").read_bytes() == (tmp_path / f"listed.{kind}").read_bytes()
+    assert (summary, ranked) == (summarize(listed), rank_by_difficulty(listed))
 
 
 def test_pvi_identity_field(scored):
