@@ -12,7 +12,12 @@ gathers (with take) and updates only the weight columns its batch touches
 and keeps L2 decay as a lazy global scale on the weights; a batch with no
 features (every null-model batch) touches none and updates only the bias.
 Each batch's columns and rows are prepared once per epoch, or once per train
-call when hp.preserve_order makes every epoch walk the same order.
+call when hp.preserve_order makes every epoch walk the same order, as raw CSR
+arrays: a step multiplies them by scipy's compiled kernels csr_matvecs (logits)
+and csc_matvecs (gradient; a CSR's arrays are its transpose's CSC arrays), the
+calls csr_matrix @ ndarray makes, without building a sparse matrix per batch.
+scipy.sparse._sparsetools is private to scipy: _sparse_product is its one
+importer, and the tests pin its products to the public operator's bit for bit.
 loss_and_grad is the dense step it matches. scipy is imported on first use,
 by the CSR builders, so a run that builds no matrix never loads it.
 """
@@ -321,9 +326,10 @@ def train(dataset: Dataset, hp: Hyperparams, init: Model | None = None) -> Model
 
     A step reads and writes only the weight columns its batch touches,
     gathered with take, so its cost does not grow with hash_bits. _batches
-    prepares each batch's touched columns and renumbered rows: once per call
-    under hp.preserve_order, where every epoch walks the same order, and
-    once per epoch, one batch at a time, when shuffled. A batch with no
+    prepares each batch's touched columns and renumbered CSR arrays: once per
+    call under hp.preserve_order, where every epoch walks the same order, and
+    once per epoch, one batch at a time, when shuffled; _sparse_product
+    multiplies them with no sparse matrix object. A batch with no
     features touches none: its logits are the bias, and it updates only the
     bias. L2 decay is a lazy global scale, W = scale * V (Bottou 2012): each
     step, empty or not, multiplies `scale` by (1 - lr*l2), and |V|^2 is kept
@@ -353,13 +359,15 @@ def train(dataset: Dataset, hp: Hyperparams, init: Model | None = None) -> Model
     step = 0
     for order in training_order(m, hp):
         total = 0.0
-        for start, stop, cols, Xb, XbT, yb in kept or _batches(X, y, order, hp):
+        for start, stop, cols, indptr, indices, data, yb in kept or _batches(X, y, order, hp):
             if cols is None:
                 # no features: the logits are the bias and the weight gradient is zero
                 logits = np.zeros((stop - start, C)) + b
             else:
                 Vb = V.take(cols, axis=1)
-                logits = Xb @ (scale * Vb).T + b
+                shape = (stop - start, len(cols))
+                logits = _sparse_product("csr_matvecs", shape, indptr, indices, data,
+                                         (scale * Vb).T) + b
             loss, delta = _cross_entropy(logits, yb)
             loss += 0.5 * hp.l2 * (scale * scale * sq_norm)
             if hp.lr_schedule == "linear":
@@ -373,12 +381,16 @@ def train(dataset: Dataset, hp: Hyperparams, init: Model | None = None) -> Model
                 if cols is not None:
                     Vb = V.take(cols, axis=1)
             if cols is not None:
-                Vb_new = Vb - (lr / scale) * (XbT @ delta).T
+                # the batch's transpose is a CSC matrix on the same three arrays
+                grad = _sparse_product("csc_matvecs", shape[::-1], indptr, indices, data, delta)
+                Vb_new = Vb - (lr / scale) * grad.T
                 V[:, cols] = Vb_new
                 sq_norm += float(np.sum(Vb_new * Vb_new) - np.sum(Vb * Vb))
             b -= lr * delta.sum(axis=0)
             total += loss * (stop - start)
             step += 1
+        # a shuffled epoch's last batch views its X[order]; free it before the next is built
+        del indptr, indices, data, yb
         if not math.isfinite(total / m):
             raise ValueError(f"training diverged: epoch {len(epoch_losses) + 1} has mean loss "
                              f"{total / m} (learning_rate {hp.learning_rate!r}, l2 {hp.l2!r})")
@@ -391,34 +403,49 @@ def train(dataset: Dataset, hp: Hyperparams, init: Model | None = None) -> Model
 def _batches(X: sp.csr_matrix, y: np.ndarray, order, hp: Hyperparams):
     """One epoch's batches in `order` (None: the rows as they are), one at a time.
 
-    Yields (start, stop, cols, Xb, Xb.T, yb): `cols` are the distinct columns
-    the batch touches, ascending, and Xb holds its rows with each column
-    renumbered to its position in `cols`; Xb.T is a CSC view of the same
-    arrays. A batch with no features has cols = Xb = Xb.T = None.
+    Yields (start, stop, cols, indptr, indices, data, yb): `cols` are the distinct
+    columns the batch touches, ascending, and (indptr, indices, data) are the CSR
+    arrays of its rows, with each column renumbered to its position in `cols` (in
+    X.indices.dtype, as _sparsetools needs the index arrays alike) and `data` a view of
+    X's. A batch with no features has cols = indptr = indices = data = None.
     """
-    import scipy.sparse as sp
-
     if order is not None:
         # rows in this epoch's order, so that each batch is a contiguous slice
         X, y = X[order], y[order]
     m = X.shape[0]
     # slot[c] is column c's position among the columns its batch touches
-    slot = np.zeros(hp.dim, np.int32)
+    slot = np.zeros(hp.dim, X.indices.dtype)
     for start in range(0, m, hp.batch_size):
         stop = min(start + hp.batch_size, m)
         lo, hi = X.indptr[start], X.indptr[stop]
         if lo == hi:
-            yield start, stop, None, None, None, y[start:stop]
+            yield start, stop, None, None, None, None, y[start:stop]
             continue
         touched = X.indices[lo:hi]
         # the distinct columns in order; np.unique (numpy >= 2.3) hashes before
         # it sorts, which is several times slower on a batch's few thousand entries
         ordered = np.sort(touched)
         cols = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-        slot[cols] = np.arange(len(cols), dtype=np.int32)
-        Xb = sp.csr_matrix((X.data[lo:hi], slot[touched], X.indptr[start:stop + 1] - lo),
-                           shape=(stop - start, len(cols)))
-        yield start, stop, cols, Xb, Xb.T, y[start:stop]
+        slot[cols] = np.arange(len(cols), dtype=slot.dtype)
+        yield (start, stop, cols, X.indptr[start:stop + 1] - lo, slot[touched], X.data[lo:hi],
+               y[start:stop])
+
+
+def _sparse_product(kernel: str, shape, indptr, indices, data, dense: np.ndarray) -> np.ndarray:
+    """The sparse (shape) matrix on (indptr, indices, data) times `dense`, by scipy's
+    compiled `kernel`: "csr_matvecs" reads the arrays as CSR rows, "csc_matvecs" as CSC
+    columns, i.e. as the CSR's transpose. It is the call csr_matrix @ ndarray and
+    csc_matrix @ ndarray make (for one dense column they call csr_matvec, which adds
+    the same terms in the same order), into a fresh zero C-contiguous float64 output, so
+    the product is theirs bit for bit, without building a sparse matrix object. The one
+    importer of scipy.sparse._sparsetools, a private module the tests pin.
+    """
+    from scipy.sparse import _sparsetools
+
+    out = np.zeros((shape[0], dense.shape[1]))
+    getattr(_sparsetools, kernel)(*shape, dense.shape[1], indptr, indices, data, dense.ravel(),
+                                  out.ravel())
+    return out
 
 
 def train_null(dataset: Dataset, hp: Hyperparams) -> Model:
@@ -437,7 +464,9 @@ def training_order(m: int, hp: Hyperparams):
 # prediction / evaluation
 
 def predict_dist_matrix(model: Model, X: sp.csr_matrix) -> np.ndarray:
-    return _softmax(X @ model.weights.T + model.bias)
+    """softmax(X @ weights.T + bias), one product per class row: X @ weights.T would
+    copy the (2**hash_bits, C) transposed view into a fresh array on every call."""
+    return _softmax(np.stack([X @ w for w in model.weights], axis=1) + model.bias)
 
 
 def predict_dist(model: Model, premise: str, hypothesis: str) -> np.ndarray:

@@ -66,6 +66,12 @@ class PviColumns:
     def pvi(self) -> array:
         return array("d", map(float.__sub__, self.cond_log2prob, self.null_log2prob))
 
+    def take(self, positions) -> "PviColumns":
+        """The rows at `positions`, in that order, as columns: no PviRecord is built."""
+        return PviColumns(*(array(column.typecode, map(column.__getitem__, positions))
+                            for column in (self.original_index, self.null_log2prob,
+                                           self.cond_log2prob)))
+
 
 def compute_pvi(g_cond: Model, g_null: Model, instances) -> PviColumns:
     """The scores of `instances`, a Dataset or any iterable of instances
@@ -75,8 +81,9 @@ def compute_pvi(g_cond: Model, g_null: Model, instances) -> PviColumns:
     the columns grow with the set. cond_log2prob is log2_prob(g_cond, premise,
     hypothesis, label) and null_log2prob log2_prob(g_null, "", "", label), bit for bit.
     A label outside the models' classes raises DataError naming its original_index,
-    and a malformed record raises when its block is read; so does an original_index
-    that its block repeats, and one repeated across blocks when every block is scored."""
+    and a malformed record raises when its block is read; so do an original_index
+    outside int64 and one that its block repeats, and one repeated across blocks when
+    every block is scored."""
     C = g_cond.num_classes
     if g_null.num_classes != C:
         raise ValueError("the conditional and null models differ in class count")
@@ -89,7 +96,12 @@ def compute_pvi(g_cond: Model, g_null: Model, instances) -> PviColumns:
         labels, done = block.labels(), len(scores)
         X = memo[done:done + len(block)] if memo is not None else _hashed_counts(
             [inst.premise for inst in block], [inst.hypothesis for inst in block], hp)
-        scores.original_index.extend(inst.original_index for inst in block)
+        try:
+            scores.original_index.extend(inst.original_index for inst in block)
+        except OverflowError:
+            index = next(inst.original_index for inst in block
+                         if not -2**63 <= inst.original_index < 2**63)
+            raise DataError(f"original_index {index} is outside int64") from None
         scores.null_log2prob.extend(null_by_class[label] for label in labels)
         scores.cond_log2prob.extend(_gold_log2(g_cond, X, labels))
     # sorted, the index column holds a repeat side by side; 8 bytes a row, only for now
@@ -182,16 +194,19 @@ def rank_by_difficulty(records, order: str = "descending_pvi") -> tuple[int, ...
     return tuple(index[p] for p in _rank_columns(pvi, index, order))
 
 
-def records_by_index(dataset: Dataset, records) -> list[PviRecord]:
-    """`records` listed by dataset position; there must be exactly one per instance."""
-    by_index: dict[int, PviRecord] = {}
-    for rec in records:
-        if rec.original_index in by_index:
-            raise ValueError(f"records hold original_index {rec.original_index} twice")
-        by_index[rec.original_index] = rec
-    if by_index.keys() != {inst.original_index for inst in dataset}:
+def records_by_index(dataset: Dataset, records):
+    """`records` listed by dataset position; there must be exactly one per instance. A
+    PviColumns comes back as one (PviColumns.take), so no PviRecord is built per row."""
+    columns = isinstance(records, PviColumns)
+    records = records if columns else tuple(records)
+    position: dict[int, int] = {}
+    for p, index in enumerate(*_columns(records, "original_index")):
+        if position.setdefault(index, p) != p:
+            raise ValueError(f"records hold original_index {index} twice")
+    if position.keys() != {inst.original_index for inst in dataset}:
         raise ValueError("records do not cover exactly the dataset's indices")
-    return [by_index[inst.original_index] for inst in dataset]
+    order = [position[inst.original_index] for inst in dataset]
+    return records.take(order) if columns else [records[p] for p in order]
 
 
 def hardest_k(records, dataset: Dataset, k: int):
@@ -199,7 +214,8 @@ def hardest_k(records, dataset: Dataset, k: int):
     if not 0 <= k <= len(dataset):
         raise ValueError(f"k={k} is outside [0, {len(dataset)}]")
     records = records_by_index(dataset, records)
-    return [(dataset.instances[p], records[p].pvi)
+    pvi, = _columns(records, "pvi")
+    return [(dataset.instances[p], pvi[p])
             for p in _tail(records, _rank(records), k, "hard_first")]
 
 

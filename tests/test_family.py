@@ -455,6 +455,16 @@ def test_predict_dist_matrix_agrees_with_scalar(small_train, fast_hp):
         assert np.array_equal(row, predict_dist(model, inst.premise, inst.hypothesis))
 
 
+def test_predict_dist_matrix_is_the_matrix_product_bit_for_bit(small_train, fast_hp):
+    # one product per class row adds each row's terms as X @ weights.T does
+    model = train(small_train, fast_hp)
+    X = feature_matrix(small_train, fast_hp)
+    for rows in (X, X[:1], X[:0]):
+        want = family._softmax(rows @ model.weights.T + model.bias)
+        got = predict_dist_matrix(model, rows)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_train_init_none_is_bit_identical(small_train, fast_hp):
     plain = train(small_train, fast_hp)
     explicit = train(small_train, fast_hp, init=None)
@@ -649,6 +659,61 @@ def test_train_prepares_batches_once_per_call_ordered_and_per_epoch_shuffled(
         assert [order is not None for order in calls] == [True] * hp.epochs
         # batch i of an epoch is prepared only after batch i - 1's step ran
         assert prepared_after == list(range(hp.epochs * per_epoch))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.integers(1, 9), columns=st.integers(1, 9), classes=st.integers(1, 4),
+       density=st.sampled_from([0.0, 0.4, 1.0]), index_dtype=st.sampled_from([np.int32, np.int64]),
+       seed=st.integers(0, 2**32 - 1))
+@example(rows=5, columns=1, classes=3, density=1.0, index_dtype=np.int64, seed=0)
+def test_the_step_kernels_are_scipys_products_bit_for_bit(rows, columns, classes, density,
+                                                          index_dtype, seed):
+    # a step's two products on a batch's raw CSR arrays are Xb @ M and Xb.T @ delta
+    rng = np.random.default_rng(seed)
+    dense = rng.normal(0.0, 10.0, (rows, columns)) * (rng.random((rows, columns)) < density)
+    dense[rng.random(rows) < 0.3] = 0.0  # empty rows
+    Xb = sp.csr_matrix(dense)
+    indptr, indices = Xb.indptr.astype(index_dtype), Xb.indices.astype(index_dtype)
+    # as train passes them: the weights a transposed view, delta C-contiguous
+    M, delta = rng.normal(0.0, 10.0, (classes, columns)).T, rng.normal(0.0, 10.0, (rows, classes))
+    for kernel, shape, factor, want in (("csr_matvecs", (rows, columns), M, Xb @ M),
+                                        ("csc_matvecs", (columns, rows), delta, Xb.T @ delta)):
+        got = family._sparse_product(kernel, shape, indptr, indices, Xb.data, factor)
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("preserve_order", [False, True])
+def test_train_on_int64_indices_is_bit_identical(small_train, preserve_order):
+    # scipy stores a matrix of 2**31 columns or more with int64 indices; a batch's
+    # renumbered columns take its rows' index dtype, as the kernels need (X[order] may
+    # pick int32 again when its contents fit, so the ordered path shows the int64 case)
+    hp = Hyperparams(hash_bits=10, epochs=2, batch_size=7, preserve_order=preserve_order)
+    wide = replace(small_train)
+    X = feature_matrix(small_train, hp)
+    X.indices, X.indptr = X.indices.astype(np.int64), X.indptr.astype(np.int64)
+    wide._features[family._feature_key(hp)] = X
+    batches = [batch for batch in family._batches(X, wide.labels(), None, hp)
+               if batch[2] is not None]
+    assert {(indptr.dtype, indices.dtype) for _, _, _, indptr, indices, _, _ in batches} == {
+        (np.dtype(np.int64), np.dtype(np.int64))}
+    _assert_matches(train(wide, hp), train(small_train, hp), 0.0)
+
+
+def test_shuffled_train_holds_one_epochs_permuted_rows():
+    # an epoch's last batch views its X[order]; train drops it before the next epoch
+    # permutes the rows again, so two permuted copies are never held at once
+    ds = generate_synthetic(600, seed=1)
+    hp = Hyperparams(hash_bits=8, epochs=3)
+    X = family._features(ds, hp)  # memoized outside the trace
+    permuted = X.data.nbytes + X.indices.nbytes + X.indptr.nbytes
+    tracemalloc.start()
+    try:
+        train(ds, hp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * permuted + ds.num_classes * hp.dim * 8
 
 
 def _cross_entropy_with_clip_and_mean(logits, y):

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pvireduce import (Dataset, Hyperparams, compute_pvi, constant_predictor,
-                       generate_synthetic, hardest_k, log2_prob, pvi_histogram,
-                       rank_by_difficulty, summarize, to_null_view, train, train_scorers)
+from pvireduce import (Dataset, Hyperparams, balanced_select, compute_pvi, constant_predictor,
+                       curriculum_order, generate_synthetic, hardest_k, log2_prob,
+                       pvi_histogram, rank_by_difficulty, select_subset, summarize,
+                       to_null_view, train, train_scorers)
+from pvireduce.curriculum import stage_subset
 from pvireduce import family
 from pvireduce.corpus import synthetic_difficulty_tags
 from pvireduce.family import Model
@@ -174,6 +176,15 @@ def test_streamed_label_outside_the_models_classes_is_named(small_train, monkeyp
         compute_pvi(g_cond, g_null, iter(instances))
 
 
+@pytest.mark.parametrize("index", [2**63, -2**63 - 1])
+def test_an_original_index_outside_int64_is_named(small_train, index):
+    g_cond, g_null = train_scorers(small_train, Hyperparams(epochs=1))
+    rows = generate_synthetic(5, seed=2).instances
+    instances = [*rows[:3], replace(rows[3], original_index=index), rows[4]]
+    with pytest.raises(DataError, match=rf"^original_index {index} is outside int64$"):
+        compute_pvi(g_cond, g_null, instances)
+
+
 @pytest.mark.parametrize("n, at", [(11, 10), (family._CHUNK_ROWS + 1, family._CHUNK_ROWS)],
                          ids=["in_one_block", "across_blocks"])
 def test_a_repeated_original_index_is_refused_wherever_it_falls(small_train, n, at):
@@ -201,6 +212,28 @@ def test_score_writers_and_readers_build_no_record(scored, tmp_path, monkeypatch
     for kind in ("csv", "jsonl"):
         assert (tmp_path / f"pvi.{kind}").read_bytes() == (tmp_path / f"listed.{kind}").read_bytes()
     assert (summary, ranked) == (summarize(listed), rank_by_difficulty(listed))
+
+
+def test_score_cuts_build_no_record(scored, small_train, monkeypatch):
+    # records_by_index gathers a PviColumns' columns by dataset position, and every cut
+    # reads them as they are
+    records = pvi_module.records_by_index(small_train, scored[0])
+    shuffled = records.take(np.random.default_rng(3).permutation(len(records)).tolist())
+    record, built = PviRecord, []
+    monkeypatch.setattr(pvi_module, "PviRecord", lambda *f: built.append(f) or record(*f))
+
+    def cuts(given):
+        return [select_subset(small_train, given, 0.3), balanced_select(small_train, given, 0.3),
+                *(curriculum_order(small_train, given, o) for o in pvi_module.ORDERINGS),
+                *(stage_subset(small_train, given, 0.2, o) for o in pvi_module.ORDERINGS),
+                hardest_k(given, small_train, 40)]
+
+    by_columns = cuts(shuffled)
+    assert pvi_module.records_by_index(small_train, shuffled) == records
+    assert built == []
+    listed = list(shuffled)
+    assert len(built) == len(records)
+    assert by_columns == cuts(listed)
 
 
 def test_pvi_identity_field(scored):

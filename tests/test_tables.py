@@ -433,6 +433,21 @@ def test_files_are_opened_only_by_the_one_reader_and_the_writers():
     assert exists == []
 
 
+def test_scipys_private_kernels_are_imported_only_by_family():
+    """scipy.sparse._sparsetools is private to scipy, so one function owns its import:
+    family._sparse_product, whose products the tests pin to csr_matrix @ ndarray's."""
+    found = set()
+    for path in sorted(Path(pvireduce.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for scope, node in _scoped(tree, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names]
+            if isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{name}" for name in names] + [node.module or ""]
+            if any(name.startswith("scipy.sparse._sparsetools") for name in names):
+                found.add((path.stem, scope))
+    assert found == {("family", "_sparse_product")}
+
+
 # each module imports only modules before it, and the two experiment drivers,
 # reduction and curriculum, do not import each other; __init__ re-exports every
 # module but cli, and `from . import x` imports it
