@@ -56,20 +56,23 @@ class Hyperparams:
     lr_schedule: str = "linear"  # "linear" decay to 0 over all steps, or "constant"
 
     def __post_init__(self):
+        for f in fields(self):  # each field holds what its default's type names
+            if not _holds(type(f.default), value := getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be {_KINDS[type(f.default)]}, got {value!r}")
         # CRC32 gives 32 bits, so a wider mask only adds columns nothing touches
         if not 1 <= self.hash_bits <= 32:
             raise ValueError(f"hash_bits must be in [1, 32], got {self.hash_bits!r}")
         if not self.ngram_orders or min(self.ngram_orders) < 1:
             raise ValueError("ngram_orders must be a non-empty list of orders >= 1, "
                              f"got {self.ngram_orders!r}")
-        if not 0.0 < self.learning_rate < math.inf:
-            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
+        if self.learning_rate <= 0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate!r}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs!r}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size!r}")
-        if not 0.0 <= self.l2 < math.inf:
-            raise ValueError(f"l2 must be finite and >= 0, got {self.l2!r}")
+        if self.l2 < 0:
+            raise ValueError(f"l2 must be >= 0, got {self.l2!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if not 0.0 < self.prob_floor < 1.0:
@@ -100,7 +103,7 @@ class Hyperparams:
                     cast[key] = tuple(_cast(int, item) for item in items)
                 else:
                     cast[key] = _cast(kinds[key], value)
-            except (TypeError, ValueError, OverflowError):  # float() of a huge int overflows
+            except (TypeError, ValueError):
                 kind = "list of ints" if kinds[key] is tuple else kinds[key].__name__
                 raise ValueError(f"hyperparameter {key} = {value!r} "
                                  f"cannot be read as {kind}") from None
@@ -109,12 +112,32 @@ class Hyperparams:
 
 def _cast(kind, value):
     """Parse a string as `kind`, a number from a plain ASCII numeral; take another value
-    only if it is one (or an int for float)."""
+    only if a `kind` field holds it (_holds)."""
     if isinstance(value, str):
         return value if kind is str else _numeral(kind, value)
-    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+    if not _holds(kind, value):
         raise TypeError(f"{value!r} is not a {kind.__name__}")
     return kind(value)
+
+
+# what a Hyperparams field of each type holds, as its refusal names it
+_KINDS = {int: "an integer", float: "a finite number", tuple: "a tuple of integers",
+          bool: "true or false", str: "a string"}
+
+
+def _holds(kind, value) -> bool:
+    """Whether a field of type `kind` holds `value`: a bool is only a bool, a float field
+    takes an int or float whose float() is finite, and a tuple field integers."""
+    if kind is tuple:
+        return isinstance(value, tuple) and all(_holds(int, item) for item in value)
+    if isinstance(value, bool) or kind is bool:
+        return isinstance(value, bool) and kind is bool
+    if kind is not float:
+        return isinstance(value, kind)
+    try:
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    except OverflowError:  # float() of an int beyond float range
+        return False
 
 
 @dataclass(frozen=True)
@@ -179,7 +202,7 @@ def _features(dataset: Dataset, hp: Hyperparams) -> sp.csr_matrix:
 
 def _feature_key(hp: Hyperparams):
     """What a Dataset memoizes its feature matrices under: the featurization's settings."""
-    return hp.hash_bits, tuple(hp.ngram_orders)
+    return hp.hash_bits, hp.ngram_orders
 
 
 def _hashed_counts(premises, hypotheses, hp: Hyperparams) -> sp.csr_matrix:
@@ -495,7 +518,9 @@ def constant_predictor(dist, hp: Hyperparams | None = None) -> Model:
     """
     hp = hp or Hyperparams()
     dist = np.asarray(dist, dtype=np.float64)
-    if np.any(dist <= 0):
+    if dist.ndim != 1:
+        raise ValueError(f"distribution must be 1-D, got shape {dist.shape}")
+    if not np.all(dist > 0):  # a NaN is not > 0
         raise ValueError("distribution entries must be > 0")
     if abs(float(dist.sum()) - 1.0) > 1e-9:
         raise ValueError(f"distribution must sum to 1, got {dist.sum()}")
@@ -567,10 +592,7 @@ def load_model(path) -> Model:
         else:
             raise ValueError(f"unsupported model format version {version}")
         # files written before the key existed load as they did then, with false
-        preserve_order = payload.get("preserve_order", False)
-        if type(preserve_order) is not bool:
-            raise ValueError(f"preserve_order must be true or false, got {preserve_order!r}")
-        hp = replace(hp, preserve_order=preserve_order)
+        hp = replace(hp, preserve_order=payload.get("preserve_order", False))
         C = payload["num_classes"]
         if type(C) is not int or C < 1:
             raise ValueError(f"num_classes must be an integer >= 1, got {C!r}")

@@ -6,6 +6,8 @@ negative = hard. compute_pvi is the one scorer: it streams a Dataset or any iter
 of instances, a block at a time, into PviColumns, three columns read as a sequence of
 PviRecord; summarize, every cut and both writers read score fields through _columns.
 Every cut by score is made here: which ratios are valid, how many rows they keep and which.
+_rank is the one difficulty sort (score descending, ties by ascending original_index);
+every other order is a stable re-sort of a slice of its ranking by one column.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .corpus import Dataset
 from .family import (Hyperparams, Model, _chunks, _feature_key, _gold_log2, _hashed_counts,
-                     log2_prob, train, train_null)
+                     _holds, log2_prob, train, train_null)
 from .tables import DataError, count, finite_float, one_of, read_csv, write_csv, write_rows
 
 
@@ -135,17 +137,11 @@ def _columns(records, *names) -> list:
     return [[getattr(r, name) for r in records] for name in names]
 
 
-def _rank(records, order: str = "descending_pvi", positions=None) -> list[int]:
-    """Positions into `records` (all, or just `positions`) by _rank_columns."""
-    return _rank_columns(*_columns(records, "pvi", "original_index"), order, positions)
-
-
-def _rank_columns(pvi, index, order: str, positions=None) -> list[int]:
-    """Positions into the columns (all, or just `positions`), sorted by score, ties by
-    ascending original_index: the one difficulty sort, descending_pvi = easiest first."""
-    sign = -1.0 if _order(order) == "descending_pvi" else 1.0
-    return sorted(range(len(index)) if positions is None else positions,
-                  key=lambda p: (sign * pvi[p], index[p]))
+def _rank(records) -> list[int]:
+    """Positions into `records` by score, descending, ties by ascending original_index:
+    the one difficulty sort. A stable re-sort of a slice keeps its order among ties."""
+    pvi, index = _columns(records, "pvi", "original_index")
+    return sorted(range(len(index)), key=lambda p: (-pvi[p], index[p]))
 
 
 def _ratio(value) -> float:
@@ -176,22 +172,27 @@ def check_ratios(sizes, ratios) -> list[float]:
 
 
 def _tail(records, ranked, k: int, ordering: str) -> list[int]:
-    """The k hardest, the last k of `ranked` (a descending_pvi ranking of positions into
-    `records`), in file order (original), ranking order (easy_first) or ascending PVI,
-    ties by ascending index (hard_first); file order reads only records[p].original_index."""
+    """The k hardest, the last k of `ranked` (_rank's ranking of positions into
+    `records`), as ranked (easy_first) or stably re-sorted by one column: pvi
+    (hard_first) or original_index (original, file order)."""
     kept = ranked[len(ranked) - k:]
-    if _ordering(ordering) == "original":
-        return sorted(kept, key=_columns(records, "original_index")[0].__getitem__)
-    return _rank(records, "ascending_pvi", kept) if ordering == "hard_first" and kept else kept
+    if _ordering(ordering) == "easy_first":
+        return kept
+    column, = _columns(records, "pvi" if ordering == "hard_first" else "original_index")
+    return sorted(kept, key=column.__getitem__)
 
 
 def rank_by_difficulty(records, order: str = "descending_pvi") -> tuple[int, ...]:
     """Permutation of original_index; ties break by ascending original_index.
 
-    descending_pvi puts the easiest (highest-score) instances first.
+    descending_pvi puts the easiest (highest-score) instances first; ascending_pvi
+    is that ranking stably re-sorted by score.
     """
+    ascending = _order(order) == "ascending_pvi"
+    records = records if isinstance(records, PviColumns) else tuple(records)
     pvi, index = _columns(records, "pvi", "original_index")
-    return tuple(index[p] for p in _rank_columns(pvi, index, order))
+    ranked = _rank(records)
+    return tuple(index[p] for p in (sorted(ranked, key=pvi.__getitem__) if ascending else ranked))
 
 
 def records_by_index(dataset: Dataset, records):
@@ -211,6 +212,8 @@ def records_by_index(dataset: Dataset, records):
 
 def hardest_k(records, dataset: Dataset, k: int):
     """The k instances select_subset would keep, with scores attached, ascending by score."""
+    if not _holds(int, k):  # an int that is not a bool
+        raise ValueError(f"k must be an integer, got {k!r}")
     if not 0 <= k <= len(dataset):
         raise ValueError(f"k={k} is outside [0, {len(dataset)}]")
     records = records_by_index(dataset, records)

@@ -1,6 +1,6 @@
 import pytest
 
-from pvireduce import Hyperparams, generate_synthetic
+from pvireduce import Hyperparams, curriculum, generate_synthetic, pvi, reduction
 
 
 @pytest.fixture(scope="session")
@@ -32,3 +32,18 @@ def hp():
 def fast_hp():
     # cheap settings for tests that only need mechanics, not convergence
     return Hyperparams(epochs=2)
+
+
+@pytest.fixture
+def sorts(monkeypatch):
+    """The record count of every call to pvi._rank, the one difficulty sort, in call order."""
+    calls = []
+    real = pvi._rank
+
+    def counting(records):
+        calls.append(len(records))
+        return real(records)
+
+    for module in (pvi, reduction, curriculum):
+        monkeypatch.setattr(module, "_rank", counting)
+    return calls

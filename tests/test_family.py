@@ -327,6 +327,11 @@ def test_constant_predictor_rejects_bad_dist(hp):
         constant_predictor((0.5, 0.5, 0.0), hp)
     with pytest.raises(ValueError):
         constant_predictor((0.5, 0.4, 0.2), hp)
+    with pytest.raises(ValueError, match="entries must be > 0"):  # NaN fails every comparison
+        constant_predictor((0.5, 0.5, math.nan), hp)
+    for dist, shape in (([[0.5, 0.5]], "(1, 2)"), (1.0, "()")):
+        with pytest.raises(ValueError, match=re.escape(f"must be 1-D, got shape {shape}")):
+            constant_predictor(dist, hp)
 
 
 def test_evaluate_perfect_and_micro_identity(small_train, small_test):
@@ -910,6 +915,30 @@ def test_hyperparams_dict_roundtrip():
 def test_hyperparams_from_dict_refuses_and_names_key(values, key):
     with pytest.raises(ValueError, match=key):
         Hyperparams.from_dict(values)
+
+
+@pytest.mark.parametrize("values, refusal", [
+    ({"preserve_order": "no"}, "preserve_order must be true or false, got 'no'"),
+    ({"preserve_order": 1}, "preserve_order must be true or false, got 1"),
+    ({"l2": True}, "l2 must be a finite number, got True"),
+    ({"learning_rate": 10**400}, "learning_rate must be a finite number, got 1000"),
+    ({"learning_rate": math.inf}, "learning_rate must be a finite number, got inf"),
+    ({"epochs": 2.5}, "epochs must be an integer, got 2.5"),
+    ({"batch_size": 4.0}, "batch_size must be an integer, got 4.0"),
+    ({"hash_bits": 8.0}, "hash_bits must be an integer, got 8.0"),
+    ({"ngram_orders": (1.5,)}, re.escape("ngram_orders must be a tuple of integers, got (1.5,)")),
+    ({"ngram_orders": (True, 2)}, re.escape("ngram_orders must be a tuple of integers")),
+    ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ({"lr_schedule": 1}, "lr_schedule must be a string, got 1"),
+])
+def test_hyperparams_checks_each_fields_type_when_built_directly(values, refusal):
+    # from_dict casts first; a direct build is checked by the same __post_init__
+    with pytest.raises(ValueError, match=f"^{refusal}"):
+        Hyperparams(**values)
+
+
+def test_hyperparams_takes_an_int_for_a_float_field():
+    assert Hyperparams(learning_rate=1, l2=0) == Hyperparams(learning_rate=1.0, l2=0.0)
 
 
 def _saved_payload(tmp_path):

@@ -302,6 +302,9 @@ def test_hardest_k(scored, small_train):
         hardest_k(records, small_train, len(records) + 1)
     with pytest.raises(ValueError, match="k=-1"):
         hardest_k(records, small_train, -1)
+    for k in (2.0, True):
+        with pytest.raises(ValueError, match=f"^k must be an integer, got {k!r}$"):
+            hardest_k(records, small_train, k)
     with pytest.raises(ValueError, match="records do not cover"):
         hardest_k(list(records)[1:], small_train, 1)
 

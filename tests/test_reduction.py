@@ -1,14 +1,17 @@
+from array import array
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pvireduce import (Hyperparams, balanced_select, curriculum_order, evaluate,
-                       generate_synthetic, hardest_k, make_imbalanced, progressive_train,
-                       random_select, retained_count, select_subset, static_sweep, train,
-                       train_null)
+from pvireduce import (Dataset, Hyperparams, LabeledInstance, balanced_select,
+                       curriculum_order, evaluate, generate_synthetic, hardest_k,
+                       make_imbalanced, progressive_train, random_select, rank_by_difficulty,
+                       retained_count, select_subset, static_sweep, train, train_null)
 from pvireduce import curriculum, family, pvi, reduction
 from pvireduce.curriculum import stage_subset
 from pvireduce.family import feature_matrix
-from pvireduce.pvi import PviRecord, compute_pvi, train_scorers
+from pvireduce.pvi import PviColumns, PviRecord, compute_pvi, train_scorers
 from pvireduce.report import RuntimeLog
 from pvireduce.reduction import read_sweep_csv, write_sweep_csv
 
@@ -293,27 +296,12 @@ def test_an_unknown_ordering_is_refused_before_any_training(monkeypatch, run):
     assert calls == []
 
 
-@pytest.fixture
-def sorts(monkeypatch):
-    """(order, count) of every call to the one difficulty sort, in call order."""
-    calls = []
-    real = pvi._rank
-
-    def counting(records, order="descending_pvi", positions=None):
-        calls.append((order, len(records) if positions is None else len(positions)))
-        return real(records, order, positions)
-
-    for module in (pvi, reduction, curriculum):
-        monkeypatch.setattr(module, "_rank", counting)
-    return calls
-
-
 @pytest.mark.parametrize("strategy", reduction.STRATEGIES)
 def test_static_sweep_ranks_once(sorts, small_train, small_test, strategy):
     static_sweep(small_train, small_test, [0.2, 0.5, 0.7], Hyperparams(epochs=1),
                  strategy=strategy, timing=False)
     assert len(sorts) <= 1
-    assert all(count == len(small_train) for _, count in sorts)
+    assert all(count == len(small_train) for count in sorts)
 
 
 @pytest.mark.parametrize("ordering", ["easy_first", "hard_first", "original"])
@@ -321,13 +309,18 @@ def test_progressive_train_ranks_once(sorts, small_train, small_test, ordering):
     ratios = [0.0, 0.1, 0.2, 0.3]
     progressive_train(small_train, small_test, Hyperparams(epochs=1), ratios,
                       ordering=ordering, timing=False)
-    m = len(small_train)
-    if ordering != "hard_first":
-        assert sorts == [("descending_pvi", m)]
-    else:
-        # at most twice in full, or once in full and then each stage's kept positions
-        stages = [("ascending_pvi", retained_count(m, r)) for r in ratios]
-        assert len(sorts) <= 2 or sorts == [("descending_pvi", m)] + stages
+    assert sorts == [len(small_train)]
+
+
+@pytest.mark.parametrize("cut", [
+    lambda ds, records: stage_subset(ds, records, 0.3, "hard_first"),
+    lambda ds, records: curriculum_order(ds, records, "hard_first"),
+    lambda ds, records: hardest_k(records, ds, 25),
+], ids=["stage_subset", "curriculum_order", "hardest_k"])
+def test_a_hard_first_cut_ranks_once(sorts, cut):
+    ds = generate_synthetic(60, 3, (0.5, 0.3, 0.2), seed=5)
+    cut(ds, _records_for(ds, np.random.default_rng(6).choice([-1.0, 0.0, 2.0], size=len(ds))))
+    assert sorts == [len(ds)]
 
 
 def test_sweep_csv_roundtrip(tmp_path, small_train, small_test):
@@ -392,3 +385,41 @@ def test_subset_rules_match_brute_force_oracles_under_ties(r):
             assert subset.instances == tuple(instances[i] for i in indices)
         hardest = hardest_k(records, ds, retained_count(len(ds), r))
         assert [inst for inst, _ in hardest] == [instances[i] for i in hard_first]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), r=st.sampled_from([0.0, 0.1, 0.37, 0.5, 0.9]), columns=st.booleans())
+def test_every_order_matches_a_brute_force_oracle(data, r, columns):
+    # few distinct scores, 0.0 and -0.0 among them, so the index tie-break decides most
+    # ranks; indices with gaps, a dataset and records each in their own shuffled order
+    indices = data.draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=40, unique=True))
+    pvis = data.draw(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5]),
+                              min_size=len(indices), max_size=len(indices)))
+    labels = data.draw(st.lists(st.integers(0, 2), min_size=len(indices), max_size=len(indices)))
+    ds = Dataset(tuple(LabeledInstance(i, f"p{i}", f"h{i}", c)
+                       for i, c in data.draw(st.permutations(list(zip(indices, labels))))), 3)
+    listed = data.draw(st.permutations([PviRecord(i, 0.0, p, p) for i, p in zip(indices, pvis)]))
+    records = (PviColumns(array("q", [rec.original_index for rec in listed]),
+                          array("d", [rec.null_log2prob for rec in listed]),
+                          array("d", [rec.cond_log2prob for rec in listed]))
+               if columns else listed)
+    descending = [rec.original_index
+                  for rec in sorted(listed, key=lambda rec: (-rec.pvi, rec.original_index))]
+    ascending = [rec.original_index
+                 for rec in sorted(listed, key=lambda rec: (rec.pvi, rec.original_index))]
+    k = retained_count(len(ds), r)
+    kept = descending[len(descending) - k:]
+    hard_first = [i for i in ascending if i in kept]
+    stages = {"easy_first": kept, "hard_first": hard_first, "original": sorted(kept)}
+    whole = {"easy_first": descending, "hard_first": ascending,
+             "original": [inst.original_index for inst in ds]}
+    for ordering in stages:
+        assert [i.original_index for i in stage_subset(ds, records, r, ordering)] == \
+            stages[ordering]
+        assert [i.original_index for i in curriculum_order(ds, records, ordering)] == \
+            whole[ordering]
+    score = dict(zip(indices, pvis))
+    assert [(inst.original_index, p) for inst, p in hardest_k(records, ds, k)] == \
+        [(i, score[i]) for i in hard_first]
+    assert rank_by_difficulty(records, "descending_pvi") == tuple(descending)
+    assert rank_by_difficulty(records, "ascending_pvi") == tuple(ascending)
